@@ -6,7 +6,7 @@ or validation error, 3 numerical failure (non-convergence, singularity,
 unstable integration).  All outputs are CSV with a header row; --json
 mirrors each CSV as a sibling .json document.  A --config JSON file supplies
 shared defaults (tolerances, OU/turbine/MC parameters, seed); explicit flags
-win over the file.
+win over the file, and unknown keys or mistyped values in it are usage errors.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from . import montecarlo
 from .case_model import bus_positions, load_case, validate_case
 from .csvio import format_cell, read_table, write_table
 from .dynamics import (
+    DEFAULT_DAMPING,
     OuParams,
     TurbineParams,
     build_swing_model,
@@ -39,7 +40,7 @@ from .errors import (
     StabilityRegionError,
 )
 from .pipeline import analyze_case
-from .powerflow import internal_emfs, solve_powerflow
+from .powerflow import PF_MAX_ITER, PF_TOL, internal_emfs, solve_powerflow
 
 _NUMERICAL_ERRORS = (
     ConvergenceError,
@@ -63,74 +64,99 @@ class _Parser(argparse.ArgumentParser):
 class RunConfig:
     """Merged run parameters: config-file values overridden by CLI flags."""
 
-    tol: float = 1e-8
-    max_iter: int = 20
+    tol: float = PF_TOL
+    max_iter: int = PF_MAX_ITER
     seed: int = 0
-    damping: float = 1.0
+    damping: float = DEFAULT_DAMPING
     ou: OuParams = OuParams()
     turbine: TurbineParams = TurbineParams()
-    n_realizations: int = 1000
-    horizon: float = 200.0
-    dt: float = 0.01
+    n_realizations: int = montecarlo.McConfig.n_realizations
+    horizon: float = montecarlo.McConfig.horizon
+    dt: float = montecarlo.McConfig.dt
     bins: int = montecarlo.DEFAULT_BINS
 
 
+# Keys a --config file may set, by section; "" is the top level.  Sections
+# "ou" and "turbine" hold fields of RunConfig.ou and RunConfig.turbine, the
+# others fields of RunConfig.  A value must have the type of its default.
+_CONFIG_KEYS = {
+    "": ("tol", "max_iter", "seed", "damping"),
+    "ou": ("mu", "alpha", "b"),
+    "turbine": ("rated_power", "v_rated", "v_ref"),
+    "mc": ("n_realizations", "horizon", "dt", "bins"),
+}
+
+# Flags that set the same run parameters, flag -> (section, key).
+_PF_FLAGS = {"--tol": ("", "tol"), "--max-iter": ("", "max_iter")}
+_DYNAMICS_FLAGS = {
+    "--seed": ("", "seed"), "--dt": ("mc", "dt"), "--damping": ("", "damping"),
+    "--ou-mu": ("ou", "mu"), "--ou-alpha": ("ou", "alpha"), "--ou-b": ("ou", "b"),
+    "--rated-power": ("turbine", "rated_power"),
+    "--v-rated": ("turbine", "v_rated"), "--v-ref": ("turbine", "v_ref"),
+}
+_MC_FLAGS = {"--n": ("mc", "n_realizations"), "--t": ("mc", "horizon"),
+             "--bins": ("mc", "bins")}
+
+
+def _holder(run: RunConfig, section: str):
+    return getattr(run, section) if section in ("ou", "turbine") else run
+
+
+def _overlay(run: RunConfig, values: dict) -> RunConfig:
+    """run with values, (section, key) -> value, set over it."""
+    parts = {"ou": {}, "turbine": {}, "": {}}
+    for (section, key), value in values.items():
+        parts.get(section, parts[""])[key] = value
+    try:
+        return replace(run, ou=replace(run.ou, **parts["ou"]),
+                       turbine=replace(run.turbine, **parts["turbine"]), **parts[""])
+    except ValueError as exc:  # a parameter out of its range
+        raise _UsageError(str(exc)) from None
+
+
 def _load_run_config(path) -> RunConfig:
+    """RunConfig() with a --config file's values set over it.  Unknown keys,
+    sections that are not objects and values of the wrong type are usage
+    errors; an integer is accepted where a float is expected."""
     with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    ou_raw = raw.get("ou", {})
-    tb_raw = raw.get("turbine", {})
-    mc_raw = raw.get("mc", {})
-    return RunConfig(
-        tol=float(raw.get("tol", 1e-8)),
-        max_iter=int(raw.get("max_iter", 20)),
-        seed=int(raw.get("seed", 0)),
-        damping=float(raw.get("damping", 1.0)),
-        ou=OuParams(
-            mu=float(ou_raw.get("mu", 14.0)),
-            alpha=float(ou_raw.get("alpha", 0.1)),
-            b=float(ou_raw.get("b", 0.099)),
-        ),
-        turbine=TurbineParams(
-            rated_power=float(tb_raw.get("rated_power", 1.0)),
-            v_rated=float(tb_raw.get("v_rated", 15.0)),
-            v_ref=float(tb_raw.get("v_ref", 14.0)),
-        ),
-        n_realizations=int(mc_raw.get("n_realizations", 1000)),
-        horizon=float(mc_raw.get("horizon", 200.0)),
-        dt=float(mc_raw.get("dt", 0.01)),
-        bins=int(mc_raw.get("bins", montecarlo.DEFAULT_BINS)),
-    )
+        try:
+            raw = json.load(fh)
+        except ValueError as exc:  # malformed JSON or not UTF-8
+            raise _UsageError(f"config {path}: invalid JSON: {exc}") from None
+    if not isinstance(raw, dict):
+        raise _UsageError(f"config {path}: the top level must be a JSON object")
+    values = {}
+    for name, value in raw.items():
+        if name and name in _CONFIG_KEYS:
+            if not isinstance(value, dict):
+                raise _UsageError(f"config {path}: {name!r} must be a JSON object")
+            values.update(((name, key), v) for key, v in value.items())
+        else:
+            values["", name] = value
+    defaults = RunConfig()
+    for (section, key), value in values.items():
+        where = f"{section}.{key}" if section else key
+        if key not in _CONFIG_KEYS[section]:
+            raise _UsageError(f"config {path}: unknown key {where!r}")
+        kind = type(getattr(_holder(defaults, section), key))
+        if isinstance(value, bool) or not isinstance(value, (int, kind)):
+            noun = "an integer" if kind is int else "a number"
+            raise _UsageError(f"config {path}: {where} must be {noun}, got {value!r}")
+        try:
+            values[section, key] = kind(value)
+        except OverflowError:  # an integer too large for a float
+            raise _UsageError(f"config {path}: {where} out of range") from None
+    return _overlay(defaults, values)
 
 
 def _merge(run: RunConfig, args) -> RunConfig:
-    updates = {}
-    for flag, field in (
-        ("tol", "tol"),
-        ("max_iter", "max_iter"),
-        ("seed", "seed"),
-        ("damping", "damping"),
-        ("n", "n_realizations"),
-        ("t", "horizon"),
-        ("dt", "dt"),
-        ("bins", "bins"),
-    ):
-        val = getattr(args, flag, None)
-        if val is not None:
-            updates[field] = val
-    for flag, field in (("ou_mu", "mu"), ("ou_alpha", "alpha"), ("ou_b", "b")):
-        val = getattr(args, flag, None)
-        if val is not None:
-            run = replace(run, ou=replace(run.ou, **{field: val}))
-    for flag, field in (
-        ("rated_power", "rated_power"),
-        ("v_rated", "v_rated"),
-        ("v_ref", "v_ref"),
-    ):
-        val = getattr(args, flag, None)
-        if val is not None:
-            run = replace(run, turbine=replace(run.turbine, **{field: val}))
-    return replace(run, **updates) if updates else run
+    """run with the run-parameter flags given on the command line set over it."""
+    values = {}
+    for flag, target in {**_PF_FLAGS, **_DYNAMICS_FLAGS, **_MC_FLAGS}.items():
+        value = getattr(args, flag[2:].replace("-", "_"), None)
+        if value is not None:
+            values[target] = value
+    return _overlay(run, values)
 
 
 def _load_validated(path):
@@ -181,55 +207,39 @@ def _cmd_pf(args, run: RunConfig) -> int:
     return 0
 
 
-def _cmd_laplacian(args, run: RunConfig) -> int:
+def _bus_rows(ids, *columns):
+    """One row per bus: its id, then its entry in each column."""
+    return [[bid] + [float(col[i]) for col in columns] for i, bid in enumerate(ids)]
+
+
+# Subcommands that analyze a case and write one table of the analysis:
+# name -> (help, table), table(analysis) -> (header, rows[, comment]).
+_ANALYSES = {
+    "laplacian": ("dump the weighted Laplacian", lambda a: (
+        ["bus_id"] + [str(b) for b in a.laplacian.bus_ids],
+        _bus_rows(a.laplacian.bus_ids, *a.laplacian.l.T),
+    )),
+    "dmatrix": ("dump the frequency participation matrix", lambda a: (
+        ["bus_id"] + [f"gen_{k}" for k in range(a.participation.d.shape[1])],
+        _bus_rows(a.participation.bus_ids, *a.participation.d.T),
+    )),
+    "inertia": ("per-bus nodal inertia", lambda a: (
+        ["bus_id", "nodal_inertia_s"],
+        _bus_rows(a.inertia.bus_ids, a.inertia.h),
+    )),
+    "gfv": ("per-bus placement metric and Fiedler vector", lambda a: (
+        ["bus_id", "nodal_inertia_s", "fiedler_norm", "gfv"],
+        _bus_rows(a.gfv.bus_ids, a.inertia.h, a.fiedler.vector, a.gfv.gfv),
+        f"lambda2={a.fiedler.lambda2!r} "
+        f"lambda2_bar={a.gfv.dynamic_connectivity!r}",
+    )),
+}
+
+
+def _cmd_analysis(args, run: RunConfig) -> int:
     analysis = analyze_case(_load_validated(args.case), tol=run.tol,
                             max_iter=run.max_iter, check=False)
-    lap = analysis.laplacian
-    header = ["bus_id"] + [str(b) for b in lap.bus_ids]
-    rows = [
-        [bid] + [float(x) for x in lap.l[i]] for i, bid in enumerate(lap.bus_ids)
-    ]
-    _emit(args, header, rows)
-    return 0
-
-
-def _cmd_dmatrix(args, run: RunConfig) -> int:
-    analysis = analyze_case(_load_validated(args.case), tol=run.tol,
-                            max_iter=run.max_iter, check=False)
-    d = analysis.participation.d
-    header = ["bus_id"] + [f"gen_{k}" for k in range(d.shape[1])]
-    rows = [
-        [bid] + [float(x) for x in d[i]]
-        for i, bid in enumerate(analysis.participation.bus_ids)
-    ]
-    _emit(args, header, rows)
-    return 0
-
-
-def _cmd_inertia(args, run: RunConfig) -> int:
-    analysis = analyze_case(_load_validated(args.case), tol=run.tol,
-                            max_iter=run.max_iter, check=False)
-    rows = [
-        [bid, float(analysis.inertia.h[i])]
-        for i, bid in enumerate(analysis.inertia.bus_ids)
-    ]
-    _emit(args, ["bus_id", "nodal_inertia_s"], rows)
-    return 0
-
-
-def _cmd_gfv(args, run: RunConfig) -> int:
-    analysis = analyze_case(_load_validated(args.case), tol=run.tol,
-                            max_iter=run.max_iter, check=False)
-    rows = [
-        [bid, float(analysis.inertia.h[i]), float(analysis.fiedler.vector[i]),
-         float(analysis.gfv.gfv[i])]
-        for i, bid in enumerate(analysis.gfv.bus_ids)
-    ]
-    comment = (
-        f"lambda2={analysis.fiedler.lambda2!r} "
-        f"lambda2_bar={analysis.gfv.dynamic_connectivity!r}"
-    )
-    _emit(args, ["bus_id", "nodal_inertia_s", "fiedler_norm", "gfv"], rows, comment)
+    _emit(args, *_ANALYSES[args.command][1](analysis))
     return 0
 
 
@@ -321,7 +331,7 @@ def _cmd_mc(args, run: RunConfig) -> int:
         ["bus_id", "gfv", "median_ifd", "ifd_iqr", "q1", "q3", "whisker_low",
          "whisker_high", "coi_std", "poi_std", "n_ok"],
         summary_rows,
-        comment=(f"f0_pu={summary.f0!r} frequency_values=deviation_pu "
+        comment=(f"f0_pu=1.0 frequency_values=deviation_pu "
                  f"seed={run.seed} n_realizations={summary.n_realizations} "
                  f"partial={summary.partial}"),
         json_mirror=args.json,
@@ -366,6 +376,12 @@ def _add_common(sub, out=True):
         sub.add_argument("--out", help="output CSV path (default: stdout)")
 
 
+def _add_run_flags(sub, flags):
+    defaults = RunConfig()
+    for flag, (section, key) in flags.items():
+        sub.add_argument(flag, type=type(getattr(_holder(defaults, section), key)))
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="grid-gfv", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
@@ -377,74 +393,32 @@ def build_parser() -> _Parser:
 
     p = subs.add_parser("pf", help="solve the AC power flow")
     p.add_argument("case")
-    p.add_argument("--tol", type=float)
-    p.add_argument("--max-iter", dest="max_iter", type=int)
+    _add_run_flags(p, _PF_FLAGS)
     _add_common(p)
     p.set_defaults(func=_cmd_pf)
 
-    p = subs.add_parser("laplacian", help="dump the weighted Laplacian")
-    p.add_argument("case")
-    p.add_argument("--tol", type=float)
-    p.add_argument("--max-iter", dest="max_iter", type=int)
-    _add_common(p)
-    p.set_defaults(func=_cmd_laplacian)
-
-    p = subs.add_parser("dmatrix", help="dump the frequency participation matrix")
-    p.add_argument("case")
-    p.add_argument("--tol", type=float)
-    p.add_argument("--max-iter", dest="max_iter", type=int)
-    _add_common(p)
-    p.set_defaults(func=_cmd_dmatrix)
-
-    p = subs.add_parser("inertia", help="per-bus nodal inertia")
-    p.add_argument("case")
-    p.add_argument("--tol", type=float)
-    p.add_argument("--max-iter", dest="max_iter", type=int)
-    _add_common(p)
-    p.set_defaults(func=_cmd_inertia)
-
-    p = subs.add_parser("gfv", help="per-bus placement metric and Fiedler vector")
-    p.add_argument("case")
-    p.add_argument("--tol", type=float)
-    p.add_argument("--max-iter", dest="max_iter", type=int)
-    _add_common(p)
-    p.set_defaults(func=_cmd_gfv)
+    for name, (help_text, _) in _ANALYSES.items():
+        p = subs.add_parser(name, help=help_text)
+        p.add_argument("case")
+        _add_run_flags(p, _PF_FLAGS)
+        _add_common(p)
+        p.set_defaults(func=_cmd_analysis)
 
     p = subs.add_parser("simulate", help="one stochastic-wind trajectory")
     p.add_argument("case")
     p.add_argument("--bus", type=int, required=True)
-    p.add_argument("--seed", type=int)
     p.add_argument("--t", type=float, default=200.0)
-    p.add_argument("--dt", type=float)
-    p.add_argument("--damping", type=float)
-    p.add_argument("--ou-mu", dest="ou_mu", type=float)
-    p.add_argument("--ou-alpha", dest="ou_alpha", type=float)
-    p.add_argument("--ou-b", dest="ou_b", type=float)
-    p.add_argument("--rated-power", dest="rated_power", type=float)
-    p.add_argument("--v-rated", dest="v_rated", type=float)
-    p.add_argument("--v-ref", dest="v_ref", type=float)
+    _add_run_flags(p, _DYNAMICS_FLAGS)
     _add_common(p)
     p.set_defaults(func=_cmd_simulate)
 
     p = subs.add_parser("mc", help="Monte Carlo placement study")
     p.add_argument("case")
     p.add_argument("--buses", required=True, help="comma-separated bus ids")
-    p.add_argument("--n", type=int)
-    p.add_argument("--t", type=float)
-    p.add_argument("--dt", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--bins", type=int)
-    p.add_argument("--damping", type=float)
-    p.add_argument("--ou-mu", dest="ou_mu", type=float)
-    p.add_argument("--ou-alpha", dest="ou_alpha", type=float)
-    p.add_argument("--ou-b", dest="ou_b", type=float)
-    p.add_argument("--rated-power", dest="rated_power", type=float)
-    p.add_argument("--v-rated", dest="v_rated", type=float)
-    p.add_argument("--v-ref", dest="v_ref", type=float)
-    p.add_argument("--out-dir", dest="out_dir", required=True)
-    p.add_argument("--json", action="store_true",
-                   help="also write each CSV as a sibling .json document")
-    p.add_argument("--config", help="JSON file with shared run defaults")
+    _add_run_flags(p, _MC_FLAGS)
+    _add_run_flags(p, _DYNAMICS_FLAGS)
+    p.add_argument("--out-dir", required=True)
+    _add_common(p, out=False)
     p.set_defaults(func=_cmd_mc)
 
     p = subs.add_parser("report", help="ranking table from an mc output directory")
@@ -459,9 +433,8 @@ def dispatch(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        run = RunConfig()
-        if getattr(args, "config", None):
-            run = _load_run_config(args.config)
+        config = getattr(args, "config", None)
+        run = _load_run_config(config) if config else RunConfig()
         run = _merge(run, args)
         return args.func(args, run)
     except _UsageError as exc:

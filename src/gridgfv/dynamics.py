@@ -18,19 +18,21 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal import lfilter
 
-from .case_model import NetworkCase
+from .case_model import NetworkCase, bus_positions
 from .errors import GridGfvError, SimulationUnstableError
 from .powerflow import InternalEmfs, PowerFlowSolution, build_ybus
 from .reduction import (
-    AugmentedAdmittance,
     NodeKey,
     ParticipationMatrix,
     augment_internal_nodes,
     frequency_participation,
     kron_reduce,
 )
+from .spectral import build_laplacian
 
 OMEGA_SYNC = 2.0 * math.pi * 60.0  # rad/s at 60 Hz nominal
+# Damping (pu) of machines whose case entry gives none.
+DEFAULT_DAMPING = 1.0
 
 
 @dataclass(frozen=True)
@@ -133,50 +135,39 @@ def wind_to_power(
     return p - p_ref
 
 
-def _augmented_laplacian(
-    case: NetworkCase,
-    sol: PowerFlowSolution,
-    emfs: InternalEmfs,
-    aug: AugmentedAdmittance,
-) -> np.ndarray:
-    """Synchronizing-coefficient Laplacian over buses + internal nodes.
-
-    Same weighting as the bus Laplacian, extended with the machine EMFs:
-    w_ij = |U_i||U_j| Im(Y_ij) cos(a_i - a_j) on every coupled pair, where U
-    and a take bus voltage/angle or internal EMF/rotor angle as appropriate.
-    """
-    n = case.n_bus
-    mag = np.concatenate([sol.vm, emfs.e_mag])
-    ang = np.concatenate([sol.va, emfs.delta0])
-    b_off = aug.matrix.imag.copy()
-    np.fill_diagonal(b_off, 0.0)
-    w = (mag[:, None] * mag[None, :]) * b_off * np.cos(ang[:, None] - ang[None, :])
-    w = 0.5 * (w + w.T)
-    return np.diag(w.sum(axis=1)) - w
-
-
 def build_swing_model(
     case: NetworkCase,
     sol: PowerFlowSolution,
     emfs: InternalEmfs,
-    default_damping: float = 1.0,
+    default_damping: float = DEFAULT_DAMPING,
     omega_s: float = OMEGA_SYNC,
 ) -> SwingModel:
     """Assemble the second-order model M dw/dt = dP - D w - L_red theta,
     d theta/dt = omega_s * w over generator internal nodes.
 
+    L_red is the bus Laplacian of build_laplacian plus one edge per machine,
+    internal node to terminal t, of weight E_k |V_t| cos(d_k0 - t_t0) / xd_p.
     Machines missing a damping value in the case file get default_damping.
     """
-    m = np.array([2.0 * g.h for g in case.generators])
-    damp = np.array(
-        [g.d if g.d is not None else default_damping for g in case.generators]
-    )
-    ybus = build_ybus(case)
-    aug = augment_internal_nodes(ybus, case)
-    lap = _augmented_laplacian(case, sol, emfs, aug)
+    aug = augment_internal_nodes(build_ybus(case), case)
+    laplacian = build_laplacian(case, sol)
+    n = case.n_bus
+    pos = bus_positions(case)
+    term = np.array([pos[g.bus] for g in case.generators], dtype=int)
+    gen = n + np.arange(case.n_gen)
+    b_machine = 1.0 / np.array([g.xd_p for g in case.generators])
+    w = emfs.e_mag * sol.vm[term] * b_machine * np.cos(emfs.delta0 - sol.va[term])
+    lap = np.zeros((n + case.n_gen, n + case.n_gen))
+    lap[:n, :n] = laplacian.l
+    np.add.at(lap, (term, term), w)
+    lap[gen, gen] = w
+    lap[gen, term] = -w
+    lap[term, gen] = -w
     return SwingModel(
-        m=m,
-        damp=damp,
+        m=np.array([2.0 * g.h for g in case.generators]),
+        damp=np.array(
+            [g.d if g.d is not None else default_damping for g in case.generators]
+        ),
         l_red=lap,
         nodes=aug.nodes,
         participation=frequency_participation(aug),

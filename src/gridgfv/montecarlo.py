@@ -7,8 +7,8 @@ draws and adding a placement bus never perturbs the others).  Results are
 deterministic for a given base seed regardless of how many workers run the
 realizations.
 
-Frequency samples are recorded as deviations in pu; the nominal frequency f0
-is carried in the summary metadata rather than added onto the series.
+Frequency samples are recorded as deviations in pu from the nominal
+frequency; nothing adds the nominal value back onto the series.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import numpy as np
 
 from .case_model import NetworkCase, bus_positions
 from .dynamics import (
+    DEFAULT_DAMPING,
     OuParams,
     SwingModel,
     Trajectory,
@@ -46,8 +47,7 @@ class McConfig:
     ou: OuParams = field(default_factory=OuParams)
     turbine: TurbineParams = field(default_factory=TurbineParams)
     base_seed: int = 0
-    default_damping: float = 1.0
-    f0: float = 1.0  # pu
+    default_damping: float = DEFAULT_DAMPING
 
     def __post_init__(self):
         if self.n_realizations < 1:
@@ -102,14 +102,13 @@ class McSummary:
     placements: dict[int, PlacementStats]
     n_realizations: int
     partial: bool
-    f0: float
     meta: dict
 
 
-def ifd(traj: Trajectory, f0: float = 1.0) -> float:
+def ifd(traj: Trajectory) -> float:
     """Integral frequency deviation: sum over buses and samples of the
-    absolute gap between bus frequency and nominal.  Since the trajectory
-    stores deviations, f0 cancels and the value is the plain absolute sum."""
+    absolute gap between bus frequency and nominal.  The trajectory stores
+    deviations, so this is their plain absolute sum."""
     return float(np.abs(traj.bus_freq).sum())
 
 
@@ -139,7 +138,6 @@ def summarize(
     bins: int = DEFAULT_BINS,
     order: tuple[int, ...] | None = None,
     n_realizations: int | None = None,
-    f0: float = 1.0,
 ) -> McSummary:
     """Aggregate raw collections into histograms and boxplot quartiles.
 
@@ -177,8 +175,7 @@ def summarize(
         placements=placements,
         n_realizations=n_real,
         partial=any_failures,
-        f0=f0,
-        meta={"frequency_values": "deviation_pu", "f0_pu": f0},
+        meta={"frequency_values": "deviation_pu"},
     )
 
 
@@ -200,7 +197,7 @@ def _realization_seed(base_seed: int, realization: int):
 
 
 def _one_realization(payload, realization: int):
-    model, buses, bus_rows, ou, turbine, dt, n_steps, base_seed, f0 = payload
+    model, buses, bus_rows, ou, turbine, dt, n_steps, base_seed = payload
     params = replace(ou, dt=dt, seed=_realization_seed(base_seed, realization))
     wind = simulate_ou(params, n_steps)
     dp = wind_to_power(wind, turbine.rated_power, turbine.v_rated, turbine.v_ref)
@@ -209,7 +206,7 @@ def _one_realization(payload, realization: int):
         try:
             traj = simulate(model, bus, dp, dt)
             results.append(
-                (ifd(traj, f0), traj.coi_freq, traj.bus_freq[bus_rows[bus]], None)
+                (ifd(traj), traj.coi_freq, traj.bus_freq[bus_rows[bus]], None)
             )
         except GridGfvError as exc:
             results.append((None, None, None, f"realization {realization}: {exc}"))
@@ -256,7 +253,6 @@ def run_monte_carlo(
         cfg.dt,
         n_steps,
         cfg.base_seed,
-        cfg.f0,
     )
 
     n_workers = resolve_workers(workers, cfg.n_realizations)
@@ -294,5 +290,4 @@ def run_monte_carlo(
         bins=bins,
         order=cfg.placement_buses,
         n_realizations=cfg.n_realizations,
-        f0=cfg.f0,
     )

@@ -13,6 +13,8 @@ import numpy as np
 from .case_model import NetworkCase, validate_case
 from .errors import CaseError
 from .powerflow import (
+    PF_MAX_ITER,
+    PF_TOL,
     InternalEmfs,
     PowerFlowSolution,
     build_ybus,
@@ -59,8 +61,8 @@ class CaseAnalysis:
 
 def analyze_case(
     case: NetworkCase,
-    tol: float = 1e-8,
-    max_iter: int = 20,
+    tol: float = PF_TOL,
+    max_iter: int = PF_MAX_ITER,
     check: bool = True,
 ) -> CaseAnalysis:
     """Run the whole analysis chain on a validated case."""

@@ -15,6 +15,10 @@ import numpy as np
 from .case_model import NetworkCase, bus_ids, bus_positions
 from .errors import CaseError, ConvergenceError, SingularMatrixError
 
+# Newton-Raphson defaults: mismatch tolerance (pu, infinity norm), iterations.
+PF_TOL = 1e-8
+PF_MAX_ITER = 20
+
 
 @dataclass(frozen=True)
 class PowerFlowSolution:
@@ -81,8 +85,8 @@ def _scheduled(case: NetworkCase):
 
 def solve_powerflow(
     case: NetworkCase,
-    tol: float = 1e-8,
-    max_iter: int = 20,
+    tol: float = PF_TOL,
+    max_iter: int = PF_MAX_ITER,
     ybus: np.ndarray | None = None,
 ) -> PowerFlowSolution:
     """Newton-Raphson power flow from a flat start.

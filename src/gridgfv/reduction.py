@@ -33,10 +33,6 @@ class AugmentedAdmittance:
     matrix: np.ndarray
     nodes: tuple[NodeKey, ...]
 
-    @property
-    def index(self) -> dict[NodeKey, int]:
-        return {node: i for i, node in enumerate(self.nodes)}
-
     def bus_rows(self) -> list[int]:
         return [i for i, (kind, _) in enumerate(self.nodes) if kind == "bus"]
 

@@ -205,3 +205,39 @@ def test_config_file_defaults(tmp_path):
     assert code == 0
     _, rows = read_table(out)
     assert len(rows) == 51  # dt from the config file
+
+
+@pytest.mark.parametrize("text", [
+    '{"mc": {"n_realisations": 10}}',  # unknown key in a section
+    '{"toll": 1e-6}',  # unknown key at the top level
+    '{"ou": 3}',  # section that is not an object
+    '[{"tol": 1e-6}]',  # top level that is not an object
+    '{"seed": 1,',  # malformed JSON
+    '{"tol": "1e-6"}',  # string for a number
+    '{"mc": {"bins": 2.5}}',  # float for an integer
+    '{"max_iter": true}',  # boolean for an integer
+    '{"ou": {"alpha": -1}}',  # value out of its range
+    '{"tol": 1' + '0' * 400 + '}',  # integer too large for a float
+])
+def test_bad_config_file_is_a_one_line_usage_error(tmp_path, capsys, text):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(text)
+    assert main(["pf", CASE9, "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
+def test_mc_damping_reaches_the_swing_model(tmp_path, monkeypatch):
+    # case7_study gives no machine damping, so every machine takes --damping
+    # or the config file's damping.
+    monkeypatch.setenv("GRID_GFV_THREADS", "1")
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"damping": 5.0}))
+    summaries = {}
+    for name, extra in [("default", []), ("flag", ["--damping", "5"]),
+                        ("config", ["--config", str(cfg)])]:
+        out_dir = tmp_path / name
+        assert main(["mc", STUDY, "--buses", "3", "--n", "2", "--t", "1.0",
+                     "--dt", "0.01", "--out-dir", str(out_dir)] + extra) == 0
+        summaries[name] = (out_dir / "summary.csv").read_bytes()
+    assert summaries["flag"] == summaries["config"] != summaries["default"]

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from gridgfv import (
     OuParams,
     SimulationUnstableError,
+    StabilityRegionError,
     build_swing_model,
     closed_form_response,
     internal_emfs,
@@ -20,7 +22,7 @@ from gridgfv import (
 )
 from gridgfv.reduction import kron_reduce
 
-from conftest import get_case
+from conftest import FIXTURE_NAMES, get_analysis, get_case
 
 
 def test_ou_zero_diffusion_is_constant():
@@ -138,6 +140,32 @@ def test_nine_bus_swing_coupling_is_psd():
     vals = np.linalg.eigvalsh(lred)
     assert vals.min() >= -1e-9 * vals.max()
     assert np.all(model.m > 0)
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_swing_laplacian_is_the_admittance_weighted_laplacian(name):
+    # Reference: every coupled pair of buses and internal nodes weighted by
+    # |U_i||U_j| Im(Y_aug)_ij cos(a_i - a_j), with U, a the bus voltage and
+    # angle or the machine EMF and rotor angle.
+    analysis = get_analysis(name)
+    sol, emfs, aug = analysis.solution, analysis.emfs, analysis.aug
+    mag = np.concatenate([sol.vm, emfs.e_mag])
+    ang = np.concatenate([sol.va, emfs.delta0])
+    b_off = aug.matrix.imag.copy()
+    np.fill_diagonal(b_off, 0.0)
+    w = np.outer(mag, mag) * b_off * np.cos(ang[:, None] - ang[None, :])
+    reference = np.diag(w.sum(axis=1)) - w
+    model = build_swing_model(analysis.case, sol, emfs)
+    assert model.nodes == aug.nodes
+    assert np.max(np.abs(model.l_red - reference)) <= 1e-12 * np.abs(reference).max()
+
+
+def test_swing_model_rejects_ninety_degree_branch():
+    case = get_case("case2")
+    sol = solve_powerflow(case)
+    sol = replace(sol, va=np.array([0.0, -math.pi / 2]))
+    with pytest.raises(StabilityRegionError):
+        build_swing_model(case, sol, internal_emfs(case, sol))
 
 
 def test_simulate_zero_input_stays_zero():
