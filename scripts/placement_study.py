@@ -17,7 +17,7 @@ from scipy.stats import spearmanr
 
 sys.path.insert(0, str(Path(__file__).parents[1] / "src"))
 
-from gridgfv import McConfig, OuParams, analyze_case, load_case, run_monte_carlo
+from gridgfv import McConfig, OuParams, analyze_case, load_validated_case, run_monte_carlo
 from gridgfv.csvio import write_table
 from gridgfv.dynamics import TurbineParams
 
@@ -41,7 +41,7 @@ def parse_args():
 
 def main():
     args = parse_args()
-    case = load_case(args.case)
+    case = load_validated_case(args.case)
     analysis = analyze_case(case)
     gfv_at = dict(zip(analysis.gfv.bus_ids, analysis.gfv.gfv))
     h_at = dict(zip(analysis.inertia.bus_ids, analysis.inertia.h))

@@ -15,6 +15,7 @@ from .case_model import (
     Violation,
     connected_components,
     load_case,
+    load_validated_case,
     parse_case,
     serialize_case,
     validate_case,

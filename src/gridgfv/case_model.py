@@ -1,21 +1,27 @@
 """Grid data model and case-file parsing.
 
 A case file is a single JSON document with top-level keys ``base_mva``,
-``buses``, ``branches`` and ``generators``.  All electrical quantities are
-stored in per-unit on the system base after parsing; generator parameters
-given on the machine base (h, d, xd_p) are rescaled at parse time so no
-downstream code ever sees mixed bases.
+``buses``, ``branches`` and ``generators``; each section is an array of
+objects whose keys and types are the fields of ``Bus``, ``Branch`` and
+``Generator``.  All electrical quantities are stored in per-unit on the
+system base after parsing; generator parameters given on the machine base
+(h, d, xd_p) are rescaled at parse time so no downstream code ever sees
+mixed bases.
 """
-
-from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import MISSING, asdict, dataclass, fields, replace
+from reprlib import repr as _show
+from typing import Literal, NewType, get_args
 
 from .errors import CaseError
 
-BUS_KINDS = ("slack", "pv", "pq")
+BusKind = Literal["slack", "pv", "pq"]
+BUS_KINDS = get_args(BusKind)
+# A bus's id, or a reference to one from a branch or generator.
+BusId = NewType("BusId", int)
 
 
 @dataclass(frozen=True)
@@ -30,8 +36,8 @@ class Bus:
         v_set: voltage setpoint magnitude, meaningful for slack/pv buses
     """
 
-    id: int
-    kind: str
+    id: BusId
+    kind: BusKind
     p_load: float = 0.0
     q_load: float = 0.0
     g_shunt: float = 0.0
@@ -47,12 +53,16 @@ class Branch:
     susceptance (half is lumped at each end).
     """
 
-    from_bus: int
-    to_bus: int
+    from_bus: BusId
+    to_bus: BusId
     x: float
     r: float = 0.0
     b_ch: float = 0.0
     status: bool = True
+
+    def __post_init__(self):
+        if self.from_bus == self.to_bus:
+            raise ValueError(f"from_bus and to_bus are both {self.from_bus}")
 
 
 @dataclass(frozen=True)
@@ -61,16 +71,21 @@ class Generator:
 
     After parsing, h (inertia constant, s), d (damping, pu) and xd_p
     (transient reactance, pu) are on the *system* base.  mva_base records
-    the machine rating the file used, so serialization can convert back.
-    d may be None when the case file does not provide a damping value.
+    the machine rating the file used (None: the system base, which
+    parse_case fills in), so serialization can convert back.  d may be None
+    when the case file does not provide a damping value.
     """
 
-    bus: int
+    bus: BusId
     h: float
     xd_p: float
     p_gen: float = 0.0
     d: float | None = None
-    mva_base: float = 0.0
+    mva_base: float | None = None
+
+    def __post_init__(self):
+        if self.mva_base is not None and self.mva_base <= 0:
+            raise ValueError(f"mva_base must be positive, got {self.mva_base}")
 
 
 @dataclass(frozen=True)
@@ -113,21 +128,84 @@ def bus_ids(case: NetworkCase) -> tuple[int, ...]:
     return tuple(bus.id for bus in case.buses)
 
 
-def _require(obj: dict, key: str, where: str):
-    if key not in obj:
-        raise CaseError(f"{where}: missing required field '{key}'")
-    return obj[key]
+def _number(value) -> float:
+    if type(value) not in (int, float):
+        raise ValueError("must be a number")
+    if not abs(value) <= sys.float_info.max:  # inf, NaN, or an int beyond floats
+        raise ValueError("must be finite")
+    return float(value)
 
 
-def _number(obj: dict, key: str, where: str, default=None):
-    if key not in obj:
-        if default is None:
-            raise CaseError(f"{where}: missing required field '{key}'")
-        return float(default)
-    val = obj[key]
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise CaseError(f"{where}: field '{key}' must be a number, got {val!r}")
-    return float(val)
+def _ensure(ok: bool, value, reason: str):
+    if not ok:
+        raise ValueError(reason)
+    return value
+
+
+# The value a field of each type stores for a case-file value; ValueError
+# with the reason when the value does not fit the type.
+_CHECKS = {
+    BusId: lambda v: _ensure(type(v) is int, v, "must be an integer"),
+    BusKind: lambda v: _ensure(v in BUS_KINDS, v, f"must be one of {BUS_KINDS}"),
+    float: _number,
+    float | None: lambda v: None if v is None else _number(v),
+    bool: lambda v: _ensure(type(v) in (bool, int) and v in (0, 1), bool(v),
+                            "must be true, false, 0 or 1"),
+}
+
+# Generator fields a case file gives on the machine base, with the power of
+# r = mva_base / base_mva that takes each to the system base.
+_MACHINE_BASE = {"h": 1, "d": 1, "xd_p": -1}
+
+
+def _read(raw: dict, section: str, cls, ids: set[int]) -> list:
+    """raw[section], an array of objects, as cls instances: fields without a
+    default are required, each value must fit its field's type, other keys
+    are ignored.  Buses add their ids to ids; other bus ids must be in it."""
+    entries = raw[section]
+    if not isinstance(entries, list):
+        raise CaseError(f"section '{section}' must be an array, got {_show(entries)}")
+    # f.type is the type itself, as this module does not postpone annotations.
+    schema = [(f.name, _CHECKS[f.type], f.default is MISSING, f.type is BusId)
+              for f in fields(cls)]
+    out = []
+    for k, entry in enumerate(entries):
+        where = f"{section}[{k}]"
+        if not isinstance(entry, dict):
+            raise CaseError(f"{where}: entry must be an object, got {_show(entry)}")
+        values = {}
+        for name, check, required, is_bus_id in schema:
+            if name not in entry:
+                if required:
+                    raise CaseError(f"{where}: missing required field '{name}'")
+                continue
+            value = entry[name]
+            try:
+                values[name] = check(value)
+            except ValueError as exc:
+                raise CaseError(f"{where}: field '{name}' {exc}, got {_show(value)}") from None
+            if is_bus_id and cls is Bus:
+                if value in ids:
+                    raise CaseError(f"{where}: duplicate bus id {value}")
+                ids.add(value)
+            elif is_bus_id and value not in ids:
+                raise CaseError(f"{where}: {name} references nonexistent bus {value}")
+        try:
+            out.append(cls(**values))
+        except ValueError as exc:  # an invariant of cls
+            raise CaseError(f"{where}: {exc}") from None
+    return out
+
+
+def _rebase(gen: Generator, base_mva: float, direction: int) -> Generator:
+    """gen with its machine-base fields taken to the system base (direction
+    1) or back to the machine base (direction -1)."""
+    mva = base_mva if gen.mva_base is None else gen.mva_base
+    r = mva / base_mva
+    scaled = {name: v * r if power * direction > 0 else v / r
+              for name, power in _MACHINE_BASE.items()
+              if (v := getattr(gen, name)) is not None}
+    return replace(gen, mva_base=mva, **scaled)
 
 
 def parse_case(text: str) -> NetworkCase:
@@ -136,8 +214,8 @@ def parse_case(text: str) -> NetworkCase:
     Generator machine-base quantities are converted to the system base here:
     h and d scale by mva_base/base_mva, xd_p by base_mva/mva_base.
 
-    Raises CaseError on syntax errors, missing sections, duplicate bus ids
-    and dangling branch endpoints.
+    Raises CaseError, with one line naming the entry and field at fault,
+    when the text does not fit the schema of Bus, Branch and Generator.
     """
     try:
         raw = json.loads(text)
@@ -145,6 +223,8 @@ def parse_case(text: str) -> NetworkCase:
         raise CaseError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError:
+        raise CaseError("invalid JSON: nested too deeply") from None
     if not isinstance(raw, dict):
         raise CaseError("case file must contain a JSON object at top level")
 
@@ -153,144 +233,43 @@ def parse_case(text: str) -> NetworkCase:
             raise CaseError(f"missing required section '{section}'")
 
     base_mva = raw["base_mva"]
-    if not isinstance(base_mva, (int, float)) or base_mva <= 0:
-        raise CaseError(f"base_mva must be a positive number, got {base_mva!r}")
+    if type(base_mva) not in (int, float) or not 0 < base_mva <= sys.float_info.max:
+        raise CaseError(f"base_mva must be a positive number, got {_show(base_mva)}")
     base_mva = float(base_mva)
 
-    buses = []
-    seen_ids: set[int] = set()
-    for k, entry in enumerate(raw["buses"]):
-        where = f"buses[{k}]"
-        bid = _require(entry, "id", where)
-        if not isinstance(bid, int) or isinstance(bid, bool):
-            raise CaseError(f"{where}: bus id must be an integer, got {bid!r}")
-        if bid in seen_ids:
-            raise CaseError(f"{where}: duplicate bus id {bid}")
-        seen_ids.add(bid)
-        kind = _require(entry, "kind", where)
-        if kind not in BUS_KINDS:
-            raise CaseError(
-                f"{where}: kind must be one of {BUS_KINDS}, got {kind!r}"
-            )
-        buses.append(
-            Bus(
-                id=bid,
-                kind=kind,
-                p_load=_number(entry, "p_load", where, 0.0),
-                q_load=_number(entry, "q_load", where, 0.0),
-                g_shunt=_number(entry, "g_shunt", where, 0.0),
-                b_shunt=_number(entry, "b_shunt", where, 0.0),
-                v_set=_number(entry, "v_set", where, 1.0),
-            )
-        )
-
-    branches = []
-    for k, entry in enumerate(raw["branches"]):
-        where = f"branches[{k}]"
-        fb = _require(entry, "from_bus", where)
-        tb = _require(entry, "to_bus", where)
-        for end, name in ((fb, "from_bus"), (tb, "to_bus")):
-            if end not in seen_ids:
-                raise CaseError(
-                    f"{where}: {name} references nonexistent bus {end}"
-                )
-        if fb == tb:
-            raise CaseError(f"{where}: from_bus and to_bus are both {fb}")
-        status = entry.get("status", True)
-        if isinstance(status, (int, bool)):
-            status = bool(status)
-        else:
-            raise CaseError(f"{where}: status must be boolean or 0/1")
-        branches.append(
-            Branch(
-                from_bus=fb,
-                to_bus=tb,
-                r=_number(entry, "r", where, 0.0),
-                x=_number(entry, "x", where),
-                b_ch=_number(entry, "b_ch", where, 0.0),
-                status=status,
-            )
-        )
-
-    generators = []
-    for k, entry in enumerate(raw["generators"]):
-        where = f"generators[{k}]"
-        gbus = _require(entry, "bus", where)
-        if gbus not in seen_ids:
-            raise CaseError(f"{where}: bus references nonexistent bus {gbus}")
-        mva = _number(entry, "mva_base", where, base_mva)
-        if mva <= 0:
-            raise CaseError(f"{where}: mva_base must be positive, got {mva}")
-        to_sys = mva / base_mva
-        d_raw = entry.get("d")
-        if d_raw is not None and (isinstance(d_raw, bool) or not isinstance(d_raw, (int, float))):
-            raise CaseError(f"{where}: field 'd' must be a number or omitted")
-        generators.append(
-            Generator(
-                bus=gbus,
-                p_gen=_number(entry, "p_gen", where, 0.0),
-                h=_number(entry, "h", where) * to_sys,
-                d=None if d_raw is None else float(d_raw) * to_sys,
-                xd_p=_number(entry, "xd_p", where) / to_sys,
-                mva_base=mva,
-            )
-        )
-
-    return NetworkCase(
-        base_mva=base_mva,
-        buses=tuple(buses),
-        branches=tuple(branches),
-        generators=tuple(generators),
-    )
+    ids: set[int] = set()
+    buses = _read(raw, "buses", Bus, ids)
+    branches = _read(raw, "branches", Branch, ids)
+    generators = [_rebase(g, base_mva, 1) for g in _read(raw, "generators", Generator, ids)]
+    return NetworkCase(base_mva, tuple(buses), tuple(branches), tuple(generators))
 
 
 def serialize_case(case: NetworkCase) -> str:
     """Inverse of parse_case: emits machine-base generator quantities."""
-    doc = {
+    return json.dumps({
         "base_mva": case.base_mva,
-        "buses": [
-            {
-                "id": b.id,
-                "kind": b.kind,
-                "p_load": b.p_load,
-                "q_load": b.q_load,
-                "g_shunt": b.g_shunt,
-                "b_shunt": b.b_shunt,
-                "v_set": b.v_set,
-            }
-            for b in case.buses
-        ],
-        "branches": [
-            {
-                "from_bus": br.from_bus,
-                "to_bus": br.to_bus,
-                "r": br.r,
-                "x": br.x,
-                "b_ch": br.b_ch,
-                "status": br.status,
-            }
-            for br in case.branches
-        ],
-        "generators": [],
-    }
-    for g in case.generators:
-        to_sys = g.mva_base / case.base_mva
-        entry = {
-            "bus": g.bus,
-            "p_gen": g.p_gen,
-            "h": g.h / to_sys,
-            "xd_p": g.xd_p * to_sys,
-            "mva_base": g.mva_base,
-        }
-        if g.d is not None:
-            entry["d"] = g.d / to_sys
-        doc["generators"].append(entry)
-    return json.dumps(doc, indent=2)
+        "buses": [asdict(b) for b in case.buses],
+        "branches": [asdict(br) for br in case.branches],
+        "generators": [asdict(_rebase(g, case.base_mva, -1)) for g in case.generators],
+    }, indent=2)
 
 
 def load_case(path) -> NetworkCase:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_case(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise CaseError(f"case file is not UTF-8 text: {exc}") from None
+    return parse_case(text)
+
+
+def load_validated_case(path) -> NetworkCase:
+    """load_case(path); raises CaseError listing every violation it has."""
+    case = load_case(path)
+    if violations := validate_case(case):
+        lines = "\n".join(str(v) for v in violations)
+        raise CaseError(f"case {path} fails validation:\n{lines}")
+    return case
 
 
 def connected_components(case: NetworkCase) -> list[list[int]]:
@@ -362,8 +341,6 @@ def validate_case(case: NetworkCase) -> list[Violation]:
         if br.from_bus not in positions or br.to_bus not in positions:
             violations.append(Violation(entity, "dangling-endpoint"))
             continue
-        if br.from_bus == br.to_bus:
-            violations.append(Violation(entity, "self-loop"))
         if not math.isfinite(br.x) or br.x == 0.0:
             violations.append(Violation(entity, "zero-reactance", str(br.x)))
 

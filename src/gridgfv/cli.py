@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import montecarlo
-from .case_model import bus_positions, load_case, validate_case
+from .case_model import bus_positions, load_case, load_validated_case, validate_case
 from .csvio import format_cell, read_table, write_table
 from .dynamics import (
     DEFAULT_DAMPING,
@@ -74,6 +74,19 @@ class RunConfig:
     horizon: float = montecarlo.McConfig.horizon
     dt: float = montecarlo.McConfig.dt
     bins: int = montecarlo.DEFAULT_BINS
+
+    def __post_init__(self):
+        for name, ok, rule in (
+            ("tol", 0 < self.tol < math.inf, "positive and finite"),
+            ("dt", 0 < self.dt < math.inf, "positive and finite"),
+            ("horizon", 0 < self.horizon < math.inf, "positive and finite"),
+            ("max_iter", self.max_iter >= 0, "non-negative"),
+            ("seed", self.seed >= 0, "non-negative"),
+            ("n_realizations", self.n_realizations >= 1, "at least 1"),
+            ("bins", self.bins >= 1, "at least 1"),
+        ):
+            if not ok:
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)}")
 
 
 # Keys a --config file may set, by section; "" is the top level.  Sections
@@ -159,13 +172,11 @@ def _merge(run: RunConfig, args) -> RunConfig:
     return _overlay(run, values)
 
 
-def _load_validated(path):
-    case = load_case(path)
-    violations = validate_case(case)
-    if violations:
-        lines = "\n".join(str(v) for v in violations)
-        raise CaseError(f"case {path} fails validation:\n{lines}")
-    return case
+def _n_steps(horizon: float, dt: float) -> int:
+    steps = horizon / dt
+    if not (math.isfinite(steps) and round(steps) >= 1):
+        raise _UsageError("simulation horizon must cover at least one step")
+    return round(steps)
 
 
 def _emit(args, header, rows, comment=None):
@@ -195,7 +206,7 @@ def _cmd_validate(args, run: RunConfig) -> int:
 
 
 def _cmd_pf(args, run: RunConfig) -> int:
-    case = _load_validated(args.case)
+    case = load_validated_case(args.case)
     sol = solve_powerflow(case, tol=run.tol, max_iter=run.max_iter)
     rows = [
         [bid, float(sol.vm[i]), math.degrees(float(sol.va[i])),
@@ -237,20 +248,18 @@ _ANALYSES = {
 
 
 def _cmd_analysis(args, run: RunConfig) -> int:
-    analysis = analyze_case(_load_validated(args.case), tol=run.tol,
-                            max_iter=run.max_iter, check=False)
+    analysis = analyze_case(load_validated_case(args.case), tol=run.tol,
+                            max_iter=run.max_iter)
     _emit(args, *_ANALYSES[args.command][1](analysis))
     return 0
 
 
 def _cmd_simulate(args, run: RunConfig) -> int:
-    case = _load_validated(args.case)
+    case = load_validated_case(args.case)
     sol = solve_powerflow(case, tol=run.tol, max_iter=run.max_iter)
     emfs = internal_emfs(case, sol)
     model = build_swing_model(case, sol, emfs, default_damping=run.damping)
-    n_steps = int(round(args.t / run.dt))
-    if n_steps < 1:
-        raise _UsageError("simulation horizon must cover at least one step")
+    n_steps = _n_steps(args.t, run.dt)
     ou = replace(run.ou, dt=run.dt, seed=run.seed)
     wind = simulate_ou(ou, n_steps)
     dp = wind_to_power(wind, run.turbine.rated_power, run.turbine.v_rated,
@@ -278,7 +287,7 @@ def _hist_rows(hist: montecarlo.Histogram):
 
 
 def _cmd_mc(args, run: RunConfig) -> int:
-    case = _load_validated(args.case)
+    case = load_validated_case(args.case)
     try:
         buses = [int(tok) for tok in args.buses.split(",") if tok]
     except ValueError:
@@ -291,8 +300,9 @@ def _cmd_mc(args, run: RunConfig) -> int:
     if unknown:
         raise CaseError(f"placement buses not in case: {unknown}")
     buses = sorted(set(buses), key=lambda b: pos[b])
+    _n_steps(run.horizon, run.dt)  # run_monte_carlo needs at least one step
 
-    analysis = analyze_case(case, tol=run.tol, max_iter=run.max_iter, check=False)
+    analysis = analyze_case(case, tol=run.tol, max_iter=run.max_iter)
     cfg = montecarlo.McConfig(
         case=case,
         placement_buses=tuple(buses),

@@ -66,6 +66,10 @@ class TurbineParams:
     v_rated: float = 15.0  # m/s
     v_ref: float = 14.0  # m/s; deviations are taken about P(v_ref)
 
+    def __post_init__(self):
+        if not self.v_rated > 0:
+            raise ValueError(f"v_rated must be positive, got {self.v_rated}")
+
 
 @dataclass(frozen=True)
 class SwingModel:

@@ -102,7 +102,6 @@ class McSummary:
     placements: dict[int, PlacementStats]
     n_realizations: int
     partial: bool
-    meta: dict
 
 
 def ifd(traj: Trajectory) -> float:
@@ -175,7 +174,6 @@ def summarize(
         placements=placements,
         n_realizations=n_real,
         partial=any_failures,
-        meta={"frequency_values": "deviation_pu"},
     )
 
 
@@ -205,9 +203,9 @@ def _one_realization(payload, realization: int):
     for bus in buses:
         try:
             traj = simulate(model, bus, dp, dt)
-            results.append(
-                (ifd(traj), traj.coi_freq, traj.bus_freq[bus_rows[bus]], None)
-            )
+            # A copy, so the kept series does not hold all of bus_freq.
+            poi = traj.bus_freq[bus_rows[bus]].copy()
+            results.append((ifd(traj), traj.coi_freq, poi, None))
         except GridGfvError as exc:
             results.append((None, None, None, f"realization {realization}: {exc}"))
     return results

@@ -10,8 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .case_model import NetworkCase, validate_case
-from .errors import CaseError
+from .case_model import NetworkCase
 from .powerflow import (
     PF_MAX_ITER,
     PF_TOL,
@@ -63,14 +62,8 @@ def analyze_case(
     case: NetworkCase,
     tol: float = PF_TOL,
     max_iter: int = PF_MAX_ITER,
-    check: bool = True,
 ) -> CaseAnalysis:
     """Run the whole analysis chain on a validated case."""
-    if check:
-        violations = validate_case(case)
-        if violations:
-            lines = "; ".join(str(v) for v in violations)
-            raise CaseError(f"case fails validation: {lines}")
     ybus = build_ybus(case)
     sol = solve_powerflow(case, tol=tol, max_iter=max_iter, ybus=ybus)
     emfs = internal_emfs(case, sol)

@@ -1,16 +1,20 @@
 """Command-line behavior: outputs, exit codes, determinism."""
 
+import io
 import json
 import math
 import os
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridgfv.cli import main
 from gridgfv.csvio import format_cell, read_table, write_table
 
-from conftest import fixture_path
+from conftest import FIXTURE_NAMES, fixture_path
 
 CASE9 = str(fixture_path("case9"))
 STUDY = str(fixture_path("case7_study"))
@@ -241,3 +245,107 @@ def test_mc_damping_reaches_the_swing_model(tmp_path, monkeypatch):
                      "--dt", "0.01", "--out-dir", str(out_dir)] + extra) == 0
         summaries[name] = (out_dir / "summary.csv").read_bytes()
     assert summaries["flag"] == summaries["config"] != summaries["default"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", STUDY, "--bus", "3", "--t", "1", "--dt", "0"],
+    ["mc", STUDY, "--buses", "3", "--t", "1", "--dt", "0"],
+    ["simulate", STUDY, "--bus", "3", "--t", "1", "--dt", "nan"],
+    ["mc", STUDY, "--buses", "3", "--t", "1", "--n", "0"],
+    ["mc", STUDY, "--buses", "3", "--t", "1", "--n", "1", "--bins", "0"],
+    ["simulate", STUDY, "--bus", "3", "--t", "1", "--v-rated", "0"],
+    ["mc", STUDY, "--buses", "3", "--t", "-1"],
+    ["mc", STUDY, "--buses", "3", "--t", "0.001"],  # less than one step
+    ["simulate", STUDY, "--bus", "3", "--t", "inf"],
+    ["simulate", STUDY, "--bus", "3", "--t", "1", "--seed", "-1"],
+    ["pf", CASE9, "--max-iter", "-1"],
+    ["pf", CASE9, "--tol", "nan"],
+], ids=["simulate-dt-0", "mc-dt-0", "simulate-dt-nan", "mc-n-0", "mc-bins-0",
+        "simulate-v-rated-0", "mc-t-negative", "mc-t-below-one-step",
+        "simulate-t-inf", "simulate-seed-negative", "pf-max-iter-negative",
+        "pf-tol-nan"])
+def test_out_of_range_run_parameter_is_a_one_line_usage_error(tmp_path, capsys, argv):
+    if argv[0] == "mc":
+        argv = argv + ["--out-dir", str(tmp_path / "mc")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
+def _set(doc, path, value):
+    for key in path[:-1]:
+        doc = doc[key]
+    doc[path[-1]] = value
+
+
+@pytest.mark.parametrize("command", ["validate", "gfv"])
+@pytest.mark.parametrize("path, value, message", [
+    (("buses", 1), 5, "buses[1]: entry must be an object"),
+    (("buses",), 5, "section 'buses' must be an array"),
+    (("branches", 0, "from_bus"), [1], "field 'from_bus' must be an integer"),
+    (("generators", 0, "bus"), [1], "field 'bus' must be an integer"),
+    (("buses", 4, "p_load"), 10**400, "field 'p_load' must be finite"),
+    (("base_mva",), True, "base_mva must be a positive number"),
+    (("branches", 0, "from_bus"), True, "field 'from_bus' must be an integer"),
+    (("generators", 0, "bus"), 1.0, "field 'bus' must be an integer"),
+    (("branches", 0, "status"), 5, "field 'status' must be true, false, 0 or 1"),
+    (("branches", 0), "1-4", "branches[0]: entry must be an object"),
+    (("generators",), {"g": {"bus": 1, "h": 5.0, "xd_p": 0.1}},
+     "section 'generators' must be an array"),
+], ids=["bus-entry-number", "buses-number", "from_bus-list", "generator-bus-list",
+        "p_load-huge", "base_mva-bool", "from_bus-bool", "generator-bus-float",
+        "status-5", "branch-entry-string", "generators-object"])
+def test_malformed_case_is_a_one_line_data_error(tmp_path, capsys, command, path,
+                                                 value, message):
+    doc = json.loads(Path(CASE9).read_text())
+    _set(doc, path, value)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main([command, str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and message in err
+
+
+def _paths(doc, path=()):
+    """The path of every value in a JSON document, the document's own first."""
+    yield path
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        items = ()
+    for key, value in items:
+        yield from _paths(value, path + (key,))
+
+
+_DOCS = {name: fixture_path(name).read_text() for name in FIXTURE_NAMES}
+_SLOTS = [(name, path) for name, text in _DOCS.items()
+          for path in _paths(json.loads(text))]
+_ANY_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+    | st.sampled_from([10**400, -10**400]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@given(slot=st.sampled_from(_SLOTS), value=_ANY_JSON)
+@settings(max_examples=300, deadline=None)
+def test_validate_survives_any_json_value_in_a_case(tmp_path_factory, slot, value):
+    name, path = slot
+    doc = json.loads(_DOCS[name])
+    if path:
+        _set(doc, path, value)
+    else:
+        doc = value
+    case = tmp_path_factory.getbasetemp() / "mutated.json"
+    case.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["validate", str(case)])
+    assert code in (0, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2 and not out.getvalue():  # a case file that does not parse
+        assert len(err.getvalue().strip().splitlines()) == 1

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from gridgfv import McConfig, OuParams, ifd, run_monte_carlo, summarize
+from gridgfv import McConfig, OuParams, ifd, montecarlo, run_monte_carlo, summarize
 from gridgfv.dynamics import Trajectory, TurbineParams
 from gridgfv.montecarlo import PlacementSamples, _histogram
 
@@ -239,3 +239,27 @@ def test_recorded_failures_mark_summary_partial():
     s = summarize({1: group}, bins=4)
     assert s.partial
     assert s.placements[1].failures == ("realization 2: non-finite state",)
+
+
+def test_kept_poi_series_share_no_memory_with_trajectories(monkeypatch):
+    # A row view would keep each realization's whole (n_bus, n_t) bus_freq
+    # alive until the summary is made.
+    trajectories, kept = [], []
+    simulate, summarize_ = montecarlo.simulate, montecarlo.summarize
+
+    def recording_simulate(*args):
+        trajectories.append(simulate(*args))
+        return trajectories[-1]
+
+    def recording_summarize(samples, **kwargs):
+        kept.extend(series for group in samples.values() for series in group.poi)
+        return summarize_(samples, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "simulate", recording_simulate)
+    monkeypatch.setattr(montecarlo, "summarize", recording_summarize)
+    cfg = McConfig(case=get_case("case7_study"), placement_buses=(3, 5),
+                   n_realizations=2, horizon=0.5, dt=0.01)
+    run_monte_carlo(cfg, workers=1)
+    assert len(kept) == len(trajectories) == 4
+    assert not any(np.shares_memory(series, traj.bus_freq)
+                   for series in kept for traj in trajectories)
