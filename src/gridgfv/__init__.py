@@ -62,7 +62,6 @@ from .spectral import (
     GfvResult,
     LaplacianMatrix,
     NodalInertiaVector,
-    SpectralDecomposition,
     build_laplacian,
     eigendecompose,
     fiedler,

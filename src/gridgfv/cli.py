@@ -320,8 +320,7 @@ def _cmd_mc(args, run: RunConfig) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     gfv_at = dict(zip(analysis.gfv.bus_ids, analysis.gfv.gfv))
     summary_rows = []
-    for bus in summary.order:
-        stats = summary.placements[bus]
+    for bus, stats in summary.placements.items():
         bus_dir = out_dir / f"bus_{bus}"
         bus_dir.mkdir(exist_ok=True)
         write_table(bus_dir / "coi_hist.csv", ["bin_low", "bin_high", "count"],
@@ -347,8 +346,8 @@ def _cmd_mc(args, run: RunConfig) -> int:
         json_mirror=args.json,
     )
     if summary.partial:
-        for bus in summary.order:
-            for failure in summary.placements[bus].failures:
+        for bus, stats in summary.placements.items():
+            for failure in stats.failures:
                 print(f"bus {bus}: {failure}", file=sys.stderr)
         print("warning: summary is partial (some realizations failed)",
               file=sys.stderr)
@@ -357,8 +356,6 @@ def _cmd_mc(args, run: RunConfig) -> int:
 
 def _cmd_report(args, run: RunConfig) -> int:
     summary_path = Path(args.out_dir) / "summary.csv"
-    if not summary_path.exists():
-        raise FileNotFoundError(f"file not found: {summary_path}")
     header, rows = read_table(summary_path)
     col = {name: i for i, name in enumerate(header)}
     needed = ["bus_id", "gfv", "median_ifd", "ifd_iqr", "coi_std", "poi_std"]
@@ -453,6 +450,10 @@ def dispatch(argv) -> int:
     except FileNotFoundError as exc:
         name = getattr(exc, "filename", None)
         print(f"file not found: {name or exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # e.g. a directory where a file belongs
+        print(f"{exc.filename}: {exc.strerror}" if exc.filename else f"error: {exc}",
+              file=sys.stderr)
         return 1
     except CaseError as exc:
         print(f"error: {exc}", file=sys.stderr)

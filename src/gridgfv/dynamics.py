@@ -144,10 +144,9 @@ def build_swing_model(
     sol: PowerFlowSolution,
     emfs: InternalEmfs,
     default_damping: float = DEFAULT_DAMPING,
-    omega_s: float = OMEGA_SYNC,
 ) -> SwingModel:
     """Assemble the second-order model M dw/dt = dP - D w - L_red theta,
-    d theta/dt = omega_s * w over generator internal nodes.
+    d theta/dt = OMEGA_SYNC * w over generator internal nodes.
 
     L_red is the bus Laplacian of build_laplacian plus one edge per machine,
     internal node to terminal t, of weight E_k |V_t| cos(d_k0 - t_t0) / xd_p.
@@ -175,7 +174,7 @@ def build_swing_model(
         l_red=lap,
         nodes=aug.nodes,
         participation=frequency_participation(aug),
-        omega_s=omega_s,
+        omega_s=OMEGA_SYNC,
         bus_ids=sol.bus_ids,
     )
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -59,6 +60,10 @@ class McConfig:
         if missing:
             raise GridGfvError(f"placement buses not in case: {missing}")
 
+    @property
+    def n_steps(self) -> int:
+        return int(round(self.horizon / self.dt))
+
 
 @dataclass(frozen=True)
 class Histogram:
@@ -98,8 +103,7 @@ class PlacementStats:
 
 @dataclass(frozen=True)
 class McSummary:
-    order: tuple[int, ...]
-    placements: dict[int, PlacementStats]
+    placements: dict[int, PlacementStats]  # in placement order
     n_realizations: int
     partial: bool
 
@@ -132,28 +136,21 @@ def _box_stats(values: np.ndarray) -> BoxStats:
     )
 
 
-def summarize(
-    samples: dict[int, PlacementSamples],
-    bins: int = DEFAULT_BINS,
-    order: tuple[int, ...] | None = None,
-    n_realizations: int | None = None,
-) -> McSummary:
-    """Aggregate raw collections into histograms and boxplot quartiles.
+def summarize(samples: dict[int, PlacementSamples], bins: int = DEFAULT_BINS) -> McSummary:
+    """Aggregate raw collections, in placement order, into histograms and
+    boxplot quartiles.
 
     Histograms are equal-width over the pooled min/max per metric (a single
     degenerate bin when every sample coincides); whiskers sit at 1.5 IQR
     clamped to the data range, with all samples retained in ifd_samples.
+    n_realizations counts one bus's successes and failures.
     """
     if not samples:
         raise ValueError("no realizations to summarize")
-    order = tuple(order) if order is not None else tuple(samples)
     placements = {}
-    any_failures = False
-    for bus in order:
-        group = samples[bus]
+    for bus, group in samples.items():
         if not group.ifd_values:
             raise ValueError(f"placement bus {bus} has no successful realizations")
-        any_failures = any_failures or bool(group.failures)
         coi_pool = np.concatenate(group.coi)
         poi_pool = np.concatenate(group.poi)
         ifd_arr = np.asarray(group.ifd_values)
@@ -166,14 +163,11 @@ def summarize(
             poi_std=float(poi_pool.std()),
             failures=group.failures,
         )
-    n_real = n_realizations if n_realizations is not None else max(
-        len(samples[bus].ifd_values) + len(samples[bus].failures) for bus in order
-    )
+    groups = samples.values()
     return McSummary(
-        order=order,
         placements=placements,
-        n_realizations=n_real,
-        partial=any_failures,
+        n_realizations=max(len(g.ifd_values) + len(g.failures) for g in groups),
+        partial=any(g.failures for g in groups),
     )
 
 
@@ -181,38 +175,26 @@ def summarize(
 # Realization execution (serial or process pool)
 # ---------------------------------------------------------------------------
 
-_WORKER_PAYLOAD = None
 
-
-def _init_worker(payload):
-    global _WORKER_PAYLOAD
-    _WORKER_PAYLOAD = payload
-
-
-def _realization_seed(base_seed: int, realization: int):
-    # Shared across placement buses: common random numbers for rank tests.
-    return (base_seed, realization)
-
-
-def _one_realization(payload, realization: int):
-    model, buses, bus_rows, ou, turbine, dt, n_steps, base_seed = payload
-    params = replace(ou, dt=dt, seed=_realization_seed(base_seed, realization))
-    wind = simulate_ou(params, n_steps)
+def _one_realization(cfg: McConfig, model: SwingModel, realization: int) -> list:
+    """One wind path replayed at every placement bus: per bus, (ifd, coi,
+    poi) or the failure message."""
+    # The seed is shared across placement buses: common random numbers.
+    params = replace(cfg.ou, dt=cfg.dt, seed=(cfg.base_seed, realization))
+    wind = simulate_ou(params, cfg.n_steps)
+    turbine = cfg.turbine
     dp = wind_to_power(wind, turbine.rated_power, turbine.v_rated, turbine.v_ref)
+    rows = bus_positions(cfg.case)
     results = []
-    for bus in buses:
+    for bus in cfg.placement_buses:
         try:
-            traj = simulate(model, bus, dp, dt)
-            # A copy, so the kept series does not hold all of bus_freq.
-            poi = traj.bus_freq[bus_rows[bus]].copy()
-            results.append((ifd(traj), traj.coi_freq, poi, None))
+            traj = simulate(model, bus, dp, cfg.dt)
         except GridGfvError as exc:
-            results.append((None, None, None, f"realization {realization}: {exc}"))
+            results.append(f"realization {realization}: {exc}")
+            continue
+        # A copy, so the kept series does not hold all of bus_freq.
+        results.append((ifd(traj), traj.coi_freq, traj.bus_freq[rows[bus]].copy()))
     return results
-
-
-def _pool_realization(realization: int):
-    return _one_realization(_WORKER_PAYLOAD, realization)
 
 
 def resolve_workers(workers: int | None, n_tasks: int) -> int:
@@ -223,69 +205,33 @@ def resolve_workers(workers: int | None, n_tasks: int) -> int:
 
 
 def run_monte_carlo(
-    cfg: McConfig,
-    workers: int | None = None,
-    model: SwingModel | None = None,
-    bins: int = DEFAULT_BINS,
+    cfg: McConfig, workers: int | None = None, bins: int = DEFAULT_BINS
 ) -> McSummary:
     """Run the full placement study and aggregate the statistics.
 
     workers=None honors GRID_GFV_THREADS, else uses all available cores.
-    Passing a prebuilt SwingModel skips the power-flow/reduction pipeline
-    (the model must come from the same case).
     """
-    if model is None:
-        sol = solve_powerflow(cfg.case)
-        emfs = internal_emfs(cfg.case, sol)
-        model = build_swing_model(cfg.case, sol, emfs, cfg.default_damping)
-    n_steps = int(round(cfg.horizon / cfg.dt))
-    if n_steps < 1:
+    sol = solve_powerflow(cfg.case)
+    emfs = internal_emfs(cfg.case, sol)
+    model = build_swing_model(cfg.case, sol, emfs, cfg.default_damping)
+    if cfg.n_steps < 1:
         raise ValueError("horizon must cover at least one step")
-    bus_rows = bus_positions(cfg.case)
-    payload = (
-        model,
-        cfg.placement_buses,
-        bus_rows,
-        cfg.ou,
-        cfg.turbine,
-        cfg.dt,
-        n_steps,
-        cfg.base_seed,
-    )
-
+    realize = partial(_one_realization, cfg, model)
     n_workers = resolve_workers(workers, cfg.n_realizations)
     if n_workers == 1:
-        rows = [_one_realization(payload, r) for r in range(cfg.n_realizations)]
+        rows = [realize(r) for r in range(cfg.n_realizations)]
     else:
         chunk = max(1, cfg.n_realizations // (4 * n_workers))
-        with ProcessPoolExecutor(
-            max_workers=n_workers, initializer=_init_worker, initargs=(payload,)
-        ) as pool:
-            rows = list(
-                pool.map(_pool_realization, range(cfg.n_realizations), chunksize=chunk)
-            )
+        with ProcessPoolExecutor(max_workers=n_workers) as pool:
+            rows = list(pool.map(realize, range(cfg.n_realizations), chunksize=chunk))
 
-    collected: dict[int, PlacementSamples] = {}
-    for b_idx, bus in enumerate(cfg.placement_buses):
-        ifd_values, coi, poi, failures = [], [], [], []
-        for row in rows:
-            value, coi_series, poi_series, failure = row[b_idx]
-            if failure is None:
-                ifd_values.append(value)
-                coi.append(coi_series)
-                poi.append(poi_series)
-            else:
-                failures.append(failure)
+    collected = {}
+    for bus, results in zip(cfg.placement_buses, zip(*rows)):
+        ok = [r for r in results if not isinstance(r, str)]
         collected[bus] = PlacementSamples(
-            ifd_values=tuple(ifd_values),
-            coi=tuple(coi),
-            poi=tuple(poi),
-            failures=tuple(failures),
+            ifd_values=tuple(r[0] for r in ok),
+            coi=tuple(r[1] for r in ok),
+            poi=tuple(r[2] for r in ok),
+            failures=tuple(r for r in results if isinstance(r, str)),
         )
-
-    return summarize(
-        collected,
-        bins=bins,
-        order=cfg.placement_buses,
-        n_realizations=cfg.n_realizations,
-    )
+    return summarize(collected, bins=bins)

@@ -32,7 +32,6 @@ from .spectral import (
     GfvResult,
     LaplacianMatrix,
     NodalInertiaVector,
-    SpectralDecomposition,
     build_laplacian,
     eigendecompose,
     fiedler,
@@ -51,7 +50,7 @@ class CaseAnalysis:
     aug: AugmentedAdmittance
     participation: ParticipationMatrix
     laplacian: LaplacianMatrix
-    decomposition: SpectralDecomposition
+    decomposition: GeneralizedDecomposition
     fiedler: FiedlerResult
     inertia: NodalInertiaVector
     gep: GeneralizedDecomposition

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy.linalg.lapack import get_lapack_funcs
 
 from .case_model import NetworkCase, bus_ids, bus_positions
 from .errors import SingularMatrixError
@@ -23,6 +24,7 @@ from .errors import SingularMatrixError
 # in the case's generator list).
 NodeKey = tuple[str, int]
 
+# A block to invert is singular when its 1-norm condition number exceeds this.
 _COND_LIMIT = 1e12
 
 
@@ -84,6 +86,18 @@ def augment_internal_nodes(ybus: np.ndarray, case: NetworkCase) -> AugmentedAdmi
     return AugmentedAdmittance(matrix=aug, nodes=nodes)
 
 
+def _solve(a: np.ndarray, b: np.ndarray, message: str) -> np.ndarray:
+    """a^{-1} b from one LU factorization of a; raises SingularMatrixError
+    with message on a zero pivot or a condition estimate beyond _COND_LIMIT."""
+    getrf, gecon, getrs = get_lapack_funcs(("getrf", "gecon", "getrs"), (a, b))
+    lu, piv, info = getrf(a)
+    if info == 0:
+        rcond, info = gecon(lu, np.linalg.norm(a, 1), norm="1")
+    if info != 0 or rcond < 1.0 / _COND_LIMIT:
+        raise SingularMatrixError(message)
+    return getrs(lu, piv, b)[0]
+
+
 def kron_reduce(y: np.ndarray, keep: Sequence[int]) -> np.ndarray:
     """Schur complement onto the kept rows/columns (original order preserved).
 
@@ -104,12 +118,11 @@ def kron_reduce(y: np.ndarray, keep: Sequence[int]) -> np.ndarray:
     y_ke = y[np.ix_(keep_idx, elim_idx)]
     y_ek = y[np.ix_(elim_idx, keep_idx)]
     y_ee = y[np.ix_(elim_idx, elim_idx)]
-    if np.linalg.cond(y_ee) > _COND_LIMIT:
-        raise SingularMatrixError(
-            "eliminated block is singular; the eliminated nodes contain an "
-            "isolated subnetwork"
-        )
-    return y_kk - y_ke @ np.linalg.solve(y_ee, y_ek)
+    return y_kk - y_ke @ _solve(
+        y_ee, y_ek,
+        "eliminated block is singular; the eliminated nodes contain an "
+        "isolated subnetwork",
+    )
 
 
 def frequency_participation(aug: AugmentedAdmittance) -> ParticipationMatrix:
@@ -123,8 +136,6 @@ def frequency_participation(aug: AugmentedAdmittance) -> ParticipationMatrix:
     g_rows = aug.gen_rows()
     b_ext = aug.matrix[np.ix_(b_rows, b_rows)].imag
     b_g = aug.matrix[np.ix_(b_rows, g_rows)].imag
-    if np.linalg.cond(b_ext) > _COND_LIMIT:
-        raise SingularMatrixError("bus susceptance block B_ext is singular")
-    d = -np.linalg.solve(b_ext, b_g)
+    d = -_solve(b_ext, b_g, "bus susceptance block B_ext is singular")
     ids = tuple(nid for kind, nid in aug.nodes if kind == "bus")
     return ParticipationMatrix(d=d, bus_ids=ids)

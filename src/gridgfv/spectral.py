@@ -42,15 +42,6 @@ class LaplacianMatrix:
 
 
 @dataclass(frozen=True)
-class SpectralDecomposition:
-    """Eigenvalues ascending, orthonormal eigenvectors in matching columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-    zero_multiplicity: int
-
-
-@dataclass(frozen=True)
 class FiedlerResult:
     lambda2: float
     vector: np.ndarray  # |phi_2| / max|phi_2|
@@ -65,8 +56,8 @@ class NodalInertiaVector:
 
 @dataclass(frozen=True)
 class GeneralizedDecomposition:
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray  # columns, N-orthonormal
+    eigenvalues: np.ndarray  # ascending
+    eigenvectors: np.ndarray  # columns, N-orthonormal (orthonormal at N = I)
     zero_multiplicity: int
     bus_ids: tuple[int, ...]
 
@@ -114,22 +105,35 @@ def build_laplacian(case: NetworkCase, sol: PowerFlowSolution) -> LaplacianMatri
     return LaplacianMatrix(l=lap, bus_ids=bus_ids(case))
 
 
-def eigendecompose(lap: LaplacianMatrix) -> SpectralDecomposition:
-    """Full symmetric eigendecomposition, ascending eigenvalues."""
-    vals, vecs = np.linalg.eigh(lap.l)
+def _eigh_pencil(l: np.ndarray, h: np.ndarray, ids) -> GeneralizedDecomposition:
+    """Eigenpairs of (L, diag(h)) through M = N^{-1/2} L N^{-1/2}: eigh(M)
+    gives real ascending eigenvalues, and back-transformed vectors
+    N^{-1/2} psi satisfy L v = lambda N v.  At h = 1 every scaling is exact."""
+    s = 1.0 / np.sqrt(h)
+    m = s[:, None] * l * s[None, :]
+    vals, psi = np.linalg.eigh(0.5 * (m + m.T))
     scale = float(np.max(np.abs(vals))) if vals.size else 0.0
-    threshold = ZERO_EIG_REL * scale
-    zero_multiplicity = int(np.sum(np.abs(vals) <= threshold))
-    return SpectralDecomposition(
-        eigenvalues=vals, eigenvectors=vecs, zero_multiplicity=zero_multiplicity
+    return GeneralizedDecomposition(
+        eigenvalues=vals,
+        eigenvectors=s[:, None] * psi,
+        zero_multiplicity=int(np.sum(np.abs(vals) <= ZERO_EIG_REL * scale)),
+        bus_ids=ids,
     )
 
 
-def _second_mode(vals: np.ndarray, zero_multiplicity: int, what: str):
-    if zero_multiplicity != 1:
+def eigendecompose(lap: LaplacianMatrix) -> GeneralizedDecomposition:
+    """Full symmetric eigendecomposition of L: the pencil (L, I)."""
+    return _eigh_pencil(lap.l, np.ones(len(lap.l)), lap.bus_ids)
+
+
+def _second_mode(decomp: GeneralizedDecomposition, what: str):
+    """(second eigenvalue, |v2| / max|v2|, degenerate) of a connected
+    network's decomposition."""
+    vals = decomp.eigenvalues
+    if decomp.zero_multiplicity != 1:
         raise DisconnectedNetworkError(
-            f"{what} requires a connected network: found {zero_multiplicity} "
-            "numerically zero eigenvalues"
+            f"{what} requires a connected network: found "
+            f"{decomp.zero_multiplicity} numerically zero eigenvalues"
         )
     if len(vals) < 2:
         raise GridGfvError(f"{what} needs at least two buses")
@@ -137,24 +141,18 @@ def _second_mode(vals: np.ndarray, zero_multiplicity: int, what: str):
     if len(vals) >= 3:
         gap = vals[2] - vals[1]
         degenerate = gap <= DEGENERATE_REL * max(abs(vals[2]), abs(vals[1]))
-    return degenerate
+    vec = np.abs(decomp.eigenvectors[:, 1])
+    return float(vals[1]), vec / vec.max(), degenerate
 
 
-def fiedler(decomp: SpectralDecomposition) -> FiedlerResult:
+def fiedler(decomp: GeneralizedDecomposition) -> FiedlerResult:
     """Second-smallest eigenpair, vector reported as |phi2|/max|phi2|.
 
     A (near-)degenerate second/third pair is flagged rather than rejected:
     the vector is then one arbitrary member of the eigenspace.
     """
-    degenerate = _second_mode(
-        decomp.eigenvalues, decomp.zero_multiplicity, "Fiedler analysis"
-    )
-    vec = np.abs(decomp.eigenvectors[:, 1])
-    return FiedlerResult(
-        lambda2=float(decomp.eigenvalues[1]),
-        vector=vec / vec.max(),
-        degenerate=degenerate,
-    )
+    lambda2, vector, degenerate = _second_mode(decomp, "Fiedler analysis")
+    return FiedlerResult(lambda2=lambda2, vector=vector, degenerate=degenerate)
 
 
 def nodal_inertia(
@@ -194,29 +192,12 @@ def nodal_inertia(
 
 
 def solve_gep(lap: LaplacianMatrix, inertia: NodalInertiaVector) -> GeneralizedDecomposition:
-    """Generalized eigenpairs of (L, N) with N = diag(h), h > 0.
-
-    Solved by the symmetric reduction M = N^{-1/2} L N^{-1/2}: eigh(M) gives
-    real ascending eigenvalues, and back-transformed vectors N^{-1/2} psi
-    satisfy L v = lambda N v.
-    """
+    """Generalized eigenpairs of (L, N) with N = diag(h), h > 0."""
     h = inertia.h
     if np.any(h <= 0) or not np.all(np.isfinite(h)):
         bad = [inertia.bus_ids[i] for i in np.nonzero(~(h > 0))[0]]
         raise GridGfvError(f"non-positive nodal inertia at buses {bad}")
-    s = 1.0 / np.sqrt(h)
-    m = s[:, None] * lap.l * s[None, :]
-    m = 0.5 * (m + m.T)
-    vals, psi = np.linalg.eigh(m)
-    vecs = s[:, None] * psi
-    scale = float(np.max(np.abs(vals))) if vals.size else 0.0
-    zero_multiplicity = int(np.sum(np.abs(vals) <= ZERO_EIG_REL * scale))
-    return GeneralizedDecomposition(
-        eigenvalues=vals,
-        eigenvectors=vecs,
-        zero_multiplicity=zero_multiplicity,
-        bus_ids=inertia.bus_ids,
-    )
+    return _eigh_pencil(lap.l, h, inertia.bus_ids)
 
 
 def gfv(gep: GeneralizedDecomposition) -> GfvResult:
@@ -225,13 +206,10 @@ def gfv(gep: GeneralizedDecomposition) -> GfvResult:
     The associated eigenvalue is the dynamic connectivity; low vector entries
     mark buses with high nodal frequency strength.
     """
-    degenerate = _second_mode(
-        gep.eigenvalues, gep.zero_multiplicity, "the placement metric"
-    )
-    vec = np.abs(gep.eigenvectors[:, 1])
+    connectivity, vector, degenerate = _second_mode(gep, "the placement metric")
     return GfvResult(
-        dynamic_connectivity=float(gep.eigenvalues[1]),
-        gfv=vec / vec.max(),
+        dynamic_connectivity=connectivity,
+        gfv=vector,
         generalized_eigenvalues=gep.eigenvalues,
         degenerate=degenerate,
         bus_ids=gep.bus_ids,

@@ -1,5 +1,6 @@
 """Command-line behavior: outputs, exit codes, determinism."""
 
+import errno
 import io
 import json
 import math
@@ -181,6 +182,25 @@ def test_report_ranking(tmp_path):
     header, rows = read_table(report)
     assert header == ["bus_id", "gfv", "median_ifd", "ifd_iqr", "coi_std", "poi_std"]
     assert [r[0] for r in rows] == ["3", "5"]  # same order as the gfv table
+
+
+def test_report_without_summary_names_the_missing_file_once(tmp_path, capsys):
+    assert main(["report", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"file not found: {tmp_path / 'summary.csv'}\n"
+
+
+@pytest.mark.parametrize("argv, culprit, code", [
+    (["validate", "{dir}"], "{dir}", errno.EISDIR),
+    (["gfv", CASE9, "--config", "{dir}"], "{dir}", errno.EISDIR),
+    (["gfv", CASE9, "--out", "{dir}"], "{dir}", errno.EISDIR),
+    (["mc", STUDY, "--buses", "3", "--n", "1", "--t", "0.1", "--out-dir", CASE9],
+     CASE9, errno.EEXIST),
+], ids=["validate-directory", "config-directory", "out-directory", "out-dir-file"])
+def test_os_error_is_a_one_line_usage_error(tmp_path, capsys, argv, culprit, code):
+    argv = [arg.format(dir=tmp_path) for arg in argv]
+    assert main(argv) == 1
+    culprit = culprit.format(dir=tmp_path)
+    assert capsys.readouterr().err == f"{culprit}: {os.strerror(code)}\n"
 
 
 def test_csv_writer_rejects_non_finite(tmp_path):

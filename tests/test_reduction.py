@@ -1,6 +1,7 @@
 """Internal-node augmentation, Kron reduction, participation matrix."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridgfv import (
+    AugmentedAdmittance,
     SingularMatrixError,
     augment_internal_nodes,
     build_ybus,
@@ -207,3 +209,34 @@ def test_participation_symmetric_pair():
 def test_participation_row_sums_lossless_nine_bus():
     d = get_analysis("case9_lossless").participation.d
     assert np.allclose(d.sum(axis=1), 1.0, atol=1e-9)
+
+
+def _susceptance_network(n, edges):
+    # Pure-susceptance admittance over n nodes, edges (i, j, b).
+    y = np.zeros((n, n), dtype=complex)
+    for i, j, b in edges:
+        y[i, j] += 1j * b
+        y[j, i] += 1j * b
+        y[i, i] -= 1j * b
+        y[j, j] -= 1j * b
+    return y
+
+
+@pytest.mark.parametrize("tie", [1e-13, 0.0], ids=["ill-conditioned", "singular"])
+def test_island_blocks_are_rejected_without_warnings(tie):
+    # Buses 3 and 4 form an island held to bus 2 by a tie of susceptance
+    # `tie`; the last node is a machine's internal node behind bus 1.
+    y = _susceptance_network(5, [(0, 1, 1.0), (1, 2, tie), (2, 3, 1.0), (0, 4, 5.0)])
+    nodes = tuple(("bus", b) for b in range(1, 5)) + (("gen", 0),)
+    aug = AugmentedAdmittance(matrix=y, nodes=nodes)
+    island, b_ext = y[2:4, 2:4], y[:4, :4].imag
+    assert np.linalg.cond(island) > 1e12 and np.linalg.cond(b_ext) > 1e12
+    if tie:  # ill-conditioned, but LU meets no exact zero pivot
+        np.linalg.solve(island, np.eye(2))
+        np.linalg.solve(b_ext, np.eye(4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularMatrixError, match="isolated subnetwork"):
+            kron_reduce(y, [0, 1, 4])
+        with pytest.raises(SingularMatrixError, match="B_ext"):
+            frequency_participation(aug)
