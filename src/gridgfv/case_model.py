@@ -10,7 +10,6 @@ mixed bases.
 """
 
 import json
-import math
 import sys
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from reprlib import repr as _show
@@ -142,10 +141,11 @@ def _ensure(ok: bool, value, reason: str):
     return value
 
 
-# The value a field of each type stores for a case-file value; ValueError
-# with the reason when the value does not fit the type.
-_CHECKS = {
-    BusId: lambda v: _ensure(type(v) is int, v, "must be an integer"),
+# The value a field or run parameter of each type stores for a JSON value;
+# ValueError with the reason when the value does not fit the type.
+VALUE_CHECKS = {
+    **dict.fromkeys((BusId, int),
+                    lambda v: _ensure(type(v) is int, v, "must be an integer")),
     BusKind: lambda v: _ensure(v in BUS_KINDS, v, f"must be one of {BUS_KINDS}"),
     float: _number,
     float | None: lambda v: None if v is None else _number(v),
@@ -166,7 +166,7 @@ def _read(raw: dict, section: str, cls, ids: set[int]) -> list:
     if not isinstance(entries, list):
         raise CaseError(f"section '{section}' must be an array, got {_show(entries)}")
     # f.type is the type itself, as this module does not postpone annotations.
-    schema = [(f.name, _CHECKS[f.type], f.default is MISSING, f.type is BusId)
+    schema = [(f.name, VALUE_CHECKS[f.type], f.default is MISSING, f.type is BusId)
               for f in fields(cls)]
     out = []
     for k, entry in enumerate(entries):
@@ -304,69 +304,42 @@ def connected_components(case: NetworkCase) -> list[list[int]]:
 
 
 def validate_case(case: NetworkCase) -> list[Violation]:
-    """Check all case invariants; returns an empty list iff the case is usable
-    for analysis.  Never raises: violations are returned as data."""
-    violations = []
-    positions: dict[int, int] = {}
-    for bus in case.buses:
-        if bus.id in positions:
-            violations.append(Violation(f"bus {bus.id}", "duplicate-id"))
-        positions[bus.id] = 1
-        if bus.kind not in BUS_KINDS:
-            violations.append(
-                Violation(f"bus {bus.id}", "invalid-kind", repr(bus.kind))
-            )
-        for name, val in (("p_load", bus.p_load), ("q_load", bus.q_load)):
-            if not math.isfinite(val):
-                violations.append(
-                    Violation(f"bus {bus.id}", f"non-finite-{name}")
-                )
-        if bus.kind in ("slack", "pv") and not (
-            math.isfinite(bus.v_set) and bus.v_set > 0
-        ):
-            violations.append(
-                Violation(f"bus {bus.id}", "invalid-v-set", str(bus.v_set))
-            )
+    """The invariants of a parsed case that parse_case does not check: one
+    slack bus, v_set, h and xd_p positive, x nonzero, machines on slack or pv
+    buses and a connected network.  Returns an empty list iff the case is
+    usable for analysis.  Never raises: violations are returned as data."""
+    violations = [
+        Violation(f"bus {bus.id}", "invalid-v-set", str(bus.v_set))
+        for bus in case.buses if bus.kind in ("slack", "pv") and not bus.v_set > 0
+    ]
 
     slack_ids = [b.id for b in case.buses if b.kind == "slack"]
     if not slack_ids:
         violations.append(Violation("case", "missing-slack"))
     elif len(slack_ids) > 1:
-        violations.append(
-            Violation("case", "duplicate-slack", f"buses {slack_ids}")
-        )
+        violations.append(Violation("case", "duplicate-slack", f"buses {slack_ids}"))
 
     for k, br in enumerate(case.branches):
-        entity = f"branch {br.from_bus}-{br.to_bus}[{k}]"
-        if br.from_bus not in positions or br.to_bus not in positions:
-            violations.append(Violation(entity, "dangling-endpoint"))
-            continue
-        if not math.isfinite(br.x) or br.x == 0.0:
-            violations.append(Violation(entity, "zero-reactance", str(br.x)))
+        if br.x == 0.0:
+            violations.append(Violation(f"branch {br.from_bus}-{br.to_bus}[{k}]",
+                                        "zero-reactance", str(br.x)))
 
     if not case.generators:
         violations.append(Violation("case", "no-generators"))
     kind_of = {b.id: b.kind for b in case.buses}
     for k, g in enumerate(case.generators):
         entity = f"generator[{k}] at bus {g.bus}"
-        if g.bus not in kind_of:
-            violations.append(Violation(entity, "dangling-bus"))
-            continue
         if kind_of[g.bus] == "pq":
             violations.append(Violation(entity, "generator-on-pq-bus"))
-        if not (math.isfinite(g.h) and g.h > 0):
+        if not g.h > 0:
             violations.append(Violation(entity, "non-positive-inertia", str(g.h)))
-        if not (math.isfinite(g.xd_p) and g.xd_p > 0):
-            violations.append(
-                Violation(entity, "non-positive-transient-reactance", str(g.xd_p))
-            )
+        if not g.xd_p > 0:
+            violations.append(Violation(entity, "non-positive-transient-reactance",
+                                        str(g.xd_p)))
 
-    if not any(v.rule == "dangling-endpoint" for v in violations):
-        components = connected_components(case)
-        if len(components) > 1:
-            sizes = ", ".join(str(len(c)) for c in components)
-            violations.append(
-                Violation("case", "disconnected-graph", f"component sizes {sizes}")
-            )
-
+    if len(components := connected_components(case)) > 1:
+        sizes = ", ".join(str(len(c)) for c in components)
+        violations.append(
+            Violation("case", "disconnected-graph", f"component sizes {sizes}")
+        )
     return violations

@@ -18,7 +18,9 @@ import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from . import montecarlo
+import numpy as np
+
+from . import case_model, montecarlo
 from .case_model import bus_positions, load_case, load_validated_case, validate_case
 from .csvio import format_cell, read_table, write_table
 from .dynamics import (
@@ -30,25 +32,9 @@ from .dynamics import (
     simulate_ou,
     wind_to_power,
 )
-from .errors import (
-    CaseError,
-    ConvergenceError,
-    DisconnectedNetworkError,
-    GridGfvError,
-    SimulationUnstableError,
-    SingularMatrixError,
-    StabilityRegionError,
-)
+from .errors import CaseError, GridGfvError, NumericalError
 from .pipeline import analyze_case
 from .powerflow import PF_MAX_ITER, PF_TOL, internal_emfs, solve_powerflow
-
-_NUMERICAL_ERRORS = (
-    ConvergenceError,
-    SingularMatrixError,
-    StabilityRegionError,
-    DisconnectedNetworkError,
-    SimulationUnstableError,
-)
 
 
 class _UsageError(Exception):
@@ -77,9 +63,10 @@ class RunConfig:
 
     def __post_init__(self):
         for name, ok, rule in (
-            ("tol", 0 < self.tol < math.inf, "positive and finite"),
-            ("dt", 0 < self.dt < math.inf, "positive and finite"),
-            ("horizon", 0 < self.horizon < math.inf, "positive and finite"),
+            ("tol", self.tol > 0, "positive"),
+            ("dt", self.dt > 0, "positive"),
+            ("horizon", self.dt > 0 and 0.5 < self.horizon / self.dt < math.inf,
+             "at least one and finitely many steps of dt"),
             ("max_iter", self.max_iter >= 0, "non-negative"),
             ("seed", self.seed >= 0, "non-negative"),
             ("n_realizations", self.n_realizations >= 1, "at least 1"),
@@ -89,30 +76,37 @@ class RunConfig:
                 raise ValueError(f"{name} must be {rule}, got {getattr(self, name)}")
 
 
-# Keys a --config file may set, by section; "" is the top level.  Sections
-# "ou" and "turbine" hold fields of RunConfig.ou and RunConfig.turbine, the
-# others fields of RunConfig.  A value must have the type of its default.
-_CONFIG_KEYS = {
-    "": ("tol", "max_iter", "seed", "damping"),
-    "ou": ("mu", "alpha", "b"),
-    "turbine": ("rated_power", "v_rated", "v_ref"),
-    "mc": ("n_realizations", "horizon", "dt", "bins"),
-}
-
-# Flags that set the same run parameters, flag -> (section, key).
-_PF_FLAGS = {"--tol": ("", "tol"), "--max-iter": ("", "max_iter")}
-_DYNAMICS_FLAGS = {
-    "--seed": ("", "seed"), "--dt": ("mc", "dt"), "--damping": ("", "damping"),
+# Every run parameter: its flag -> its (section, key) in a --config file,
+# "" being the top level.  Sections "ou" and "turbine" hold fields of
+# RunConfig.ou and RunConfig.turbine, the others fields of RunConfig.
+_RUN_PARAMETERS = {
+    "--tol": ("", "tol"), "--max-iter": ("", "max_iter"),
+    "--seed": ("", "seed"), "--damping": ("", "damping"),
     "--ou-mu": ("ou", "mu"), "--ou-alpha": ("ou", "alpha"), "--ou-b": ("ou", "b"),
     "--rated-power": ("turbine", "rated_power"),
     "--v-rated": ("turbine", "v_rated"), "--v-ref": ("turbine", "v_ref"),
+    "--n": ("mc", "n_realizations"), "--t": ("mc", "horizon"),
+    "--dt": ("mc", "dt"), "--bins": ("mc", "bins"),
 }
-_MC_FLAGS = {"--n": ("mc", "n_realizations"), "--t": ("mc", "horizon"),
-             "--bins": ("mc", "bins")}
+_PF_FLAGS = ("--tol", "--max-iter")
+_DYNAMICS_FLAGS = ("--t", "--seed", "--dt", "--damping", "--ou-mu", "--ou-alpha",
+                   "--ou-b", "--rated-power", "--v-rated", "--v-ref")
+_MC_FLAGS = ("--n", "--bins")
 
 
-def _holder(run: RunConfig, section: str):
-    return getattr(run, section) if section in ("ou", "turbine") else run
+def _kind(section: str, key: str) -> type:
+    """The type of run parameter (section, key): that of its default."""
+    run = RunConfig()
+    return type(getattr(getattr(run, section, run), key))
+
+
+def _checked(section: str, key: str, value, name: str):
+    """value as run parameter (section, key) holds it; a usage error naming
+    it when the value does not fit the parameter's type."""
+    try:
+        return case_model.VALUE_CHECKS[_kind(section, key)](value)
+    except ValueError as exc:
+        raise _UsageError(f"{name} {exc}, got {value!r}") from None
 
 
 def _overlay(run: RunConfig, values: dict) -> RunConfig:
@@ -129,8 +123,8 @@ def _overlay(run: RunConfig, values: dict) -> RunConfig:
 
 def _load_run_config(path) -> RunConfig:
     """RunConfig() with a --config file's values set over it.  Unknown keys,
-    sections that are not objects and values of the wrong type are usage
-    errors; an integer is accepted where a float is expected."""
+    sections that are not objects and values that do not fit their
+    parameter's type are usage errors."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
@@ -138,45 +132,31 @@ def _load_run_config(path) -> RunConfig:
             raise _UsageError(f"config {path}: invalid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise _UsageError(f"config {path}: the top level must be a JSON object")
+    sections = {section for section, _ in _RUN_PARAMETERS.values() if section}
     values = {}
     for name, value in raw.items():
-        if name and name in _CONFIG_KEYS:
+        if name in sections:
             if not isinstance(value, dict):
                 raise _UsageError(f"config {path}: {name!r} must be a JSON object")
             values.update(((name, key), v) for key, v in value.items())
         else:
             values["", name] = value
-    defaults = RunConfig()
     for (section, key), value in values.items():
         where = f"{section}.{key}" if section else key
-        if key not in _CONFIG_KEYS[section]:
+        if (section, key) not in _RUN_PARAMETERS.values():
             raise _UsageError(f"config {path}: unknown key {where!r}")
-        kind = type(getattr(_holder(defaults, section), key))
-        if isinstance(value, bool) or not isinstance(value, (int, kind)):
-            noun = "an integer" if kind is int else "a number"
-            raise _UsageError(f"config {path}: {where} must be {noun}, got {value!r}")
-        try:
-            values[section, key] = kind(value)
-        except OverflowError:  # an integer too large for a float
-            raise _UsageError(f"config {path}: {where} out of range") from None
-    return _overlay(defaults, values)
+        values[section, key] = _checked(section, key, value, f"config {path}: {where}")
+    return _overlay(RunConfig(), values)
 
 
 def _merge(run: RunConfig, args) -> RunConfig:
     """run with the run-parameter flags given on the command line set over it."""
     values = {}
-    for flag, target in {**_PF_FLAGS, **_DYNAMICS_FLAGS, **_MC_FLAGS}.items():
+    for flag, target in _RUN_PARAMETERS.items():
         value = getattr(args, flag[2:].replace("-", "_"), None)
         if value is not None:
-            values[target] = value
+            values[target] = _checked(*target, value, flag)
     return _overlay(run, values)
-
-
-def _n_steps(horizon: float, dt: float) -> int:
-    steps = horizon / dt
-    if not (math.isfinite(steps) and round(steps) >= 1):
-        raise _UsageError("simulation horizon must cover at least one step")
-    return round(steps)
 
 
 def _emit(args, header, rows, comment=None):
@@ -259,23 +239,17 @@ def _cmd_simulate(args, run: RunConfig) -> int:
     sol = solve_powerflow(case, tol=run.tol, max_iter=run.max_iter)
     emfs = internal_emfs(case, sol)
     model = build_swing_model(case, sol, emfs, default_damping=run.damping)
-    n_steps = _n_steps(args.t, run.dt)
     ou = replace(run.ou, dt=run.dt, seed=run.seed)
-    wind = simulate_ou(ou, n_steps)
+    wind = simulate_ou(ou, round(run.horizon / run.dt))
     dp = wind_to_power(wind, run.turbine.rated_power, run.turbine.v_rated,
                        run.turbine.v_ref)
     traj = simulate(model, args.bus, dp, run.dt)
     header = (["t", "dp", "coi_freq"]
               + [f"gen_{k}" for k in range(len(model.m))]
               + [f"bus_{b}" for b in traj.bus_ids])
-    rows = []
-    for k in range(len(traj.t)):
-        row = [float(traj.t[k]), float(traj.injection[k]), float(traj.coi_freq[k])]
-        row += [float(x) for x in traj.gen_freq[:, k]]
-        row += [float(x) for x in traj.bus_freq[:, k]]
-        rows.append(row)
-    _emit(args, header, rows,
-          comment=f"seed={run.seed} bus={args.bus} dt={run.dt!r}")
+    rows = np.vstack([traj.t, traj.injection, traj.coi_freq, traj.gen_freq,
+                      traj.bus_freq]).T.tolist()
+    _emit(args, header, rows, comment=f"seed={run.seed} bus={args.bus} dt={run.dt!r}")
     return 0
 
 
@@ -300,7 +274,8 @@ def _cmd_mc(args, run: RunConfig) -> int:
     if unknown:
         raise CaseError(f"placement buses not in case: {unknown}")
     buses = sorted(set(buses), key=lambda b: pos[b])
-    _n_steps(run.horizon, run.dt)  # run_monte_carlo needs at least one step
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     analysis = analyze_case(case, tol=run.tol, max_iter=run.max_iter)
     cfg = montecarlo.McConfig(
@@ -316,8 +291,6 @@ def _cmd_mc(args, run: RunConfig) -> int:
     )
     summary = montecarlo.run_monte_carlo(cfg, bins=run.bins)
 
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     gfv_at = dict(zip(analysis.gfv.bus_ids, analysis.gfv.gfv))
     summary_rows = []
     for bus, stats in summary.placements.items():
@@ -356,16 +329,21 @@ def _cmd_mc(args, run: RunConfig) -> int:
 
 def _cmd_report(args, run: RunConfig) -> int:
     summary_path = Path(args.out_dir) / "summary.csv"
-    header, rows = read_table(summary_path)
-    col = {name: i for i, name in enumerate(header)}
     needed = ["bus_id", "gfv", "median_ifd", "ifd_iqr", "coi_std", "poi_std"]
-    missing = [name for name in needed if name not in col]
-    if missing:
-        raise CaseError(f"{summary_path} lacks columns {missing}")
-    out_rows = [
-        [int(row[col["bus_id"]])] + [float(row[col[name]]) for name in needed[1:]]
-        for row in rows
-    ]
+    try:
+        header, rows = read_table(summary_path)
+        col = {name: i for i, name in enumerate(header)}
+        missing = [name for name in needed if name not in col]
+        if missing:
+            raise CaseError(f"{summary_path} lacks columns {missing}")
+        out_rows = [
+            [int(row[col["bus_id"]])] + [float(row[col[name]]) for name in needed[1:]]
+            for row in rows
+        ]
+        if not all(math.isfinite(v) for row in out_rows for v in row[1:]):
+            raise ValueError("a value is not a finite number")
+    except ValueError as exc:  # also a file that is not UTF-8
+        raise CaseError(f"{summary_path}: {exc}") from None
     _emit(args, needed, out_rows)
     return 0
 
@@ -384,9 +362,8 @@ def _add_common(sub, out=True):
 
 
 def _add_run_flags(sub, flags):
-    defaults = RunConfig()
-    for flag, (section, key) in flags.items():
-        sub.add_argument(flag, type=type(getattr(_holder(defaults, section), key)))
+    for flag in flags:
+        sub.add_argument(flag, type=_kind(*_RUN_PARAMETERS[flag]))
 
 
 def build_parser() -> _Parser:
@@ -414,7 +391,6 @@ def build_parser() -> _Parser:
     p = subs.add_parser("simulate", help="one stochastic-wind trajectory")
     p.add_argument("case")
     p.add_argument("--bus", type=int, required=True)
-    p.add_argument("--t", type=float, default=200.0)
     _add_run_flags(p, _DYNAMICS_FLAGS)
     _add_common(p)
     p.set_defaults(func=_cmd_simulate)
@@ -443,7 +419,8 @@ def dispatch(argv) -> int:
         config = getattr(args, "config", None)
         run = _load_run_config(config) if config else RunConfig()
         run = _merge(run, args)
-        return args.func(args, run)
+        with np.errstate(all="ignore"):  # outputs are checked for finiteness
+            return args.func(args, run)
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 1
@@ -458,7 +435,7 @@ def dispatch(argv) -> int:
     except CaseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except _NUMERICAL_ERRORS as exc:
+    except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except GridGfvError as exc:

@@ -12,13 +12,15 @@ import json
 import math
 from pathlib import Path
 
+from .errors import UnusableResultError
+
 
 def format_cell(value) -> str:
     if isinstance(value, bool):
         return "1" if value else "0"
     if isinstance(value, float):
         if not math.isfinite(value):
-            raise ValueError(f"non-finite value {value!r} in CSV output")
+            raise UnusableResultError(f"non-finite value {value!r} in CSV output")
         return repr(value)
     if isinstance(value, int):
         return str(value)
@@ -56,10 +58,13 @@ def write_table(
 
 
 def read_table(path) -> tuple[list[str], list[list[str]]]:
-    """Read back a CSV written by write_table; comment lines are skipped."""
+    """Read back a CSV written by write_table; comment lines are skipped.
+    ValueError when the file is not UTF-8, empty, or has ragged rows."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     data = [ln for ln in lines if ln and not ln.startswith("#")]
     if not data:
-        raise ValueError(f"{path}: empty table")
-    header = data[0].split(",")
-    return header, [ln.split(",") for ln in data[1:]]
+        raise ValueError("empty table")
+    header, *rows = (ln.split(",") for ln in data)
+    if any(len(row) != len(header) for row in rows):
+        raise ValueError(f"a row does not have the header's {len(header)} cells")
+    return header, rows

@@ -135,7 +135,7 @@ def wind_to_power(
         raise ValueError(f"v_rated must be positive, got {v_rated}")
     v = np.asarray(v, dtype=float)
     p = rated_power * np.clip((v / v_rated) ** 3, 0.0, 1.0)
-    p_ref = rated_power * min(max((v_ref / v_rated) ** 3, 0.0), 1.0)
+    p_ref = rated_power * min(max(v_ref / v_rated, 0.0), 1.0) ** 3
     return p - p_ref
 
 

@@ -9,7 +9,11 @@ class CaseError(GridGfvError):
     """Malformed or semantically unusable case data."""
 
 
-class ConvergenceError(GridGfvError):
+class NumericalError(GridGfvError):
+    """A computation on valid data failed (exit code 3 at the command line)."""
+
+
+class ConvergenceError(NumericalError):
     """Iterative solver failed to reach its tolerance."""
 
     def __init__(self, message, iterations=None, mismatch=None):
@@ -18,22 +22,26 @@ class ConvergenceError(GridGfvError):
         self.mismatch = mismatch
 
 
-class SingularMatrixError(GridGfvError):
+class SingularMatrixError(NumericalError):
     """A matrix that must be invertible is singular or near-singular."""
 
 
-class StabilityRegionError(GridGfvError):
+class StabilityRegionError(NumericalError):
     """Operating point leaves the small-signal stability region
     (some branch angle spread reaches 90 degrees)."""
 
 
-class DisconnectedNetworkError(GridGfvError):
+class DisconnectedNetworkError(NumericalError):
     """Analysis requires a connected network and the case is not."""
 
 
-class SimulationUnstableError(GridGfvError):
+class SimulationUnstableError(NumericalError):
     """Time-domain integration produced a non-finite state."""
 
     def __init__(self, message, first_time=None):
         super().__init__(message)
         self.first_time = first_time
+
+
+class UnusableResultError(NumericalError, ValueError):
+    """A result is not finite, or every attempt at it failed (also a ValueError)."""

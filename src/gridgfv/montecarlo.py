@@ -13,6 +13,7 @@ frequency; nothing adds the nominal value back onto the series.
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -32,7 +33,7 @@ from .dynamics import (
     simulate_ou,
     wind_to_power,
 )
-from .errors import GridGfvError
+from .errors import GridGfvError, UnusableResultError
 from .powerflow import internal_emfs, solve_powerflow
 
 DEFAULT_BINS = 50
@@ -53,6 +54,8 @@ class McConfig:
     def __post_init__(self):
         if self.n_realizations < 1:
             raise ValueError("n_realizations must be >= 1")
+        if not (self.dt > 0 and 0.5 < self.horizon / self.dt < math.inf):
+            raise ValueError("horizon must cover at least one step of dt")
         if not self.placement_buses:
             raise ValueError("at least one placement bus is required")
         known = {b.id for b in self.case.buses}
@@ -150,7 +153,9 @@ def summarize(samples: dict[int, PlacementSamples], bins: int = DEFAULT_BINS) ->
     placements = {}
     for bus, group in samples.items():
         if not group.ifd_values:
-            raise ValueError(f"placement bus {bus} has no successful realizations")
+            first = f" ({group.failures[0]})" if group.failures else ""
+            raise UnusableResultError(
+                f"placement bus {bus} has no successful realizations{first}")
         coi_pool = np.concatenate(group.coi)
         poi_pool = np.concatenate(group.poi)
         ifd_arr = np.asarray(group.ifd_values)
@@ -214,8 +219,6 @@ def run_monte_carlo(
     sol = solve_powerflow(cfg.case)
     emfs = internal_emfs(cfg.case, sol)
     model = build_swing_model(cfg.case, sol, emfs, cfg.default_damping)
-    if cfg.n_steps < 1:
-        raise ValueError("horizon must cover at least one step")
     realize = partial(_one_realization, cfg, model)
     n_workers = resolve_workers(workers, cfg.n_realizations)
     if n_workers == 1:

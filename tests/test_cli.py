@@ -5,13 +5,16 @@ import io
 import json
 import math
 import os
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridgfv import montecarlo
 from gridgfv.cli import main
 from gridgfv.csvio import format_cell, read_table, write_table
 
@@ -369,3 +372,129 @@ def test_validate_survives_any_json_value_in_a_case(tmp_path_factory, slot, valu
     assert "Traceback" not in err.getvalue()
     if code == 2 and not out.getvalue():  # a case file that does not parse
         assert len(err.getvalue().strip().splitlines()) == 1
+
+
+def test_config_file_horizon_reaches_simulate(tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"mc": {"horizon": 0.5, "dt": 0.01}}))
+    out = tmp_path / "traj.csv"
+    assert main(["simulate", STUDY, "--bus", "3", "--config", str(cfg),
+                 "--out", str(out)]) == 0
+    assert len(read_table(out)[1]) == 51
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    (["simulate", STUDY, "--bus", "3", "--t", "1", "--ou-mu", "nan"], None,
+     "--ou-mu must be finite, got nan\n"),
+    (["mc", STUDY, "--buses", "3", "--t", "1", "--damping=-inf"], None,
+     "--damping must be finite, got -inf\n"),
+    (["simulate", STUDY, "--bus", "3", "--t", "1"], '{"turbine": {"v_ref": Infinity}}',
+     "config {cfg}: turbine.v_ref must be finite, got inf\n"),
+    (["pf", CASE9], '{"ou": {"b": NaN}}', "config {cfg}: ou.b must be finite, got nan\n"),
+], ids=["flag-nan", "flag-inf", "config-inf", "config-nan"])
+def test_non_finite_run_parameter_is_a_one_line_usage_error(tmp_path, capsys, argv,
+                                                            config, message):
+    cfg = tmp_path / "run.json"
+    if config is not None:
+        cfg.write_text(config)
+        argv = argv + ["--config", str(cfg)]
+    if argv[0] == "mc":
+        argv = argv + ["--out-dir", str(tmp_path / "mc")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == message.format(cfg=cfg)
+
+
+@pytest.mark.parametrize("flags, message", [
+    # A step of 1 s is far beyond the stability limit: every realization fails.
+    (["--n", "3", "--t", "400", "--dt", "1", "--seed", "1"],
+     "placement bus 3 has no successful realizations (realization 0: non-finite "
+     "state at t = "),
+    # The summary's standard deviations overflow.
+    (["--n", "2", "--t", "0.05", "--rated-power=1e200"],
+     "non-finite value inf in CSV output"),
+], ids=["no-successful-realization", "non-finite-summary"])
+def test_mc_failure_is_a_one_line_numerical_failure(tmp_path, capsys, monkeypatch,
+                                                   flags, message):
+    monkeypatch.setenv("GRID_GFV_THREADS", "1")
+    assert main(["mc", STUDY, "--buses", "3", "--out-dir", str(tmp_path / "mc")]
+                + flags) == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"numerical failure: {message}")
+
+
+def test_unusable_out_dir_is_reported_before_the_study(tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("the study ran before --out-dir was made")
+
+    monkeypatch.setattr(montecarlo, "run_monte_carlo", fail)
+    assert main(["mc", STUDY, "--buses", "3", "--n", "1", "--t", "0.1",
+                 "--out-dir", CASE9]) == 1
+    assert capsys.readouterr().err == f"{CASE9}: {os.strerror(errno.EEXIST)}\n"
+
+
+@pytest.mark.parametrize("content, reason", [
+    (b"bus_id,gfv,median_ifd,ifd_iqr,coi_std,poi_std\n3,x,1,1,1,1\n",
+     "could not convert string to float: 'x'"),
+    (b"bus_id,gfv,median_ifd,ifd_iqr,coi_std,poi_std\n3,1,1\n",
+     "a row does not have the header's 6 cells"),
+    (b"", "empty table"),
+    (b"\xff\xfe", "'utf-8' codec can't decode byte 0xff"),
+    (b"bus_id,gfv,median_ifd,ifd_iqr,coi_std,poi_std\n3,nan,1,1,1,1\n",
+     "a value is not a finite number"),
+], ids=["not-a-number", "short-row", "empty", "not-utf8", "nan"])
+def test_malformed_summary_is_a_one_line_data_error(tmp_path, capsys, content, reason):
+    summary = tmp_path / "summary.csv"
+    summary.write_bytes(content)
+    assert main(["report", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith(f"error: {summary}: {reason}")
+
+
+# Run-parameter flags of each command, with the values to draw for each.  The
+# horizon, step and realization count stay fixed and small, and --max-iter and
+# --bins bounded, so that no example asks for unbounded time or memory.
+_RUN_FLAG_VALUES = {
+    "--tol": st.floats(), "--max-iter": st.integers(max_value=50),
+    "--seed": st.integers(), "--damping": st.floats(), "--ou-mu": st.floats(),
+    "--ou-alpha": st.floats(), "--ou-b": st.floats(), "--rated-power": st.floats(),
+    "--v-rated": st.floats(), "--v-ref": st.floats(),
+    "--bins": st.integers(max_value=1000),
+}
+_DYNAMICS = ["--seed", "--damping", "--ou-mu", "--ou-alpha", "--ou-b",
+             "--rated-power", "--v-rated", "--v-ref"]
+_COMMANDS = [
+    (["pf", CASE9], ["--tol", "--max-iter"]),
+    (["simulate", STUDY, "--bus", "3", "--t", "0.05", "--dt", "0.01"], _DYNAMICS),
+    (["mc", STUDY, "--buses", "3,5", "--n", "2", "--t", "0.05", "--dt", "0.01"],
+     _DYNAMICS + ["--bins"]),
+]
+_RUN_VECTORS = st.one_of(*(
+    st.tuples(st.just(argv), st.fixed_dictionaries(
+        {}, optional={flag: _RUN_FLAG_VALUES[flag] for flag in flags}))
+    for argv, flags in _COMMANDS
+))
+
+
+@given(vector=_RUN_VECTORS)
+@settings(max_examples=200, deadline=None)
+def test_any_run_parameter_vector_ends_in_a_documented_exit(tmp_path_factory, vector):
+    argv, values = vector
+    # --flag=value, so that a value such as -1 is never read as an option.
+    argv = argv + [f"{flag}={value}" for flag, value in values.items()]
+    if argv[0] == "mc":
+        argv += ["--out-dir", str(tmp_path_factory.mktemp("mc"))]
+    out, err = io.StringIO(), io.StringIO()
+    # A warning would be one more stderr line outside the test.
+    with mock.patch.dict(os.environ, {"GRID_GFV_THREADS": "1"}), \
+            warnings.catch_warnings(record=True) as caught, \
+            redirect_stdout(out), redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if code != 0:
+        assert len(err.getvalue().splitlines()) + len(caught) == 1, (err.getvalue(),
+                                                                     caught)

@@ -69,6 +69,12 @@ def test_wind_power_clamps_above_rated():
     assert dp[0] == 0.0  # both at the rated plateau
 
 
+def test_wind_power_reference_far_above_rated_is_the_plateau():
+    # (v_ref / v_rated) ** 3 is beyond the float range here.
+    dp = wind_to_power(np.array([40.0]), 2.0, 15.0, 1e200)
+    assert dp[0] == 0.0
+
+
 def test_wind_power_delta_method_std():
     p = OuParams(mu=14.0, alpha=0.1, b=0.099, dt=0.01, seed=3)
     path = simulate_ou(p, 2 * 10**5)

@@ -212,6 +212,14 @@ def test_unknown_placement_bus_rejected():
         McConfig(case=case, placement_buses=(99,), n_realizations=1)
 
 
+@pytest.mark.parametrize("horizon, dt", [(0.001, 0.01), (0.005, 0.01), (1e300, 1e-10),
+                                         (1.0, 0.0), (-1.0, 0.01)])
+def test_horizon_must_cover_at_least_one_step(horizon, dt):
+    with pytest.raises(ValueError, match="at least one step"):
+        McConfig(case=get_case("case7_study"), placement_buses=(3,), horizon=horizon,
+                 dt=dt)
+
+
 def test_failed_realizations_mark_summary_partial():
     # A step size far beyond the stability limit blows the integration up;
     # the failures are recorded per realization instead of aborting the run.
