@@ -3,10 +3,12 @@ gfv | simulate | mc | report.
 
 Exit codes: 0 success, 1 usage error (bad arguments, missing files), 2 data
 or validation error, 3 numerical failure (non-convergence, singularity,
-unstable integration).  All outputs are CSV with a header row; --json
-mirrors each CSV as a sibling .json document.  A --config JSON file supplies
-shared defaults (tolerances, OU/turbine/MC parameters, seed); explicit flags
-win over the file, and unknown keys or mistyped values in it are usage errors.
+unstable integration); every failure is one line on stderr.  All outputs
+are CSV with a header row; --json mirrors each CSV as a sibling .json
+document.  A command takes the run-parameter flags it uses and, with them, a
+--config JSON file of run parameters (tolerances, OU/turbine/MC parameters,
+seed); explicit flags win over the file, and unknown keys or mistyped values
+in it are usage errors.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -43,7 +46,7 @@ class _UsageError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise _UsageError(f"{self.prog}: {message}\n{self.format_usage()}")
+        raise _UsageError(f"{self.prog}: {message}")
 
 
 @dataclass(frozen=True)
@@ -88,10 +91,6 @@ _RUN_PARAMETERS = {
     "--n": ("mc", "n_realizations"), "--t": ("mc", "horizon"),
     "--dt": ("mc", "dt"), "--bins": ("mc", "bins"),
 }
-_PF_FLAGS = ("--tol", "--max-iter")
-_DYNAMICS_FLAGS = ("--t", "--seed", "--dt", "--damping", "--ou-mu", "--ou-alpha",
-                   "--ou-b", "--rated-power", "--v-rated", "--v-ref")
-_MC_FLAGS = ("--n", "--bins")
 
 
 def _kind(section: str, key: str) -> type:
@@ -160,11 +159,9 @@ def _merge(run: RunConfig, args) -> RunConfig:
 
 
 def _emit(args, header, rows, comment=None):
-    if getattr(args, "out", None):
+    if args.out:
         write_table(args.out, header, rows, comment=comment, json_mirror=args.json)
     else:
-        if args.json:
-            raise _UsageError("--json requires --out (it mirrors a CSV file)")
         if comment is not None:
             print(f"# {comment}")
         print(",".join(header))
@@ -178,24 +175,10 @@ def _emit(args, header, rows, comment=None):
 
 
 def _cmd_validate(args, run: RunConfig) -> int:
-    case = load_case(args.case)
-    violations = validate_case(case)
+    violations = validate_case(load_case(args.case))
     for v in violations:
         print(str(v))
     return 0 if not violations else 2
-
-
-def _cmd_pf(args, run: RunConfig) -> int:
-    case = load_validated_case(args.case)
-    sol = solve_powerflow(case, tol=run.tol, max_iter=run.max_iter)
-    rows = [
-        [bid, float(sol.vm[i]), math.degrees(float(sol.va[i])),
-         float(sol.p_inj[i]), float(sol.q_inj[i])]
-        for i, bid in enumerate(sol.bus_ids)
-    ]
-    _emit(args, ["bus_id", "vm", "va_deg", "p_inj", "q_inj"], rows,
-          comment=f"iterations={sol.iterations} max_mismatch={sol.max_mismatch!r}")
-    return 0
 
 
 def _bus_rows(ids, *columns):
@@ -203,34 +186,12 @@ def _bus_rows(ids, *columns):
     return [[bid] + [float(col[i]) for col in columns] for i, bid in enumerate(ids)]
 
 
-# Subcommands that analyze a case and write one table of the analysis:
-# name -> (help, table), table(analysis) -> (header, rows[, comment]).
-_ANALYSES = {
-    "laplacian": ("dump the weighted Laplacian", lambda a: (
-        ["bus_id"] + [str(b) for b in a.laplacian.bus_ids],
-        _bus_rows(a.laplacian.bus_ids, *a.laplacian.l.T),
-    )),
-    "dmatrix": ("dump the frequency participation matrix", lambda a: (
-        ["bus_id"] + [f"gen_{k}" for k in range(a.participation.d.shape[1])],
-        _bus_rows(a.participation.bus_ids, *a.participation.d.T),
-    )),
-    "inertia": ("per-bus nodal inertia", lambda a: (
-        ["bus_id", "nodal_inertia_s"],
-        _bus_rows(a.inertia.bus_ids, a.inertia.h),
-    )),
-    "gfv": ("per-bus placement metric and Fiedler vector", lambda a: (
-        ["bus_id", "nodal_inertia_s", "fiedler_norm", "gfv"],
-        _bus_rows(a.gfv.bus_ids, a.inertia.h, a.fiedler.vector, a.gfv.gfv),
-        f"lambda2={a.fiedler.lambda2!r} "
-        f"lambda2_bar={a.gfv.dynamic_connectivity!r}",
-    )),
-}
-
-
-def _cmd_analysis(args, run: RunConfig) -> int:
-    analysis = analyze_case(load_validated_case(args.case), tol=run.tol,
-                            max_iter=run.max_iter)
-    _emit(args, *_ANALYSES[args.command][1](analysis))
+def _cmd_pf(args, run: RunConfig) -> int:
+    case = load_validated_case(args.case)
+    sol = solve_powerflow(case, tol=run.tol, max_iter=run.max_iter)
+    _emit(args, ["bus_id", "vm", "va_deg", "p_inj", "q_inj"],
+          _bus_rows(sol.bus_ids, sol.vm, np.degrees(sol.va), sol.p_inj, sol.q_inj),
+          comment=f"iterations={sol.iterations} max_mismatch={sol.max_mismatch!r}")
     return 0
 
 
@@ -254,10 +215,8 @@ def _cmd_simulate(args, run: RunConfig) -> int:
 
 
 def _hist_rows(hist: montecarlo.Histogram):
-    return [
-        [float(hist.edges[i]), float(hist.edges[i + 1]), int(hist.counts[i])]
-        for i in range(len(hist.counts))
-    ]
+    return [[float(low), float(high), int(count)]
+            for low, high, count in zip(hist.edges, hist.edges[1:], hist.counts)]
 
 
 def _cmd_mc(args, run: RunConfig) -> int:
@@ -353,92 +312,122 @@ def _cmd_report(args, run: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sub, out=True):
-    sub.add_argument("--config", help="JSON file with shared run defaults")
-    sub.add_argument("--json", action="store_true",
-                     help="also write each CSV as a sibling .json document")
-    if out:
-        sub.add_argument("--out", help="output CSV path (default: stdout)")
+# add_argument's keywords for each argument of a command that is neither a
+# positional nor a run-parameter flag.
+_ARGUMENTS = {
+    "--bus": {"type": int, "required": True},
+    "--buses": {"required": True, "help": "comma-separated bus ids"},
+    "--out-dir": {"required": True},
+    "--config": {"help": "JSON file with shared run defaults"},
+    "--out": {"help": "output CSV path (default: stdout)"},
+    "--json": {"action": "store_true",
+               "help": "also write each CSV as a sibling .json document"},
+}
 
 
-def _add_run_flags(sub, flags):
-    for flag in flags:
-        sub.add_argument(flag, type=_kind(*_RUN_PARAMETERS[flag]))
+@dataclass(frozen=True)
+class _Command:
+    """A subcommand: its help, its handler(args, run) -> exit code, its own
+    arguments, the run-parameter flags it takes (and so --config) and whether
+    it writes one table (to stdout or --out, mirrored by --json)."""
+
+    help: str
+    handler: Callable[[argparse.Namespace, RunConfig], int]
+    arguments: tuple[str, ...]
+    flags: tuple[str, ...] = ()
+    table: bool = True
 
 
-def build_parser() -> _Parser:
+def _analysis(help_text: str, tabulate) -> _Command:
+    """A command that analyzes a case and writes one table,
+    tabulate(analysis) -> (header, rows[, comment])."""
+    def handler(args, run: RunConfig) -> int:
+        analysis = analyze_case(load_validated_case(args.case), tol=run.tol,
+                                max_iter=run.max_iter)
+        _emit(args, *tabulate(analysis))
+        return 0
+
+    return _Command(help_text, handler, ("case",), ("--tol", "--max-iter"))
+
+
+_COMMANDS = {
+    "validate": _Command("check case invariants", _cmd_validate, ("case",),
+                         table=False),
+    "pf": _Command("solve the AC power flow", _cmd_pf, ("case",),
+                   ("--tol", "--max-iter")),
+    "laplacian": _analysis("dump the weighted Laplacian", lambda a: (
+        ["bus_id"] + [str(b) for b in a.laplacian.bus_ids],
+        _bus_rows(a.laplacian.bus_ids, *a.laplacian.l.T),
+    )),
+    "dmatrix": _analysis("dump the frequency participation matrix", lambda a: (
+        ["bus_id"] + [f"gen_{k}" for k in range(a.participation.d.shape[1])],
+        _bus_rows(a.participation.bus_ids, *a.participation.d.T),
+    )),
+    "inertia": _analysis("per-bus nodal inertia", lambda a: (
+        ["bus_id", "nodal_inertia_s"],
+        _bus_rows(a.inertia.bus_ids, a.inertia.h),
+    )),
+    "gfv": _analysis("per-bus placement metric and Fiedler vector", lambda a: (
+        ["bus_id", "nodal_inertia_s", "fiedler_norm", "gfv"],
+        _bus_rows(a.gfv.bus_ids, a.inertia.h, a.fiedler.vector, a.gfv.gfv),
+        f"lambda2={a.fiedler.lambda2!r} "
+        f"lambda2_bar={a.gfv.dynamic_connectivity!r}",
+    )),
+    "simulate": _Command(
+        "one stochastic-wind trajectory", _cmd_simulate, ("case", "--bus"),
+        ("--tol", "--max-iter", "--seed", "--damping", "--ou-mu", "--ou-alpha",
+         "--ou-b", "--rated-power", "--v-rated", "--v-ref", "--t", "--dt")),
+    "mc": _Command(  # every run parameter; --json mirrors each file it writes
+        "Monte Carlo placement study", _cmd_mc,
+        ("case", "--buses", "--out-dir", "--json"), tuple(_RUN_PARAMETERS),
+        table=False),
+    "report": _Command("ranking table from an mc output directory", _cmd_report,
+                       ("out_dir",)),
+}
+
+
+def build_parser(command: str | None = None) -> _Parser:
+    """The parser of subcommand command, or of every subcommand when command
+    names none (as for --help)."""
     parser = _Parser(prog="grid-gfv", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("validate", help="check case invariants")
-    p.add_argument("case")
-    _add_common(p, out=False)
-    p.set_defaults(func=_cmd_validate)
-
-    p = subs.add_parser("pf", help="solve the AC power flow")
-    p.add_argument("case")
-    _add_run_flags(p, _PF_FLAGS)
-    _add_common(p)
-    p.set_defaults(func=_cmd_pf)
-
-    for name, (help_text, _) in _ANALYSES.items():
-        p = subs.add_parser(name, help=help_text)
-        p.add_argument("case")
-        _add_run_flags(p, _PF_FLAGS)
-        _add_common(p)
-        p.set_defaults(func=_cmd_analysis)
-
-    p = subs.add_parser("simulate", help="one stochastic-wind trajectory")
-    p.add_argument("case")
-    p.add_argument("--bus", type=int, required=True)
-    _add_run_flags(p, _DYNAMICS_FLAGS)
-    _add_common(p)
-    p.set_defaults(func=_cmd_simulate)
-
-    p = subs.add_parser("mc", help="Monte Carlo placement study")
-    p.add_argument("case")
-    p.add_argument("--buses", required=True, help="comma-separated bus ids")
-    _add_run_flags(p, _MC_FLAGS)
-    _add_run_flags(p, _DYNAMICS_FLAGS)
-    p.add_argument("--out-dir", required=True)
-    _add_common(p, out=False)
-    p.set_defaults(func=_cmd_mc)
-
-    p = subs.add_parser("report", help="ranking table from an mc output directory")
-    p.add_argument("out_dir")
-    _add_common(p)
-    p.set_defaults(func=_cmd_report)
-
+    for name in [command] if command in _COMMANDS else _COMMANDS:
+        cmd = _COMMANDS[name]
+        sub = subs.add_parser(name, help=cmd.help)
+        for option in (cmd.arguments + cmd.flags + ("--config",) * bool(cmd.flags)
+                       + ("--out", "--json") * cmd.table):
+            if option in _RUN_PARAMETERS:
+                sub.add_argument(option, type=_kind(*_RUN_PARAMETERS[option]))
+            else:
+                sub.add_argument(option, **_ARGUMENTS.get(option, {}))
     return parser
 
 
 def dispatch(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
+        cmd = _COMMANDS[args.command]
+        if cmd.table and args.json and not args.out:
+            raise _UsageError("--json requires --out (it mirrors a CSV file)")
         config = getattr(args, "config", None)
         run = _load_run_config(config) if config else RunConfig()
         run = _merge(run, args)
         with np.errstate(all="ignore"):  # outputs are checked for finiteness
-            return args.func(args, run)
+            return cmd.handler(args, run)
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 1
     except FileNotFoundError as exc:
-        name = getattr(exc, "filename", None)
-        print(f"file not found: {name or exc}", file=sys.stderr)
+        print(f"file not found: {exc.filename or exc}", file=sys.stderr)
         return 1
     except OSError as exc:  # e.g. a directory where a file belongs
         print(f"{exc.filename}: {exc.strerror}" if exc.filename else f"error: {exc}",
               file=sys.stderr)
         return 1
-    except CaseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except GridGfvError as exc:
+    except GridGfvError as exc:  # CaseError among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -8,8 +8,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .case_model import NetworkCase
 from .powerflow import (
     PF_MAX_ITER,
@@ -44,7 +42,6 @@ from .spectral import (
 @dataclass(frozen=True)
 class CaseAnalysis:
     case: NetworkCase
-    ybus: np.ndarray
     solution: PowerFlowSolution
     emfs: InternalEmfs
     aug: AugmentedAdmittance
@@ -76,7 +73,6 @@ def analyze_case(
     metric = gfv(gep)
     return CaseAnalysis(
         case=case,
-        ybus=ybus,
         solution=sol,
         emfs=emfs,
         aug=aug,

@@ -1,10 +1,12 @@
 """Command-line behavior: outputs, exit codes, determinism."""
 
+import argparse
 import errno
 import io
 import json
 import math
 import os
+import re
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -14,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridgfv import montecarlo
+from gridgfv import cli, montecarlo
 from gridgfv.cli import main
 from gridgfv.csvio import format_cell, read_table, write_table
 
@@ -453,9 +455,9 @@ def test_malformed_summary_is_a_one_line_data_error(tmp_path, capsys, content, r
     assert captured.err.startswith(f"error: {summary}: {reason}")
 
 
-# Run-parameter flags of each command, with the values to draw for each.  The
-# horizon, step and realization count stay fixed and small, and --max-iter and
-# --bins bounded, so that no example asks for unbounded time or memory.
+# Run-parameter flags, with the values to draw for each.  The horizon, step and
+# realization count stay fixed and small, and --max-iter and --bins bounded, so
+# that no example asks for unbounded time or memory.
 _RUN_FLAG_VALUES = {
     "--tol": st.floats(), "--max-iter": st.integers(max_value=50),
     "--seed": st.integers(), "--damping": st.floats(), "--ou-mu": st.floats(),
@@ -463,27 +465,34 @@ _RUN_FLAG_VALUES = {
     "--v-rated": st.floats(), "--v-ref": st.floats(),
     "--bins": st.integers(max_value=1000),
 }
+_PF = ["--tol", "--max-iter"]
 _DYNAMICS = ["--seed", "--damping", "--ou-mu", "--ou-alpha", "--ou-b",
              "--rated-power", "--v-rated", "--v-ref"]
+# Each command: its argv, its required argument (kept or dropped), the
+# run-parameter flags drawn for it (some of which it does not take) and
+# arguments it does not take, none of them a prefix of one it takes.
 _COMMANDS = [
-    (["pf", CASE9], ["--tol", "--max-iter"]),
-    (["simulate", STUDY, "--bus", "3", "--t", "0.05", "--dt", "0.01"], _DYNAMICS),
-    (["mc", STUDY, "--buses", "3,5", "--n", "2", "--t", "0.05", "--dt", "0.01"],
-     _DYNAMICS + ["--bins"]),
+    (["pf", CASE9], [], _PF + ["--seed", "--bins"], ["--buses=3", "--bus=3"]),
+    (["simulate", STUDY, "--t", "0.05", "--dt", "0.01"], ["--bus=3"],
+     _PF + _DYNAMICS + ["--bins"], ["--buses=3,5", "--n=2"]),
+    (["mc", STUDY, "--n", "2", "--t", "0.05", "--dt", "0.01"], ["--buses=3,5"],
+     _PF + _DYNAMICS + ["--bins"], ["extra", "--frobnicate=1"]),
 ]
 _RUN_VECTORS = st.one_of(*(
-    st.tuples(st.just(argv), st.fixed_dictionaries(
-        {}, optional={flag: _RUN_FLAG_VALUES[flag] for flag in flags}))
-    for argv, flags in _COMMANDS
+    st.tuples(st.just(argv), st.sampled_from([required, []]), st.fixed_dictionaries(
+        {}, optional={flag: _RUN_FLAG_VALUES[flag] for flag in flags}),
+        st.lists(st.sampled_from(foreign), max_size=1))
+    for argv, required, flags, foreign in _COMMANDS
 ))
 
 
 @given(vector=_RUN_VECTORS)
 @settings(max_examples=200, deadline=None)
 def test_any_run_parameter_vector_ends_in_a_documented_exit(tmp_path_factory, vector):
-    argv, values = vector
+    argv, required, values, foreign = vector
     # --flag=value, so that a value such as -1 is never read as an option.
-    argv = argv + [f"{flag}={value}" for flag, value in values.items()]
+    argv = (argv + required + [f"{flag}={value}" for flag, value in values.items()]
+            + foreign)
     if argv[0] == "mc":
         argv += ["--out-dir", str(tmp_path_factory.mktemp("mc"))]
     out, err = io.StringIO(), io.StringIO()
@@ -498,3 +507,97 @@ def test_any_run_parameter_vector_ends_in_a_documented_exit(tmp_path_factory, ve
     if code != 0:
         assert len(err.getvalue().splitlines()) + len(caught) == 1, (err.getvalue(),
                                                                      caught)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", STUDY, "--bus", "3", "--t", "0.05", "--dt", "0.01", "--bins=3"],
+     "grid-gfv: unrecognized arguments: --bins=3\n"),
+    (["mc", STUDY, "--n", "1", "--t", "0.05", "--out-dir", "{tmp}"],
+     "grid-gfv mc: the following arguments are required: --buses\n"),
+    (["mc", STUDY, "--buses", "3", "--n", "x", "--out-dir", "{tmp}"],
+     "grid-gfv mc: argument --n: invalid int value: 'x'\n"),
+    (["frobnicate"], "grid-gfv: argument command: invalid choice: 'frobnicate' "
+     "(choose from 'validate', 'pf', 'laplacian', 'dmatrix', 'inertia', 'gfv', "
+     "'simulate', 'mc', 'report')\n"),
+    ([], "grid-gfv: the following arguments are required: command\n"),
+], ids=["foreign-flag", "missing-buses", "bad-int", "unknown-command", "no-command"])
+def test_argument_error_is_one_line(tmp_path, capsys, argv, message):
+    assert main([arg.format(tmp=tmp_path) for arg in argv]) == 1
+    assert capsys.readouterr().err == message
+
+
+@pytest.mark.parametrize("argv, unused", [
+    (["validate", CASE9, "--json"], "--json"),
+    (["validate", CASE9, "--config", "run.json"], "--config run.json"),
+    (["report", ".", "--config", "run.json"], "--config run.json"),
+], ids=["validate-json", "validate-config", "report-config"])
+def test_flag_a_command_does_not_use_is_a_one_line_usage_error(capsys, argv, unused):
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"grid-gfv: unrecognized arguments: {unused}\n"
+
+
+# The flags each command takes, besides --help.
+_ANALYSIS_FLAGS = {"--tol", "--max-iter", "--config", "--out", "--json"}
+_SIMULATE_FLAGS = _ANALYSIS_FLAGS | {
+    "--bus", "--seed", "--damping", "--ou-mu", "--ou-alpha", "--ou-b", "--rated-power",
+    "--v-rated", "--v-ref", "--t", "--dt"}
+_FLAGS = {
+    "validate": set(), "pf": _ANALYSIS_FLAGS, "laplacian": _ANALYSIS_FLAGS,
+    "dmatrix": _ANALYSIS_FLAGS, "inertia": _ANALYSIS_FLAGS, "gfv": _ANALYSIS_FLAGS,
+    "simulate": _SIMULATE_FLAGS,
+    "mc": _SIMULATE_FLAGS - {"--bus", "--out"} | {"--buses", "--out-dir", "--n", "--bins"},
+    "report": {"--out", "--json"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(_FLAGS))
+def test_command_help_lists_exactly_its_flags(capsys, command):
+    with pytest.raises(SystemExit) as exit_:
+        main([command, "--help"])
+    assert exit_.value.code == 0
+    text = capsys.readouterr().out
+    assert set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", text)) == _FLAGS[command] | {"--help"}
+
+
+def test_help_lists_every_command(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["--help"])
+    assert exit_.value.code == 0
+    text = capsys.readouterr().out
+    assert all(re.search(rf"^    {command} ", text, re.M) for command in _FLAGS)
+
+
+def test_only_the_named_command_is_built(capsys, monkeypatch):
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def spy(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
+    assert main(["gfv", CASE9]) == 0
+    assert built == ["gfv"]
+    built.clear()
+    assert main(["frobnicate"]) == 1
+    assert built == list(_FLAGS)
+
+
+def test_simulate_max_iter_reaches_its_power_flow(capsys):
+    assert main(["simulate", STUDY, "--bus", "3", "--t", "0.05", "--max-iter=0"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: power flow did not converge in 0 iterations")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv, work", [
+    (["gfv", CASE9, "--json"], "analyze_case"),
+    (["simulate", STUDY, "--bus", "3", "--t", "200", "--json"], "simulate"),
+], ids=["gfv", "simulate"])
+def test_json_without_out_is_refused_before_any_work(capsys, monkeypatch, argv, work):
+    def fail(*args, **kwargs):
+        raise AssertionError(f"{work} ran before --json was refused")
+
+    monkeypatch.setattr(cli, work, fail)
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "--json requires --out (it mirrors a CSV file)\n"
