@@ -41,7 +41,7 @@ from .errors import (
     StabilityRegionError,
 )
 from .montecarlo import McConfig, McSummary, ifd, run_monte_carlo, summarize
-from .pipeline import CaseAnalysis, analyze_case
+from .pipeline import CaseAnalysis, OperatingPoint, analyze_case, operating_point
 from .powerflow import (
     InternalEmfs,
     PowerFlowSolution,

@@ -267,8 +267,8 @@ def load_validated_case(path) -> NetworkCase:
     """load_case(path); raises CaseError listing every violation it has."""
     case = load_case(path)
     if violations := validate_case(case):
-        lines = "\n".join(str(v) for v in violations)
-        raise CaseError(f"case {path} fails validation:\n{lines}")
+        raise CaseError(f"case {path} fails validation: "
+                        + "; ".join(str(v) for v in violations))
     return case
 
 

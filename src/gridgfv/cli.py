@@ -36,8 +36,8 @@ from .dynamics import (
     wind_to_power,
 )
 from .errors import CaseError, GridGfvError, NumericalError
-from .pipeline import analyze_case
-from .powerflow import PF_MAX_ITER, PF_TOL, internal_emfs, solve_powerflow
+from .pipeline import analyze_case, operating_point
+from .powerflow import PF_MAX_ITER, PF_TOL, solve_powerflow
 
 
 class _UsageError(Exception):
@@ -196,10 +196,9 @@ def _cmd_pf(args, run: RunConfig) -> int:
 
 
 def _cmd_simulate(args, run: RunConfig) -> int:
-    case = load_validated_case(args.case)
-    sol = solve_powerflow(case, tol=run.tol, max_iter=run.max_iter)
-    emfs = internal_emfs(case, sol)
-    model = build_swing_model(case, sol, emfs, default_damping=run.damping)
+    op = operating_point(load_validated_case(args.case), tol=run.tol,
+                         max_iter=run.max_iter)
+    model = build_swing_model(op, default_damping=run.damping)
     ou = replace(run.ou, dt=run.dt, seed=run.seed)
     wind = simulate_ou(ou, round(run.horizon / run.dt))
     dp = wind_to_power(wind, run.turbine.rated_power, run.turbine.v_rated,
@@ -389,11 +388,11 @@ _COMMANDS = {
 def build_parser(command: str | None = None) -> _Parser:
     """The parser of subcommand command, or of every subcommand when command
     names none (as for --help)."""
-    parser = _Parser(prog="grid-gfv", description=__doc__)
+    parser = _Parser(prog="grid-gfv", description=__doc__, allow_abbrev=False)
     subs = parser.add_subparsers(dest="command", required=True)
     for name in [command] if command in _COMMANDS else _COMMANDS:
         cmd = _COMMANDS[name]
-        sub = subs.add_parser(name, help=cmd.help)
+        sub = subs.add_parser(name, help=cmd.help, allow_abbrev=False)
         for option in (cmd.arguments + cmd.flags + ("--config",) * bool(cmd.flags)
                        + ("--out", "--json") * cmd.table):
             if option in _RUN_PARAMETERS:
@@ -401,6 +400,12 @@ def build_parser(command: str | None = None) -> _Parser:
             else:
                 sub.add_argument(option, **_ARGUMENTS.get(option, {}))
     return parser
+
+
+def _fail(message: str, code: int) -> int:
+    """Write a failure message as one stderr line; return its exit code."""
+    print(message.replace("\n", "\\n").replace("\r", "\\r"), file=sys.stderr)
+    return code
 
 
 def dispatch(argv) -> int:
@@ -415,21 +420,16 @@ def dispatch(argv) -> int:
         with np.errstate(all="ignore"):  # outputs are checked for finiteness
             return cmd.handler(args, run)
     except _UsageError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
+        return _fail(str(exc), 1)
     except FileNotFoundError as exc:
-        print(f"file not found: {exc.filename or exc}", file=sys.stderr)
-        return 1
+        return _fail(f"file not found: {exc.filename or exc}", 1)
     except OSError as exc:  # e.g. a directory where a file belongs
-        print(f"{exc.filename}: {exc.strerror}" if exc.filename else f"error: {exc}",
-              file=sys.stderr)
-        return 1
+        return _fail(f"{exc.filename}: {exc.strerror}" if exc.filename
+                     else f"error: {exc}", 1)
     except NumericalError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
+        return _fail(f"numerical failure: {exc}", 3)
     except GridGfvError as exc:  # CaseError among them
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(f"error: {exc}", 2)
 
 
 def main(argv=None) -> int:

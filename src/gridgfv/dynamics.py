@@ -18,17 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal import lfilter
 
-from .case_model import NetworkCase, bus_positions
+from .case_model import bus_positions
 from .errors import GridGfvError, SimulationUnstableError
-from .powerflow import InternalEmfs, PowerFlowSolution, build_ybus
-from .reduction import (
-    NodeKey,
-    ParticipationMatrix,
-    augment_internal_nodes,
-    frequency_participation,
-    kron_reduce,
-)
-from .spectral import build_laplacian
+from .pipeline import OperatingPoint
+from .reduction import NodeKey, ParticipationMatrix, kron_reduce
 
 OMEGA_SYNC = 2.0 * math.pi * 60.0  # rad/s at 60 Hz nominal
 # Damping (pu) of machines whose case entry gives none.
@@ -140,20 +133,16 @@ def wind_to_power(
 
 
 def build_swing_model(
-    case: NetworkCase,
-    sol: PowerFlowSolution,
-    emfs: InternalEmfs,
-    default_damping: float = DEFAULT_DAMPING,
+    op: OperatingPoint, default_damping: float = DEFAULT_DAMPING
 ) -> SwingModel:
     """Assemble the second-order model M dw/dt = dP - D w - L_red theta,
     d theta/dt = OMEGA_SYNC * w over generator internal nodes.
 
-    L_red is the bus Laplacian of build_laplacian plus one edge per machine,
+    L_red is the operating point's bus Laplacian plus one edge per machine,
     internal node to terminal t, of weight E_k |V_t| cos(d_k0 - t_t0) / xd_p.
     Machines missing a damping value in the case file get default_damping.
     """
-    aug = augment_internal_nodes(build_ybus(case), case)
-    laplacian = build_laplacian(case, sol)
+    case, sol, emfs = op.case, op.solution, op.emfs
     n = case.n_bus
     pos = bus_positions(case)
     term = np.array([pos[g.bus] for g in case.generators], dtype=int)
@@ -161,7 +150,7 @@ def build_swing_model(
     b_machine = 1.0 / np.array([g.xd_p for g in case.generators])
     w = emfs.e_mag * sol.vm[term] * b_machine * np.cos(emfs.delta0 - sol.va[term])
     lap = np.zeros((n + case.n_gen, n + case.n_gen))
-    lap[:n, :n] = laplacian.l
+    lap[:n, :n] = op.laplacian.l
     np.add.at(lap, (term, term), w)
     lap[gen, gen] = w
     lap[gen, term] = -w
@@ -172,8 +161,8 @@ def build_swing_model(
             [g.d if g.d is not None else default_damping for g in case.generators]
         ),
         l_red=lap,
-        nodes=aug.nodes,
-        participation=frequency_participation(aug),
+        nodes=op.aug.nodes,
+        participation=op.participation,
         omega_s=OMEGA_SYNC,
         bus_ids=sol.bus_ids,
     )

@@ -34,7 +34,7 @@ from .dynamics import (
     wind_to_power,
 )
 from .errors import GridGfvError, UnusableResultError
-from .powerflow import internal_emfs, solve_powerflow
+from .pipeline import operating_point
 
 DEFAULT_BINS = 50
 
@@ -216,9 +216,7 @@ def run_monte_carlo(
 
     workers=None honors GRID_GFV_THREADS, else uses all available cores.
     """
-    sol = solve_powerflow(cfg.case)
-    emfs = internal_emfs(cfg.case, sol)
-    model = build_swing_model(cfg.case, sol, emfs, cfg.default_damping)
+    model = build_swing_model(operating_point(cfg.case), cfg.default_damping)
     realize = partial(_one_realization, cfg, model)
     n_workers = resolve_workers(workers, cfg.n_realizations)
     if n_workers == 1:

@@ -1,7 +1,10 @@
 """End-to-end analysis pipeline: case -> power flow -> reduction -> spectra.
 
-Thin composition layer so the CLI, the Monte Carlo driver and scripts share
-one consistent set of intermediate objects per case.
+operating_point builds the one model of a case at its solved operating point:
+one Ybus, the power flow solved with it, the machine EMFs, the same Ybus
+augmented with the internal nodes, the participation matrix and the bus
+Laplacian.  The spectral analysis (analyze_case) and the swing model
+(dynamics.build_swing_model) both read that model; neither rebuilds any of it.
 """
 
 from __future__ import annotations
@@ -40,18 +43,41 @@ from .spectral import (
 
 
 @dataclass(frozen=True)
-class CaseAnalysis:
+class OperatingPoint:
     case: NetworkCase
     solution: PowerFlowSolution
     emfs: InternalEmfs
     aug: AugmentedAdmittance
     participation: ParticipationMatrix
     laplacian: LaplacianMatrix
-    decomposition: GeneralizedDecomposition
+
+
+@dataclass(frozen=True)
+class CaseAnalysis(OperatingPoint):
     fiedler: FiedlerResult
     inertia: NodalInertiaVector
     gep: GeneralizedDecomposition
     gfv: GfvResult
+
+
+def operating_point(
+    case: NetworkCase,
+    tol: float = PF_TOL,
+    max_iter: int = PF_MAX_ITER,
+) -> OperatingPoint:
+    """Solve a validated case's power flow and build its network model."""
+    ybus = build_ybus(case)
+    sol = solve_powerflow(case, tol=tol, max_iter=max_iter, ybus=ybus)
+    emfs = internal_emfs(case, sol)
+    aug = augment_internal_nodes(ybus, case)
+    return OperatingPoint(
+        case=case,
+        solution=sol,
+        emfs=emfs,
+        aug=aug,
+        participation=frequency_participation(aug),
+        laplacian=build_laplacian(case, sol),
+    )
 
 
 def analyze_case(
@@ -60,27 +86,9 @@ def analyze_case(
     max_iter: int = PF_MAX_ITER,
 ) -> CaseAnalysis:
     """Run the whole analysis chain on a validated case."""
-    ybus = build_ybus(case)
-    sol = solve_powerflow(case, tol=tol, max_iter=max_iter, ybus=ybus)
-    emfs = internal_emfs(case, sol)
-    aug = augment_internal_nodes(ybus, case)
-    participation = frequency_participation(aug)
-    lap = build_laplacian(case, sol)
-    decomp = eigendecompose(lap)
-    fied = fiedler(decomp)
-    inertia = nodal_inertia(case, sol, emfs, participation, aug)
-    gep = solve_gep(lap, inertia)
-    metric = gfv(gep)
-    return CaseAnalysis(
-        case=case,
-        solution=sol,
-        emfs=emfs,
-        aug=aug,
-        participation=participation,
-        laplacian=lap,
-        decomposition=decomp,
-        fiedler=fied,
-        inertia=inertia,
-        gep=gep,
-        gfv=metric,
-    )
+    op = operating_point(case, tol=tol, max_iter=max_iter)
+    fied = fiedler(eigendecompose(op.laplacian))
+    inertia = nodal_inertia(case, op.solution, op.emfs, op.participation, op.aug)
+    gep = solve_gep(op.laplacian, inertia)
+    return CaseAnalysis(**vars(op), fiedler=fied, inertia=inertia, gep=gep,
+                        gfv=gfv(gep))

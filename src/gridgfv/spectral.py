@@ -66,7 +66,6 @@ class GeneralizedDecomposition:
 class GfvResult:
     dynamic_connectivity: float  # second generalized eigenvalue, 1/s
     gfv: np.ndarray  # per bus, in [0, 1], max entry exactly 1
-    generalized_eigenvalues: np.ndarray
     degenerate: bool
     bus_ids: tuple[int, ...]
 
@@ -210,7 +209,6 @@ def gfv(gep: GeneralizedDecomposition) -> GfvResult:
     return GfvResult(
         dynamic_connectivity=connectivity,
         gfv=vector,
-        generalized_eigenvalues=gep.eigenvalues,
         degenerate=degenerate,
         bus_ids=gep.bus_ids,
     )

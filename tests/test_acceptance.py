@@ -19,6 +19,7 @@ from gridgfv import (
     closed_form_response,
     gfv,
     load_case,
+    operating_point,
     run_monte_carlo,
     simulate,
     simulate_ou,
@@ -27,7 +28,6 @@ from gridgfv import (
 )
 from gridgfv.cli import main
 from gridgfv.dynamics import TurbineParams, build_swing_model
-from gridgfv.powerflow import internal_emfs
 from gridgfv.reduction import kron_reduce
 from gridgfv.spectral import LaplacianMatrix, NodalInertiaVector
 
@@ -143,10 +143,7 @@ def test_04_ou_stationary_moments():
 
 def test_05_simulator_vs_closed_form():
     with _Gate(5, "simulator vs closed form", 5.0):
-        case = get_case("case4_ring")
-        sol = solve_powerflow(case)
-        emfs = internal_emfs(case, sol)
-        model = build_swing_model(case, sol, emfs)
+        model = build_swing_model(operating_point(get_case("case4_ring")))
         dt, horizon, dp_mag = 0.01, 10.0, 0.1
         n = int(round(horizon / dt))
         dp = np.full(n + 1, dp_mag)

@@ -7,7 +7,9 @@ import json
 import math
 import os
 import re
+import sys
 import warnings
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from unittest import mock
@@ -16,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridgfv import cli, montecarlo
+from gridgfv import cli, montecarlo, powerflow
 from gridgfv.cli import main
 from gridgfv.csvio import format_cell, read_table, write_table
 
@@ -38,6 +40,21 @@ def test_validate_reports_violations(tmp_path, capsys):
     bad.write_text(json.dumps(doc))
     assert main(["validate", str(bad)]) == 2
     assert "duplicate-slack" in capsys.readouterr().out
+
+
+def test_invalid_case_is_one_stderr_line_naming_every_violation(tmp_path, capsys):
+    doc = json.loads(Path(CASE9).read_text())
+    doc["buses"][0]["kind"] = "pq"  # the slack bus, which holds a machine
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["gfv", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert "missing-slack" in err and "generator-on-pq-bus" in err
+    assert main(["validate", str(bad)]) == 2
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 2
+    assert "missing-slack" in out[0] + out[1] and "generator-on-pq-bus" in out[0] + out[1]
 
 
 def test_missing_file_exits_one(capsys):
@@ -520,7 +537,18 @@ def test_any_run_parameter_vector_ends_in_a_documented_exit(tmp_path_factory, ve
      "(choose from 'validate', 'pf', 'laplacian', 'dmatrix', 'inertia', 'gfv', "
      "'simulate', 'mc', 'report')\n"),
     ([], "grid-gfv: the following arguments are required: command\n"),
-], ids=["foreign-flag", "missing-buses", "bad-int", "unknown-command", "no-command"])
+    # A prefix of a flag is not that flag.
+    (["gfv", CASE9, "--to", "1e-3"], "grid-gfv: unrecognized arguments: --to 1e-3\n"),
+    (["mc", STUDY, "--buses", "3", "--out-dir", "{tmp}", "--out", "D"],
+     "grid-gfv: unrecognized arguments: --out D\n"),
+    (["mc", STUDY, "--buses", "3", "--out-dir", "{tmp}", "--bus", "3"],
+     "grid-gfv: unrecognized arguments: --bus 3\n"),
+    # A newline in an argument or a path is written escaped.
+    (["pf", CASE9, "--x\ny"], "grid-gfv: unrecognized arguments: --x\\ny\n"),
+    (["validate", "no\nsuch.json"], "file not found: no\\nsuch.json\n"),
+], ids=["foreign-flag", "missing-buses", "bad-int", "unknown-command", "no-command",
+        "flag-prefix", "mc-out-prefix", "mc-bus-prefix", "newline-in-argument",
+        "newline-in-path"])
 def test_argument_error_is_one_line(tmp_path, capsys, argv, message):
     assert main([arg.format(tmp=tmp_path) for arg in argv]) == 1
     assert capsys.readouterr().err == message
@@ -601,3 +629,30 @@ def test_json_without_out_is_refused_before_any_work(capsys, monkeypatch, argv, 
     monkeypatch.setattr(cli, work, fail)
     assert main(argv) == 1
     assert capsys.readouterr().err == "--json requires --out (it mirrors a CSV file)\n"
+
+
+@pytest.mark.parametrize("argv, builds", [
+    (["pf", CASE9], 1),
+    (["gfv", CASE9], 1),
+    (["simulate", STUDY, "--bus", "3", "--t", "0.05"], 1),
+    # The metric's operating point and the Monte Carlo driver's.
+    (["mc", STUDY, "--buses", "3", "--n", "1", "--t", "0.05", "--out-dir", "{tmp}"], 2),
+], ids=["pf", "gfv", "simulate", "mc"])
+def test_one_ybus_build_and_one_solve_per_operating_point(tmp_path, capsys, monkeypatch,
+                                                          argv, builds):
+    monkeypatch.setenv("GRID_GFV_THREADS", "1")
+    calls = Counter()
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "gridgfv"]
+    for name in ("build_ybus", "solve_powerflow"):
+        original = getattr(powerflow, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    assert main([arg.format(tmp=tmp_path) for arg in argv]) == 0
+    assert calls == {"build_ybus": builds, "solve_powerflow": builds}

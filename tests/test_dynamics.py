@@ -13,13 +13,14 @@ from gridgfv import (
     StabilityRegionError,
     build_swing_model,
     closed_form_response,
-    internal_emfs,
+    operating_point,
     parse_case,
     simulate,
     simulate_ou,
     solve_powerflow,
     wind_to_power,
 )
+from gridgfv import pipeline
 from gridgfv.reduction import kron_reduce
 
 from conftest import FIXTURE_NAMES, get_analysis, get_case
@@ -86,9 +87,7 @@ def test_wind_power_delta_method_std():
 
 def _model_from(doc, default_damping=1.0):
     case = parse_case(json.dumps(doc))
-    sol = solve_powerflow(case)
-    emfs = internal_emfs(case, sol)
-    return case, build_swing_model(case, sol, emfs, default_damping)
+    return case, build_swing_model(operating_point(case), default_damping)
 
 
 SINGLE = {
@@ -138,9 +137,7 @@ def test_two_identical_machines_coi_aggregates():
 
 def test_nine_bus_swing_coupling_is_psd():
     case = get_case("case9")
-    sol = solve_powerflow(case)
-    emfs = internal_emfs(case, sol)
-    model = build_swing_model(case, sol, emfs)
+    model = build_swing_model(operating_point(case))
     lred = kron_reduce(model.l_red, model.gen_rows)
     assert np.max(np.abs(lred.sum(axis=1))) <= 1e-9
     vals = np.linalg.eigvalsh(lred)
@@ -161,17 +158,18 @@ def test_swing_laplacian_is_the_admittance_weighted_laplacian(name):
     np.fill_diagonal(b_off, 0.0)
     w = np.outer(mag, mag) * b_off * np.cos(ang[:, None] - ang[None, :])
     reference = np.diag(w.sum(axis=1)) - w
-    model = build_swing_model(analysis.case, sol, emfs)
+    model = build_swing_model(analysis)
     assert model.nodes == aug.nodes
     assert np.max(np.abs(model.l_red - reference)) <= 1e-12 * np.abs(reference).max()
 
 
-def test_swing_model_rejects_ninety_degree_branch():
+def test_swing_model_rejects_ninety_degree_branch(monkeypatch):
     case = get_case("case2")
     sol = solve_powerflow(case)
     sol = replace(sol, va=np.array([0.0, -math.pi / 2]))
+    monkeypatch.setattr(pipeline, "solve_powerflow", lambda *args, **kwargs: sol)
     with pytest.raises(StabilityRegionError):
-        build_swing_model(case, sol, internal_emfs(case, sol))
+        operating_point(case)
 
 
 def test_simulate_zero_input_stays_zero():
@@ -216,9 +214,7 @@ def test_simulate_matches_independent_integrator():
     from gridgfv.dynamics import _injection_reduction, _resolve_node
 
     case = get_case("case9")
-    sol = solve_powerflow(case)
-    emfs = internal_emfs(case, sol)
-    model = build_swing_model(case, sol, emfs)
+    model = build_swing_model(operating_point(case))
     dt = 0.01
     dp = wind_to_power(simulate_ou(OuParams(seed=8), 500), 1.0, 15.0, 14.0)
     traj = simulate(model, 8, dp, dt)
@@ -246,9 +242,7 @@ def test_simulate_matches_independent_integrator():
 
 def test_simulate_coi_is_inertia_weighted_mean():
     case = get_case("case9")
-    sol = solve_powerflow(case)
-    emfs = internal_emfs(case, sol)
-    model = build_swing_model(case, sol, emfs)
+    model = build_swing_model(operating_point(case))
     dp = wind_to_power(simulate_ou(OuParams(seed=21), 300), 1.0, 15.0, 14.0)
     traj = simulate(model, 5, dp, 0.01)
     h = np.array([g.h for g in case.generators])
