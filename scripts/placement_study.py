@@ -17,9 +17,15 @@ from scipy.stats import spearmanr
 
 sys.path.insert(0, str(Path(__file__).parents[1] / "src"))
 
-from gridgfv import McConfig, OuParams, analyze_case, load_validated_case, run_monte_carlo
+from gridgfv import (
+    OuParams,
+    RunConfig,
+    TurbineParams,
+    analyze_case,
+    load_validated_case,
+    run_monte_carlo,
+)
 from gridgfv.csvio import write_table
-from gridgfv.dynamics import TurbineParams
 
 
 def parse_args():
@@ -59,18 +65,16 @@ def main():
     )
     # diffusion b so that b^2 / (2 alpha) = std^2
     b = args.ou_std * np.sqrt(2.0 * args.ou_alpha)
-    cfg = McConfig(
-        case=case,
-        placement_buses=buses,
+    cfg = RunConfig(
+        seed=args.seed,
+        ou=OuParams(mu=14.0, alpha=args.ou_alpha, b=b),
+        turbine=TurbineParams(rated_power=args.rated, v_rated=15.0, v_ref=14.0),
         n_realizations=args.n,
         horizon=args.t,
         dt=args.dt,
-        ou=OuParams(mu=14.0, alpha=args.ou_alpha, b=b, dt=args.dt),
-        turbine=TurbineParams(rated_power=args.rated, v_rated=15.0, v_ref=14.0),
-        base_seed=args.seed,
     )
     t0 = time.time()
-    summary = run_monte_carlo(cfg)
+    summary = run_monte_carlo(case, buses, cfg)
     print(f"\n{args.n} realizations x {args.t:.0f} s at {len(buses)} buses "
           f"in {time.time() - t0:.1f} s")
 

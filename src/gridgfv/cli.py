@@ -24,20 +24,13 @@ from typing import Callable
 import numpy as np
 
 from . import case_model, montecarlo
-from .case_model import bus_positions, load_case, load_validated_case, validate_case
+from .case_model import load_case, load_validated_case, validate_case
 from .csvio import format_cell, read_table, write_table
-from .dynamics import (
-    DEFAULT_DAMPING,
-    OuParams,
-    TurbineParams,
-    build_swing_model,
-    simulate,
-    simulate_ou,
-    wind_to_power,
-)
+from .dynamics import build_swing_model, simulate, simulate_ou, wind_to_power
 from .errors import CaseError, GridGfvError, NumericalError
+from .montecarlo import RunConfig
 from .pipeline import analyze_case, operating_point
-from .powerflow import PF_MAX_ITER, PF_TOL, solve_powerflow
+from .powerflow import solve_powerflow
 
 
 class _UsageError(Exception):
@@ -47,36 +40,6 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(f"{self.prog}: {message}")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Merged run parameters: config-file values overridden by CLI flags."""
-
-    tol: float = PF_TOL
-    max_iter: int = PF_MAX_ITER
-    seed: int = 0
-    damping: float = DEFAULT_DAMPING
-    ou: OuParams = OuParams()
-    turbine: TurbineParams = TurbineParams()
-    n_realizations: int = montecarlo.McConfig.n_realizations
-    horizon: float = montecarlo.McConfig.horizon
-    dt: float = montecarlo.McConfig.dt
-    bins: int = montecarlo.DEFAULT_BINS
-
-    def __post_init__(self):
-        for name, ok, rule in (
-            ("tol", self.tol > 0, "positive"),
-            ("dt", self.dt > 0, "positive"),
-            ("horizon", self.dt > 0 and 0.5 < self.horizon / self.dt < math.inf,
-             "at least one and finitely many steps of dt"),
-            ("max_iter", self.max_iter >= 0, "non-negative"),
-            ("seed", self.seed >= 0, "non-negative"),
-            ("n_realizations", self.n_realizations >= 1, "at least 1"),
-            ("bins", self.bins >= 1, "at least 1"),
-        ):
-            if not ok:
-                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)}")
 
 
 # Every run parameter: its flag -> its (section, key) in a --config file,
@@ -199,10 +162,7 @@ def _cmd_simulate(args, run: RunConfig) -> int:
     op = operating_point(load_validated_case(args.case), tol=run.tol,
                          max_iter=run.max_iter)
     model = build_swing_model(op, default_damping=run.damping)
-    ou = replace(run.ou, dt=run.dt, seed=run.seed)
-    wind = simulate_ou(ou, round(run.horizon / run.dt))
-    dp = wind_to_power(wind, run.turbine.rated_power, run.turbine.v_rated,
-                       run.turbine.v_ref)
+    dp = wind_to_power(simulate_ou(run.ou, run.dt, run.n_steps, run.seed), run.turbine)
     traj = simulate(model, args.bus, dp, run.dt)
     header = (["t", "dp", "coi_freq"]
               + [f"gen_{k}" for k in range(len(model.m))]
@@ -219,6 +179,10 @@ def _hist_rows(hist: montecarlo.Histogram):
 
 
 def _cmd_mc(args, run: RunConfig) -> int:
+    try:
+        workers = montecarlo.resolve_workers(None, run.n_realizations)
+    except ValueError as exc:  # GRID_GFV_THREADS is not an integer
+        raise _UsageError(str(exc)) from None
     case = load_validated_case(args.case)
     try:
         buses = [int(tok) for tok in args.buses.split(",") if tok]
@@ -227,27 +191,13 @@ def _cmd_mc(args, run: RunConfig) -> int:
     if not buses:
         raise _UsageError("--buses must name at least one bus")
     # Keep outputs in case bus order so gfv and mc/report orderings compose.
-    pos = bus_positions(case)
-    unknown = [b for b in buses if b not in pos]
-    if unknown:
-        raise CaseError(f"placement buses not in case: {unknown}")
-    buses = sorted(set(buses), key=lambda b: pos[b])
+    rows = montecarlo.placement_rows(case, buses)
+    buses = sorted(rows, key=rows.get)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     analysis = analyze_case(case, tol=run.tol, max_iter=run.max_iter)
-    cfg = montecarlo.McConfig(
-        case=case,
-        placement_buses=tuple(buses),
-        n_realizations=run.n_realizations,
-        horizon=run.horizon,
-        dt=run.dt,
-        ou=run.ou,
-        turbine=run.turbine,
-        base_seed=run.seed,
-        default_damping=run.damping,
-    )
-    summary = montecarlo.run_monte_carlo(cfg, bins=run.bins)
+    summary = montecarlo.run_monte_carlo(case, buses, run, workers)
 
     gfv_at = dict(zip(analysis.gfv.bus_ids, analysis.gfv.gfv))
     summary_rows = []
@@ -421,6 +371,8 @@ def dispatch(argv) -> int:
             return cmd.handler(args, run)
     except _UsageError as exc:
         return _fail(str(exc), 1)
+    except MemoryError as exc:  # e.g. a horizon of more steps than fit in memory
+        return _fail(f"out of memory: {exc}", 1)
     except FileNotFoundError as exc:
         return _fail(f"file not found: {exc.filename or exc}", 1)
     except OSError as exc:  # e.g. a directory where a file belongs

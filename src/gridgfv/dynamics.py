@@ -39,14 +39,10 @@ class OuParams:
     mu: float = 14.0
     alpha: float = 0.1
     b: float = 0.099
-    dt: float = 0.01
-    seed: int | tuple = 0
 
     def __post_init__(self):
         if self.alpha <= 0:
             raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if self.dt <= 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
         if self.b < 0:
             raise ValueError(f"b must be non-negative, got {self.b}")
 
@@ -100,18 +96,19 @@ class Trajectory:
     bus_ids: tuple[int, ...]
 
 
-def simulate_ou(params: OuParams, n_steps: int) -> np.ndarray:
-    """Exact-discretization OU path of n_steps + 1 samples starting at mu.
+def simulate_ou(params: OuParams, dt: float, n_steps: int, seed) -> np.ndarray:
+    """Exact-discretization OU path of n_steps + 1 samples, dt apart,
+    starting at mu.
 
     eta_{k+1} = mu + (eta_k - mu) e^{-a dt} + b sqrt((1 - e^{-2 a dt})/(2a)) xi_k
-    with xi_k standard normal from the seeded stream.  Deterministic given
-    (params, n_steps).
+    with xi_k standard normal from the stream numpy.random.default_rng(seed).
+    Deterministic given its arguments.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    rho = math.exp(-params.alpha * params.dt)
+    rho = math.exp(-params.alpha * dt)
     sigma = params.b * math.sqrt((1.0 - rho * rho) / (2.0 * params.alpha))
-    rng = np.random.default_rng(params.seed)
+    rng = np.random.default_rng(seed)
     xi = rng.standard_normal(n_steps)
     deviations = lfilter([sigma], [1.0, -rho], xi)
     out = np.empty(n_steps + 1)
@@ -120,16 +117,12 @@ def simulate_ou(params: OuParams, n_steps: int) -> np.ndarray:
     return out
 
 
-def wind_to_power(
-    v: np.ndarray, rated_power: float, v_rated: float, v_ref: float
-) -> np.ndarray:
+def wind_to_power(v: np.ndarray, turbine: TurbineParams) -> np.ndarray:
     """Power deviation series for a wind-speed series, about P(v_ref)."""
-    if v_rated <= 0:
-        raise ValueError(f"v_rated must be positive, got {v_rated}")
     v = np.asarray(v, dtype=float)
-    p = rated_power * np.clip((v / v_rated) ** 3, 0.0, 1.0)
-    p_ref = rated_power * min(max(v_ref / v_rated, 0.0), 1.0) ** 3
-    return p - p_ref
+    p = turbine.rated_power * np.clip((v / turbine.v_rated) ** 3, 0.0, 1.0)
+    ref = min(max(turbine.v_ref / turbine.v_rated, 0.0), 1.0)
+    return p - turbine.rated_power * ref**3
 
 
 def build_swing_model(

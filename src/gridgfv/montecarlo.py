@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -33,35 +33,43 @@ from .dynamics import (
     simulate_ou,
     wind_to_power,
 )
-from .errors import GridGfvError, UnusableResultError
+from .errors import CaseError, GridGfvError, UnusableResultError
 from .pipeline import operating_point
-
-DEFAULT_BINS = 50
+from .powerflow import PF_MAX_ITER, PF_TOL
 
 
 @dataclass(frozen=True)
-class McConfig:
-    case: NetworkCase
-    placement_buses: tuple[int, ...]
+class RunConfig:
+    """The run parameters of an analysis, a simulation or a Monte Carlo
+    study, each with its default and range rule.  The fields are the keys of
+    a --config file: ou and turbine are its sections of those names, and
+    n_realizations, horizon, dt and bins sit in its section mc."""
+
+    tol: float = PF_TOL
+    max_iter: int = PF_MAX_ITER
+    seed: int = 0
+    damping: float = DEFAULT_DAMPING
+    ou: OuParams = OuParams()
+    turbine: TurbineParams = TurbineParams()
     n_realizations: int = 1000
     horizon: float = 200.0  # s
     dt: float = 0.01  # s
-    ou: OuParams = field(default_factory=OuParams)
-    turbine: TurbineParams = field(default_factory=TurbineParams)
-    base_seed: int = 0
-    default_damping: float = DEFAULT_DAMPING
+    bins: int = 50
 
     def __post_init__(self):
-        if self.n_realizations < 1:
-            raise ValueError("n_realizations must be >= 1")
-        if not (self.dt > 0 and 0.5 < self.horizon / self.dt < math.inf):
-            raise ValueError("horizon must cover at least one step of dt")
-        if not self.placement_buses:
-            raise ValueError("at least one placement bus is required")
-        known = {b.id for b in self.case.buses}
-        missing = [b for b in self.placement_buses if b not in known]
-        if missing:
-            raise GridGfvError(f"placement buses not in case: {missing}")
+        for ok, rule in (
+            (self.tol > 0, f"tol must be positive, got {self.tol}"),
+            (self.dt > 0 and 0.5 < self.horizon / self.dt < math.inf,
+             f"horizon must cover at least one step of dt and finitely many, "
+             f"got horizon {self.horizon} and dt {self.dt}"),
+            (self.max_iter >= 0, f"max_iter must be non-negative, got {self.max_iter}"),
+            (self.seed >= 0, f"seed must be non-negative, got {self.seed}"),
+            (self.n_realizations >= 1,
+             f"n_realizations must be at least 1, got {self.n_realizations}"),
+            (self.bins >= 1, f"bins must be at least 1, got {self.bins}"),
+        ):
+            if not ok:
+                raise ValueError(rule)
 
     @property
     def n_steps(self) -> int:
@@ -139,7 +147,7 @@ def _box_stats(values: np.ndarray) -> BoxStats:
     )
 
 
-def summarize(samples: dict[int, PlacementSamples], bins: int = DEFAULT_BINS) -> McSummary:
+def summarize(samples: dict[int, PlacementSamples], bins: int = RunConfig.bins) -> McSummary:
     """Aggregate raw collections, in placement order, into histograms and
     boxplot quartiles.
 
@@ -181,58 +189,75 @@ def summarize(samples: dict[int, PlacementSamples], bins: int = DEFAULT_BINS) ->
 # ---------------------------------------------------------------------------
 
 
-def _one_realization(cfg: McConfig, model: SwingModel, realization: int) -> list:
-    """One wind path replayed at every placement bus: per bus, (ifd, coi,
-    poi) or the failure message."""
+def _one_realization(cfg: RunConfig, model: SwingModel, rows: dict[int, int],
+                     realization: int) -> list:
+    """One wind path replayed at every placement bus, rows mapping each to
+    its row of bus_freq: per bus, (ifd, coi, poi) or the failure message."""
     # The seed is shared across placement buses: common random numbers.
-    params = replace(cfg.ou, dt=cfg.dt, seed=(cfg.base_seed, realization))
-    wind = simulate_ou(params, cfg.n_steps)
-    turbine = cfg.turbine
-    dp = wind_to_power(wind, turbine.rated_power, turbine.v_rated, turbine.v_ref)
-    rows = bus_positions(cfg.case)
+    wind = simulate_ou(cfg.ou, cfg.dt, cfg.n_steps, (cfg.seed, realization))
+    dp = wind_to_power(wind, cfg.turbine)
     results = []
-    for bus in cfg.placement_buses:
+    for bus, row in rows.items():
         try:
             traj = simulate(model, bus, dp, cfg.dt)
         except GridGfvError as exc:
             results.append(f"realization {realization}: {exc}")
             continue
         # A copy, so the kept series does not hold all of bus_freq.
-        results.append((ifd(traj), traj.coi_freq, traj.bus_freq[rows[bus]].copy()))
+        results.append((ifd(traj), traj.coi_freq, traj.bus_freq[row].copy()))
     return results
 
 
 def resolve_workers(workers: int | None, n_tasks: int) -> int:
+    """workers, or GRID_GFV_THREADS when it is None, or all cores when that
+    is unset or empty; at least 1 and at most n_tasks."""
     if workers is None:
         env = os.environ.get("GRID_GFV_THREADS")
-        workers = int(env) if env else (os.cpu_count() or 1)
+        try:
+            workers = int(env) if env else (os.cpu_count() or 1)
+        except ValueError:
+            raise ValueError(f"GRID_GFV_THREADS must be an integer, got {env!r}") from None
     return max(1, min(workers, n_tasks))
 
 
+def placement_rows(case: NetworkCase, buses) -> dict[int, int]:
+    """Each placement bus, in the order given and once, with its row in the
+    case's bus order; a CaseError names the buses the case lacks."""
+    if not buses:
+        raise ValueError("at least one placement bus is required")
+    pos = bus_positions(case)
+    missing = [b for b in buses if b not in pos]
+    if missing:
+        raise CaseError(f"placement buses not in case: {missing}")
+    return {b: pos[b] for b in buses}
+
+
 def run_monte_carlo(
-    cfg: McConfig, workers: int | None = None, bins: int = DEFAULT_BINS
+    case: NetworkCase, buses, cfg: RunConfig = RunConfig(), workers: int | None = None
 ) -> McSummary:
-    """Run the full placement study and aggregate the statistics.
+    """Run the placement study of a validated case at buses and aggregate
+    the statistics.
 
     workers=None honors GRID_GFV_THREADS, else uses all available cores.
     """
-    model = build_swing_model(operating_point(cfg.case), cfg.default_damping)
-    realize = partial(_one_realization, cfg, model)
+    rows = placement_rows(case, buses)
+    op = operating_point(case, tol=cfg.tol, max_iter=cfg.max_iter)
+    realize = partial(_one_realization, cfg, build_swing_model(op, cfg.damping), rows)
     n_workers = resolve_workers(workers, cfg.n_realizations)
     if n_workers == 1:
-        rows = [realize(r) for r in range(cfg.n_realizations)]
+        results = [realize(r) for r in range(cfg.n_realizations)]
     else:
         chunk = max(1, cfg.n_realizations // (4 * n_workers))
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            rows = list(pool.map(realize, range(cfg.n_realizations), chunksize=chunk))
+            results = list(pool.map(realize, range(cfg.n_realizations), chunksize=chunk))
 
     collected = {}
-    for bus, results in zip(cfg.placement_buses, zip(*rows)):
-        ok = [r for r in results if not isinstance(r, str)]
+    for bus, per_bus in zip(rows, zip(*results)):
+        ok = [r for r in per_bus if not isinstance(r, str)]
         collected[bus] = PlacementSamples(
             ifd_values=tuple(r[0] for r in ok),
             coi=tuple(r[1] for r in ok),
             poi=tuple(r[2] for r in ok),
-            failures=tuple(r for r in results if isinstance(r, str)),
+            failures=tuple(r for r in per_bus if isinstance(r, str)),
         )
-    return summarize(collected, bins=bins)
+    return summarize(collected, bins=cfg.bins)

@@ -13,8 +13,8 @@ import pytest
 from scipy.stats import spearmanr
 
 from gridgfv import (
-    McConfig,
     OuParams,
+    RunConfig,
     analyze_case,
     closed_form_response,
     gfv,
@@ -134,8 +134,8 @@ def test_03_single_generator_nodal_inertia():
 
 def test_04_ou_stationary_moments():
     with _Gate(4, "OU stationary moments", 5.0):
-        params = OuParams(mu=14.0, alpha=0.1, b=0.099, dt=0.01, seed=314159)
-        path = simulate_ou(params, 10**6)
+        params = OuParams(mu=14.0, alpha=0.1, b=0.099)
+        path = simulate_ou(params, 0.01, 10**6, 314159)
         assert abs(path.mean() - 14.0) <= 0.05
         target = 0.099**2 / (2 * 0.1)  # 0.049005
         assert abs(path.var() - target) <= 0.10 * target
@@ -184,24 +184,22 @@ def test_07_participation_row_sums():
 # variance as the defaults) so the placement signal is stationary rather
 # than onset-transient.
 STUDY_BUSES = (3, 4, 5, 7)
-STUDY_OU = OuParams(mu=14.0, alpha=2.0, b=0.4427, dt=0.01)
+STUDY_OU = OuParams(mu=14.0, alpha=2.0, b=0.4427)
 
 
 def test_08_placement_ranking_reproduction():
     with _Gate(8, "placement ranking vs GFV", 300.0):
         case = get_case("case7_study")
         analysis = get_analysis("case7_study")
-        cfg = McConfig(
-            case=case,
-            placement_buses=STUDY_BUSES,
+        cfg = RunConfig(
             n_realizations=200,
             horizon=50.0,
             dt=0.01,
             ou=STUDY_OU,
             turbine=TurbineParams(rated_power=1.0, v_rated=15.0, v_ref=14.0),
-            base_seed=2024,
+            seed=2024,
         )
-        summary = run_monte_carlo(cfg)
+        summary = run_monte_carlo(case, STUDY_BUSES, cfg)
         gfv_at = dict(zip(analysis.gfv.bus_ids, analysis.gfv.gfv))
         gfv_values = [gfv_at[b] for b in STUDY_BUSES]
         medians = [

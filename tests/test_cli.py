@@ -7,10 +7,12 @@ import json
 import math
 import os
 import re
+import subprocess
 import sys
 import warnings
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import fields
 from pathlib import Path
 from unittest import mock
 
@@ -302,16 +304,30 @@ def test_mc_damping_reaches_the_swing_model(tmp_path, monkeypatch):
     ["simulate", STUDY, "--bus", "3", "--t", "1", "--seed", "-1"],
     ["pf", CASE9, "--max-iter", "-1"],
     ["pf", CASE9, "--tol", "nan"],
+    # More steps than fit in memory: numpy refuses the array at once.
+    ["simulate", STUDY, "--bus", "3", "--t", "1e13", "--dt", "0.01"],
 ], ids=["simulate-dt-0", "mc-dt-0", "simulate-dt-nan", "mc-n-0", "mc-bins-0",
         "simulate-v-rated-0", "mc-t-negative", "mc-t-below-one-step",
         "simulate-t-inf", "simulate-seed-negative", "pf-max-iter-negative",
-        "pf-tol-nan"])
+        "pf-tol-nan", "simulate-t-beyond-memory"])
 def test_out_of_range_run_parameter_is_a_one_line_usage_error(tmp_path, capsys, argv):
     if argv[0] == "mc":
         argv = argv + ["--out-dir", str(tmp_path / "mc")]
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
+def test_each_run_parameter_has_exactly_one_flag():
+    # A field of RunConfig (or of its ou or turbine) is a run parameter; it
+    # cannot be declared without a flag, nor a flag without its field.
+    run = montecarlo.RunConfig()
+    parts = {"ou": run.ou, "turbine": run.turbine}
+    declared = Counter((type(parts.get(section, run)), key)
+                       for section, key in cli._RUN_PARAMETERS.values())
+    assert set(declared) == {(type(owner), f.name) for owner in (run, *parts.values())
+                             for f in fields(owner) if f.name not in parts}
+    assert set(declared.values()) == {1}
 
 
 def _set(doc, path, value):
@@ -450,6 +466,20 @@ def test_unusable_out_dir_is_reported_before_the_study(tmp_path, capsys, monkeyp
     assert main(["mc", STUDY, "--buses", "3", "--n", "1", "--t", "0.1",
                  "--out-dir", CASE9]) == 1
     assert capsys.readouterr().err == f"{CASE9}: {os.strerror(errno.EEXIST)}\n"
+
+
+@pytest.mark.parametrize("value", ["abc", " "])
+def test_bad_worker_count_is_a_one_line_usage_error_before_the_analysis(
+        tmp_path, capsys, monkeypatch, value):
+    def fail(*args, **kwargs):
+        raise AssertionError("the case was analyzed before GRID_GFV_THREADS was read")
+
+    monkeypatch.setattr(cli, "analyze_case", fail)
+    monkeypatch.setenv("GRID_GFV_THREADS", value)
+    assert main(["mc", STUDY, "--buses", "3", "--n", "2", "--t", "0.05",
+                 "--out-dir", str(tmp_path / "mc")]) == 1
+    assert capsys.readouterr().err == (
+        f"GRID_GFV_THREADS must be an integer, got {value!r}\n")
 
 
 @pytest.mark.parametrize("content, reason", [
@@ -656,3 +686,37 @@ def test_one_ybus_build_and_one_solve_per_operating_point(tmp_path, capsys, monk
                     monkeypatch.setattr(module, attr, counted)
     assert main([arg.format(tmp=tmp_path) for arg in argv]) == 0
     assert calls == {"build_ybus": builds, "solve_powerflow": builds}
+
+
+def test_mc_tolerances_reach_every_power_flow(tmp_path, capsys, monkeypatch):
+    # Both of mc's operating points, the metric's and the Monte Carlo
+    # driver's, solve with --tol and --max-iter.
+    monkeypatch.setenv("GRID_GFV_THREADS", "1")
+    seen = []
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "gridgfv"]
+    original = powerflow.solve_powerflow
+
+    def recorded(*args, **kwargs):
+        seen.append((kwargs.get("tol"), kwargs.get("max_iter")))
+        return original(*args, **kwargs)
+
+    for module in modules:
+        for attr, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, attr, recorded)
+    assert main(["mc", STUDY, "--buses", "3", "--n", "1", "--t", "0.05",
+                 "--tol", "1e-3", "--max-iter", "7", "--out-dir", str(tmp_path)]) == 0
+    assert seen == [(1e-3, 7), (1e-3, 7)]
+
+
+def test_placement_study_script_writes_one_ranking_row_per_bus(tmp_path):
+    script = Path(__file__).parents[1] / "scripts" / "placement_study.py"
+    out_dir = tmp_path / "study"
+    done = subprocess.run(
+        [sys.executable, str(script), STUDY, "--buses", "3,5", "--n", "2", "--t", "0.5",
+         "--out-dir", str(out_dir)],
+        env={**os.environ, "GRID_GFV_THREADS": "1"}, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    header, rows = read_table(out_dir / "ranking.csv")
+    assert header[0] == "bus_id"
+    assert sorted(int(row[0]) for row in rows) == [3, 5]

@@ -11,6 +11,7 @@ from gridgfv import (
     OuParams,
     SimulationUnstableError,
     StabilityRegionError,
+    TurbineParams,
     build_swing_model,
     closed_form_response,
     operating_point,
@@ -27,20 +28,21 @@ from conftest import FIXTURE_NAMES, get_analysis, get_case
 
 
 def test_ou_zero_diffusion_is_constant():
-    path = simulate_ou(OuParams(b=0.0, seed=9), 500)
+    path = simulate_ou(OuParams(b=0.0), 0.01, 500, 9)
     assert path.shape == (501,)
     assert np.all(path == 14.0)
 
 
 def test_ou_deterministic_for_fixed_seed():
-    p = OuParams(seed=1234)
-    assert np.array_equal(simulate_ou(p, 2000), simulate_ou(p, 2000))
+    p = OuParams()
+    assert np.array_equal(simulate_ou(p, 0.01, 2000, 1234),
+                          simulate_ou(p, 0.01, 2000, 1234))
 
 
 def test_ou_stationary_moments():
     # Stationary mean mu and variance b^2 / (2 alpha).
-    p = OuParams(mu=14.0, alpha=0.1, b=0.099, dt=0.01, seed=7)
-    path = simulate_ou(p, 10**6)
+    p = OuParams(mu=14.0, alpha=0.1, b=0.099)
+    path = simulate_ou(p, 0.01, 10**6, 7)
     assert abs(path.mean() - 14.0) < 0.05
     target_var = 0.099**2 / (2 * 0.1)
     assert abs(path.var() - target_var) < 0.1 * target_var
@@ -50,36 +52,36 @@ def test_ou_rejects_bad_params():
     with pytest.raises(ValueError):
         OuParams(alpha=0.0)
     with pytest.raises(ValueError):
-        simulate_ou(OuParams(), 0)
+        simulate_ou(OuParams(), 0.01, 0, 0)
 
 
 def test_wind_power_zero_at_reference():
     v = np.full(100, 14.0)
-    assert np.all(wind_to_power(v, 1.0, 15.0, 14.0) == 0.0)
+    assert np.all(wind_to_power(v, TurbineParams(1.0, 15.0, 14.0)) == 0.0)
 
 
 def test_wind_power_cubic_arithmetic():
     # Reference chosen so P(v_ref) = rated/2; at rated speed dp = +rated/2.
     v_ref = 15.0 * 0.5 ** (1 / 3)
-    dp = wind_to_power(np.array([15.0]), 2.0, 15.0, v_ref)
+    dp = wind_to_power(np.array([15.0]), TurbineParams(2.0, 15.0, v_ref))
     assert dp[0] == pytest.approx(1.0, rel=1e-12)
 
 
 def test_wind_power_clamps_above_rated():
-    dp = wind_to_power(np.array([40.0]), 2.0, 15.0, 15.0)
+    dp = wind_to_power(np.array([40.0]), TurbineParams(2.0, 15.0, 15.0))
     assert dp[0] == 0.0  # both at the rated plateau
 
 
 def test_wind_power_reference_far_above_rated_is_the_plateau():
     # (v_ref / v_rated) ** 3 is beyond the float range here.
-    dp = wind_to_power(np.array([40.0]), 2.0, 15.0, 1e200)
+    dp = wind_to_power(np.array([40.0]), TurbineParams(2.0, 15.0, 1e200))
     assert dp[0] == 0.0
 
 
 def test_wind_power_delta_method_std():
-    p = OuParams(mu=14.0, alpha=0.1, b=0.099, dt=0.01, seed=3)
-    path = simulate_ou(p, 2 * 10**5)
-    dp = wind_to_power(path, 1.5, 15.0, 14.0)
+    p = OuParams(mu=14.0, alpha=0.1, b=0.099)
+    path = simulate_ou(p, 0.01, 2 * 10**5, 3)
+    dp = wind_to_power(path, TurbineParams(1.5, 15.0, 14.0))
     sigma_v = math.sqrt(0.099**2 / (2 * 0.1))
     predicted = 3 * 1.5 * (14.0**2 / 15.0**3) * sigma_v
     assert abs(dp.std() - predicted) <= 0.25 * predicted
@@ -216,7 +218,8 @@ def test_simulate_matches_independent_integrator():
     case = get_case("case9")
     model = build_swing_model(operating_point(case))
     dt = 0.01
-    dp = wind_to_power(simulate_ou(OuParams(seed=8), 500), 1.0, 15.0, 14.0)
+    dp = wind_to_power(simulate_ou(OuParams(), 0.01, 500, 8),
+                       TurbineParams(1.0, 15.0, 14.0))
     traj = simulate(model, 8, dp, dt)
 
     l_red, w = _injection_reduction(model, _resolve_node(model, 8))
@@ -243,7 +246,8 @@ def test_simulate_matches_independent_integrator():
 def test_simulate_coi_is_inertia_weighted_mean():
     case = get_case("case9")
     model = build_swing_model(operating_point(case))
-    dp = wind_to_power(simulate_ou(OuParams(seed=21), 300), 1.0, 15.0, 14.0)
+    dp = wind_to_power(simulate_ou(OuParams(), 0.01, 300, 21),
+                       TurbineParams(1.0, 15.0, 14.0))
     traj = simulate(model, 5, dp, 0.01)
     h = np.array([g.h for g in case.generators])
     expected = (h @ traj.gen_freq) / h.sum()

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from gridgfv import McConfig, OuParams, ifd, montecarlo, run_monte_carlo, summarize
+from gridgfv import OuParams, RunConfig, ifd, montecarlo, run_monte_carlo, summarize
 from gridgfv.dynamics import Trajectory, TurbineParams
 from gridgfv.montecarlo import PlacementSamples, _histogram
 
@@ -104,17 +104,15 @@ def test_histogram_conserves_counts():
 def test_single_deterministic_realization():
     # b = 0 keeps the wind at the reference speed: nothing moves.
     case = get_case("case7_study")
-    cfg = McConfig(
-        case=case,
-        placement_buses=(3,),
+    cfg = RunConfig(
         n_realizations=1,
         horizon=2.0,
         dt=0.01,
         ou=OuParams(mu=14.0, alpha=0.1, b=0.0),
         turbine=TurbineParams(rated_power=1.0, v_rated=15.0, v_ref=14.0),
-        base_seed=5,
+        seed=5,
     )
-    summary = run_monte_carlo(cfg, workers=1)
+    summary = run_monte_carlo(case, (3,), cfg, workers=1)
     stats = summary.placements[3]
     assert stats.ifd_samples.tolist() == [0.0]
     assert list(stats.coi_histogram.counts) == [201]
@@ -123,12 +121,9 @@ def test_single_deterministic_realization():
 
 def test_identical_seed_identical_summary():
     case = get_case("case7_study")
-    cfg = McConfig(
-        case=case, placement_buses=(3, 5), n_realizations=6,
-        horizon=3.0, dt=0.01, base_seed=17,
-    )
-    a = run_monte_carlo(cfg, workers=1)
-    b = run_monte_carlo(cfg, workers=1)
+    cfg = RunConfig(n_realizations=6, horizon=3.0, dt=0.01, seed=17)
+    a = run_monte_carlo(case, (3, 5), cfg, workers=1)
+    b = run_monte_carlo(case, (3, 5), cfg, workers=1)
     for bus in (3, 5):
         assert np.array_equal(
             a.placements[bus].ifd_samples, b.placements[bus].ifd_samples
@@ -141,12 +136,9 @@ def test_identical_seed_identical_summary():
 
 def test_worker_count_does_not_change_results():
     case = get_case("case7_study")
-    cfg = McConfig(
-        case=case, placement_buses=(3, 7), n_realizations=6,
-        horizon=2.0, dt=0.01, base_seed=23,
-    )
-    serial = run_monte_carlo(cfg, workers=1)
-    pooled = run_monte_carlo(cfg, workers=3)
+    cfg = RunConfig(n_realizations=6, horizon=2.0, dt=0.01, seed=23)
+    serial = run_monte_carlo(case, (3, 7), cfg, workers=1)
+    pooled = run_monte_carlo(case, (3, 7), cfg, workers=3)
     for bus in (3, 7):
         assert np.array_equal(
             serial.placements[bus].ifd_samples, pooled.placements[bus].ifd_samples
@@ -162,11 +154,8 @@ def test_symmetric_placements_equivalent():
     # common-random-number stream feeds both the same wind paths, so the
     # two placements must agree to numerical reduction error.
     case = get_case("case4_sym")
-    cfg = McConfig(
-        case=case, placement_buses=(2, 4), n_realizations=10,
-        horizon=5.0, dt=0.01, base_seed=31,
-    )
-    s = run_monte_carlo(cfg, workers=1)
+    cfg = RunConfig(n_realizations=10, horizon=5.0, dt=0.01, seed=31)
+    s = run_monte_carlo(case, (2, 4), cfg, workers=1)
     a, b = s.placements[2], s.placements[4]
     assert np.allclose(a.ifd_samples, b.ifd_samples, rtol=1e-9)
     assert a.ifd_quartiles.median == pytest.approx(b.ifd_quartiles.median, rel=1e-9)
@@ -176,15 +165,12 @@ def test_symmetric_placements_equivalent():
 
 def test_diffusion_scaling_raises_ifd():
     case = get_case("case7_study")
-    common = dict(
-        case=case, placement_buses=(3, 5), n_realizations=8,
-        horizon=5.0, dt=0.01, base_seed=2,
-    )
+    common = dict(n_realizations=8, horizon=5.0, dt=0.01, seed=2)
     small = run_monte_carlo(
-        McConfig(ou=OuParams(b=0.05), **common), workers=1
+        case, (3, 5), RunConfig(ou=OuParams(b=0.05), **common), workers=1
     )
     large = run_monte_carlo(
-        McConfig(ou=OuParams(b=0.1), **common), workers=1
+        case, (3, 5), RunConfig(ou=OuParams(b=0.1), **common), workers=1
     )
     for bus in (3, 5):
         assert (
@@ -196,11 +182,8 @@ def test_diffusion_scaling_raises_ifd():
 def test_histogram_counts_pool_all_samples():
     case = get_case("case7_study")
     n, horizon, dt = 4, 2.0, 0.01
-    cfg = McConfig(
-        case=case, placement_buses=(5,), n_realizations=n,
-        horizon=horizon, dt=dt, base_seed=13,
-    )
-    s = run_monte_carlo(cfg, workers=1)
+    cfg = RunConfig(n_realizations=n, horizon=horizon, dt=dt, seed=13)
+    s = run_monte_carlo(case, (5,), cfg, workers=1)
     samples_per_run = int(round(horizon / dt)) + 1
     assert s.placements[5].coi_histogram.counts.sum() == n * samples_per_run
     assert s.placements[5].poi_histogram.counts.sum() == n * samples_per_run
@@ -209,27 +192,23 @@ def test_histogram_counts_pool_all_samples():
 def test_unknown_placement_bus_rejected():
     case = get_case("case7_study")
     with pytest.raises(Exception, match="placement buses"):
-        McConfig(case=case, placement_buses=(99,), n_realizations=1)
+        run_monte_carlo(case, (99,), RunConfig(n_realizations=1))
 
 
 @pytest.mark.parametrize("horizon, dt", [(0.001, 0.01), (0.005, 0.01), (1e300, 1e-10),
                                          (1.0, 0.0), (-1.0, 0.01)])
 def test_horizon_must_cover_at_least_one_step(horizon, dt):
     with pytest.raises(ValueError, match="at least one step"):
-        McConfig(case=get_case("case7_study"), placement_buses=(3,), horizon=horizon,
-                 dt=dt)
+        RunConfig(horizon=horizon, dt=dt)
 
 
 def test_failed_realizations_mark_summary_partial():
     # A step size far beyond the stability limit blows the integration up;
     # the failures are recorded per realization instead of aborting the run.
     case = get_case("case7_study")
-    cfg = McConfig(
-        case=case, placement_buses=(3,), n_realizations=3,
-        horizon=400.0, dt=1.0, base_seed=1,
-    )
+    cfg = RunConfig(n_realizations=3, horizon=400.0, dt=1.0, seed=1)
     with pytest.raises(ValueError, match="no successful realizations"):
-        run_monte_carlo(cfg, workers=1)
+        run_monte_carlo(case, (3,), cfg, workers=1)
 
 
 def test_summarize_rejects_empty_input():
@@ -265,9 +244,8 @@ def test_kept_poi_series_share_no_memory_with_trajectories(monkeypatch):
 
     monkeypatch.setattr(montecarlo, "simulate", recording_simulate)
     monkeypatch.setattr(montecarlo, "summarize", recording_summarize)
-    cfg = McConfig(case=get_case("case7_study"), placement_buses=(3, 5),
-                   n_realizations=2, horizon=0.5, dt=0.01)
-    run_monte_carlo(cfg, workers=1)
+    cfg = RunConfig(n_realizations=2, horizon=0.5, dt=0.01)
+    run_monte_carlo(get_case("case7_study"), (3, 5), cfg, workers=1)
     assert len(kept) == len(trajectories) == 4
     assert not any(np.shares_memory(series, traj.bus_freq)
                    for series in kept for traj in trajectories)
