@@ -25,6 +25,7 @@ from gridgfv import (
     load_validated_case,
     run_monte_carlo,
 )
+from gridgfv.cli import report_failures
 from gridgfv.csvio import write_table
 
 
@@ -45,8 +46,23 @@ def parse_args():
     return ap.parse_args()
 
 
-def main():
-    args = parse_args()
+def run_config(args) -> RunConfig:
+    # diffusion b so that b^2 / (2 alpha) = std^2
+    b = args.ou_std * np.sqrt(2.0 * args.ou_alpha)
+    try:
+        return RunConfig(
+            seed=args.seed,
+            ou=OuParams(mu=14.0, alpha=args.ou_alpha, b=b),
+            turbine=TurbineParams(rated_power=args.rated, v_rated=15.0, v_ref=14.0),
+            n_realizations=args.n,
+            horizon=args.t,
+            dt=args.dt,
+        )
+    except ValueError as exc:  # a run parameter out of its range
+        sys.exit(f"placement_study: {exc}")
+
+
+def study(args, cfg: RunConfig) -> int:
     case = load_validated_case(args.case)
     analysis = analyze_case(case)
     gfv_at = dict(zip(analysis.gfv.bus_ids, analysis.gfv.gfv))
@@ -62,16 +78,6 @@ def main():
     buses = (
         tuple(int(tok) for tok in args.buses.split(",") if tok)
         or analysis.gfv.bus_ids
-    )
-    # diffusion b so that b^2 / (2 alpha) = std^2
-    b = args.ou_std * np.sqrt(2.0 * args.ou_alpha)
-    cfg = RunConfig(
-        seed=args.seed,
-        ou=OuParams(mu=14.0, alpha=args.ou_alpha, b=b),
-        turbine=TurbineParams(rated_power=args.rated, v_rated=15.0, v_ref=14.0),
-        n_realizations=args.n,
-        horizon=args.t,
-        dt=args.dt,
     )
     t0 = time.time()
     summary = run_monte_carlo(case, buses, cfg)
@@ -105,7 +111,14 @@ def main():
         comment=f"spearman={rho!r} seed={args.seed}",
     )
     print(f"ranking written to {out_dir / 'ranking.csv'}")
+    return 0
+
+
+def main() -> int:
+    args = parse_args()
+    cfg = run_config(args)
+    return report_failures(lambda: study(args, cfg))
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

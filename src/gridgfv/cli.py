@@ -358,17 +358,28 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
+def _run(argv) -> int:
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    cmd = _COMMANDS[args.command]
+    if cmd.table and args.json and not args.out:
+        raise _UsageError("--json requires --out (it mirrors a CSV file)")
+    config = getattr(args, "config", None)
+    run = _load_run_config(config) if config else RunConfig()
+    run = _merge(run, args)
+    with np.errstate(all="ignore"):  # outputs are checked for finiteness
+        return cmd.handler(args, run)
+
+
 def dispatch(argv) -> int:
+    return report_failures(lambda: _run(argv))
+
+
+def report_failures(action: Callable[[], int]) -> int:
+    """action()'s exit code, or that of its failure, reported as one stderr
+    line: 1 for usage and file-system errors, 2 for bad data, 3 for a
+    numerical failure."""
     try:
-        args = build_parser(argv[0] if argv else None).parse_args(argv)
-        cmd = _COMMANDS[args.command]
-        if cmd.table and args.json and not args.out:
-            raise _UsageError("--json requires --out (it mirrors a CSV file)")
-        config = getattr(args, "config", None)
-        run = _load_run_config(config) if config else RunConfig()
-        run = _merge(run, args)
-        with np.errstate(all="ignore"):  # outputs are checked for finiteness
-            return cmd.handler(args, run)
+        return action()
     except _UsageError as exc:
         return _fail(str(exc), 1)
     except MemoryError as exc:  # e.g. a horizon of more steps than fit in memory

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .case_model import bus_positions
 from .errors import GridGfvError, SimulationUnstableError
@@ -26,6 +26,8 @@ from .reduction import NodeKey, ParticipationMatrix, kron_reduce
 OMEGA_SYNC = 2.0 * math.pi * 60.0  # rad/s at 60 Hz nominal
 # Damping (pu) of machines whose case entry gives none.
 DEFAULT_DAMPING = 1.0
+# Steps per block of the time-blocked recurrence in _advance.
+_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -108,13 +110,12 @@ def simulate_ou(params: OuParams, dt: float, n_steps: int, seed) -> np.ndarray:
         raise ValueError("n_steps must be >= 1")
     rho = math.exp(-params.alpha * dt)
     sigma = params.b * math.sqrt((1.0 - rho * rho) / (2.0 * params.alpha))
-    rng = np.random.default_rng(seed)
-    xi = rng.standard_normal(n_steps)
-    deviations = lfilter([sigma], [1.0, -rho], xi)
-    out = np.empty(n_steps + 1)
-    out[0] = params.mu
-    out[1:] = params.mu + deviations
-    return out
+    xi = np.random.default_rng(seed).standard_normal(n_steps)
+    # x_{k+1} = rho x_k + sigma xi_k from x_0 = 0; the appended input sample
+    # would only drive x_{n_steps + 1}.
+    deviations = _advance(np.array([[rho]]), np.array([sigma]), np.zeros(1),
+                          np.append(xi, 0.0))
+    return params.mu + deviations[0]
 
 
 def wind_to_power(v: np.ndarray, turbine: TurbineParams) -> np.ndarray:
@@ -215,13 +216,53 @@ def _rk4_step_operators(a: np.ndarray, g: np.ndarray, dt: float):
     return r, b_start + 0.5 * b_mid, b_end + 0.5 * b_mid
 
 
+def _advance(r: np.ndarray, s0: np.ndarray, s1: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """States x_0 ... x_{N-1}, as columns, of x_{k+1} = R x_k + s0 u_k + s1 u_{k+1}
+    from x_0 = 0, for an input series u of N samples.
+
+    Blocked in time: with m = _BLOCK and k0 a multiple of m,
+    x_{k0+i} = R^i x_{k0} + sum_c G[i, c] u_{k0+c} for i = 0 ... m.  One
+    matmul gives the forced part of every block, a loop of N/m steps carries
+    the block-start states, and one more matmul fills in every state.  The
+    result is that of stepping the recurrence up to summation order.
+    """
+    n, m = len(s0), _BLOCK
+    n_blocks = -(-len(u) // m)
+    # R^0 ... R^m stacked by rows, by doubling: each step is one matmul.
+    powers = np.eye(n)
+    while len(powers) <= m * n:
+        head = powers[: (m + 1) * n - len(powers)]
+        powers = np.concatenate([powers, head @ (powers[-n:] @ r)])
+    # G[i, c] = R^{i-1-c} s0 [c < i] + R^{i-c} s1 [0 < c <= i] depends on the
+    # lag i - c alone but in column 0, which lacks the s1 term: row i is a
+    # window of the reversed, zero-padded sequence over lags.
+    from_s0 = np.concatenate([np.zeros(n), powers[: m * n] @ s0]).reshape(m + 1, n)
+    by_lag = np.concatenate([(from_s0 + (powers @ s1).reshape(m + 1, n))[::-1],
+                             np.zeros((m, n))])
+    g = sliding_window_view(by_lag, m + 1, axis=0)[::-1].copy()  # (i, state, c)
+    g[:, :, 0] = from_s0
+    # Input windows u_{k0} ... u_{k0+m}; the zeros past the end drive only
+    # states past x_{N-1}.
+    padded = np.zeros(n_blocks * m + 1)
+    padded[: len(u)] = u
+    windows = sliding_window_view(padded, m + 1)[::m]  # (block, c)
+    forced = (windows @ g.reshape(-1, m + 1).T).reshape(n_blocks, m + 1, n)
+    starts = np.zeros((n_blocks, n))
+    carry = powers[m * n :].T
+    for b in range(n_blocks - 1):
+        starts[b + 1] = starts[b] @ carry + forced[b, m]
+    states = (starts @ powers[: m * n].T).reshape(n_blocks, m, n) + forced[:, :m]
+    return states.reshape(-1, n)[: len(u)].T
+
+
 def simulate(model: SwingModel, injection_bus, dp: np.ndarray, dt: float) -> Trajectory:
     """Integrate the swing model for one injection series.
 
     injection_bus is a network bus id, or a ("gen", k) node key to drive a
     machine directly.  dp samples live on the time grid t_k = k*dt; the
-    series length fixes the horizon.  Fixed-step 4th-order (RK4) integration;
-    zero input from zero state stays identically zero.
+    series length fixes the horizon.  Fixed-step 4th-order (RK4) integration,
+    advanced in blocks of time steps (_advance); zero input from zero state
+    stays identically zero.
     """
     dp = np.asarray(dp, dtype=float)
     if dp.ndim != 1 or len(dp) < 1:
@@ -238,12 +279,8 @@ def simulate(model: SwingModel, injection_bus, dp: np.ndarray, dt: float) -> Tra
 
     r, s0, s1 = _rk4_step_operators(a, g, dt)
     n_t = len(dp)
-    omega = np.zeros((ng, n_t))
-    x = np.zeros(2 * ng)
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n_t - 1):
-            x = r @ x + s0 * dp[k] + s1 * dp[k + 1]
-            omega[:, k + 1] = x[ng:]
+        omega = _advance(r, s0, s1, dp)[ng:]
 
     if not np.all(np.isfinite(omega)):
         bad = np.nonzero(~np.isfinite(omega).all(axis=0))[0][0]

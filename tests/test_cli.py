@@ -720,3 +720,30 @@ def test_placement_study_script_writes_one_ranking_row_per_bus(tmp_path):
     header, rows = read_table(out_dir / "ranking.csv")
     assert header[0] == "bus_id"
     assert sorted(int(row[0]) for row in rows) == [3, 5]
+
+
+@pytest.mark.parametrize("extra, code, message", [
+    (["--buses", "99"], 2, "error: placement buses not in case: [99]"),
+    (["--buses", "3", "--t", "400", "--dt", "1.0"], 3, "numerical failure: placement bus 3"),
+    (["--buses", "3", "--ou-alpha", "0"], 1, "placement_study: alpha must be positive"),
+    (["--buses", "3", "--out-dir", STUDY], 1, f"{STUDY}: File exists"),
+], ids=["unknown-bus", "unstable-step", "bad-run-parameter", "out-dir-is-a-file"])
+def test_placement_study_script_failure_is_one_line(extra, code, message):
+    script = Path(__file__).parents[1] / "scripts" / "placement_study.py"
+    done = subprocess.run(
+        [sys.executable, str(script), STUDY, "--n", "1", "--t", "0.5"] + extra,
+        env={**os.environ, "GRID_GFV_THREADS": "1"}, capture_output=True, text=True)
+    assert done.returncode == code
+    assert done.stderr.startswith(message) and len(done.stderr.splitlines()) == 1
+
+
+def test_cli_import_leaves_scipy_signal_out():
+    # scipy.signal drags in scipy.stats and scipy.interpolate: most of a
+    # command's start-up time when it was imported.
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, gridgfv.cli; print('scipy.signal' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")},
+        capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

@@ -22,6 +22,12 @@ from gridgfv import (
     wind_to_power,
 )
 from gridgfv import pipeline
+from gridgfv.dynamics import (
+    _BLOCK,
+    _injection_reduction,
+    _resolve_node,
+    _rk4_step_operators,
+)
 from gridgfv.reduction import kron_reduce
 
 from conftest import FIXTURE_NAMES, get_analysis, get_case
@@ -46,6 +52,31 @@ def test_ou_stationary_moments():
     assert abs(path.mean() - 14.0) < 0.05
     target_var = 0.099**2 / (2 * 0.1)
     assert abs(path.var() - target_var) < 0.1 * target_var
+
+
+def test_ou_matches_a_first_order_filter_of_its_normals():
+    # The OU deviations are the filter y_k = rho y_{k-1} + sigma xi_k.
+    from scipy.signal import lfilter
+
+    p, dt, n = OuParams(), 0.01, 10_000
+    rho = math.exp(-p.alpha * dt)
+    sigma = p.b * math.sqrt((1.0 - rho * rho) / (2.0 * p.alpha))
+    xi = np.random.default_rng(5).standard_normal(n)
+    reference = lfilter([sigma], [1.0, -rho], xi)
+    path = simulate_ou(p, dt, n, 5)
+    assert path[0] == p.mu
+    assert np.max(np.abs((path[1:] - p.mu) - reference)) <= 1e-12 * np.abs(reference).max()
+
+
+def test_ou_single_step():
+    p, dt = OuParams(), 0.01
+    rho = math.exp(-p.alpha * dt)
+    sigma = p.b * math.sqrt((1.0 - rho * rho) / (2.0 * p.alpha))
+    xi = np.random.default_rng(4).standard_normal(1)
+    path = simulate_ou(p, dt, 1, 4)
+    assert path.shape == (2,)
+    assert path[0] == p.mu
+    assert path[1] == pytest.approx(p.mu + sigma * xi[0], rel=1e-15)
 
 
 def test_ou_rejects_bad_params():
@@ -280,6 +311,75 @@ def test_simulate_unstable_step_reports_time():
     with pytest.raises(SimulationUnstableError) as err:
         simulate(model, 1, np.full(4000, 0.1), 1.0)
     assert err.value.first_time is not None
+
+
+def _stepped_gen_freq(model, injection_bus, dp, dt):
+    """Machine frequencies by the RK4 recurrence stepped one sample at a
+    time: the definition the time-blocked integration is held to."""
+    l_red, w = _injection_reduction(model, _resolve_node(model, injection_bus))
+    ng = len(model.m)
+    a = np.zeros((2 * ng, 2 * ng))
+    a[:ng, ng:] = model.omega_s * np.eye(ng)
+    a[ng:, :ng] = -l_red / model.m[:, None]
+    a[ng:, ng:] = np.diag(-model.damp / model.m)
+    g = np.zeros(2 * ng)
+    g[ng:] = w / model.m
+    r, s0, s1 = _rk4_step_operators(a, g, dt)
+    omega = np.zeros((ng, len(dp)))
+    x = np.zeros(2 * ng)
+    for k in range(len(dp) - 1):
+        x = r @ x + s0 * dp[k] + s1 * dp[k + 1]
+        omega[:, k + 1] = x[ng:]
+    return omega
+
+
+def _wind_dp(n_steps, seed):
+    return wind_to_power(simulate_ou(OuParams(), 0.01, n_steps, seed),
+                         TurbineParams(1.0, 15.0, 14.0))
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_blocked_integration_matches_stepping(name):
+    case = get_case(name)
+    model = build_swing_model(get_analysis(name))
+    dp = _wind_dp(1500, 17)
+    for node in [bus.id for bus in case.buses] + [("gen", 0)]:
+        reference = _stepped_gen_freq(model, node, dp, 0.01)
+        traj = simulate(model, node, dp, 0.01)
+        assert traj.gen_freq.shape == reference.shape
+        assert np.all(traj.gen_freq[:, 0] == 0.0)
+        scale = np.abs(reference).max()
+        assert np.max(np.abs(traj.gen_freq - reference)) <= 1e-10 * scale, node
+
+
+@pytest.mark.parametrize("n_t", [1, 2, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1])
+def test_blocked_integration_at_block_edges(n_t):
+    model = build_swing_model(get_analysis("case9"))
+    dp = _wind_dp(n_t - 1, 3) if n_t > 1 else np.array([0.02])
+    traj = simulate(model, 5, dp, 0.01)
+    reference = _stepped_gen_freq(model, 5, dp, 0.01)
+    assert traj.t.shape == (n_t,)
+    assert traj.gen_freq.shape == (3, n_t)
+    assert traj.bus_freq.shape == (9, n_t)
+    assert traj.coi_freq.shape == (n_t,)
+    scale = max(np.abs(reference).max(), np.finfo(float).tiny)
+    assert np.max(np.abs(traj.gen_freq - reference)) <= 1e-10 * scale
+
+
+def test_blocked_zero_input_is_exactly_zero_at_every_port():
+    case = get_case("case9")
+    model = build_swing_model(get_analysis("case9"))
+    for node in [bus.id for bus in case.buses] + [("gen", 1)]:
+        traj = simulate(model, node, np.zeros(3 * _BLOCK + 5), 0.01)
+        assert np.all(traj.gen_freq == 0.0)
+        assert np.all(traj.bus_freq == 0.0)
+
+
+def test_simulate_unstable_step_reports_the_first_non_finite_time():
+    case, model = _model_from(PAIR)
+    with pytest.raises(SimulationUnstableError) as err:
+        simulate(model, 1, np.full(4000, 0.1), 1.0)
+    assert err.value.first_time == 104.0
 
 
 def test_closed_form_zero_at_t_zero():
