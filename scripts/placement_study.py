@@ -25,6 +25,7 @@ from gridgfv import (
     load_validated_case,
     run_monte_carlo,
 )
+from gridgfv.case_model import bus_ids
 from gridgfv.cli import report_failures
 from gridgfv.csvio import write_table
 
@@ -65,20 +66,17 @@ def run_config(args) -> RunConfig:
 def study(args, cfg: RunConfig) -> int:
     case = load_validated_case(args.case)
     analysis = analyze_case(case)
-    gfv_at = dict(zip(analysis.gfv.bus_ids, analysis.gfv.gfv))
-    h_at = dict(zip(analysis.inertia.bus_ids, analysis.inertia.h))
-    fied_at = dict(zip(analysis.gfv.bus_ids, analysis.fiedler.vector))
+    ids = bus_ids(case)
+    gfv_at = dict(zip(ids, analysis.gfv.vector))
 
-    print(f"lambda2 = {analysis.fiedler.lambda2:.6f}   "
-          f"lambda2_bar = {analysis.gfv.dynamic_connectivity:.6f}")
+    print(f"lambda2 = {analysis.fiedler.value:.6f}   "
+          f"lambda2_bar = {analysis.gfv.value:.6f}")
     print(f"{'bus':>4} {'h [s]':>10} {'fiedler':>9} {'gfv':>7}")
-    for bus in analysis.gfv.bus_ids:
-        print(f"{bus:>4} {h_at[bus]:>10.2f} {fied_at[bus]:>9.4f} {gfv_at[bus]:>7.4f}")
+    for bus, h, fied, g in zip(ids, analysis.inertia, analysis.fiedler.vector,
+                               analysis.gfv.vector):
+        print(f"{bus:>4} {h:>10.2f} {fied:>9.4f} {g:>7.4f}")
 
-    buses = (
-        tuple(int(tok) for tok in args.buses.split(",") if tok)
-        or analysis.gfv.bus_ids
-    )
+    buses = tuple(int(tok) for tok in args.buses.split(",") if tok) or ids
     t0 = time.time()
     summary = run_monte_carlo(case, buses, cfg)
     print(f"\n{args.n} realizations x {args.t:.0f} s at {len(buses)} buses "

@@ -49,19 +49,10 @@ from .powerflow import (
     internal_emfs,
     solve_powerflow,
 )
-from .reduction import (
-    AugmentedAdmittance,
-    ParticipationMatrix,
-    augment_internal_nodes,
-    frequency_participation,
-    kron_reduce,
-)
+from .reduction import augment_internal_nodes, frequency_participation, kron_reduce
 from .spectral import (
-    FiedlerResult,
     GeneralizedDecomposition,
-    GfvResult,
-    LaplacianMatrix,
-    NodalInertiaVector,
+    SecondMode,
     build_laplacian,
     eigendecompose,
     fiedler,

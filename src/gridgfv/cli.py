@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from . import case_model, montecarlo
-from .case_model import load_case, load_validated_case, validate_case
+from .case_model import bus_ids, load_case, load_validated_case, validate_case
 from .csvio import format_cell, read_table, write_table
 from .dynamics import build_swing_model, simulate, simulate_ou, wind_to_power
 from .errors import CaseError, GridGfvError, NumericalError
@@ -92,6 +92,9 @@ def _load_run_config(path) -> RunConfig:
             raw = json.load(fh)
         except ValueError as exc:  # malformed JSON or not UTF-8
             raise _UsageError(f"config {path}: invalid JSON: {exc}") from None
+        except RecursionError:
+            raise _UsageError(
+                f"config {path}: invalid JSON: nested too deeply") from None
     if not isinstance(raw, dict):
         raise _UsageError(f"config {path}: the top level must be a JSON object")
     sections = {section for section, _ in _RUN_PARAMETERS.values() if section}
@@ -144,16 +147,18 @@ def _cmd_validate(args, run: RunConfig) -> int:
     return 0 if not violations else 2
 
 
-def _bus_rows(ids, *columns):
-    """One row per bus: its id, then its entry in each column."""
-    return [[bid] + [float(col[i]) for col in columns] for i, bid in enumerate(ids)]
+def _per_bus(case, *columns):
+    """One row per bus of case, in case order: its id, then its entry in each
+    column."""
+    return [[bid] + [float(col[i]) for col in columns]
+            for i, bid in enumerate(bus_ids(case))]
 
 
 def _cmd_pf(args, run: RunConfig) -> int:
     case = load_validated_case(args.case)
     sol = solve_powerflow(case, tol=run.tol, max_iter=run.max_iter)
     _emit(args, ["bus_id", "vm", "va_deg", "p_inj", "q_inj"],
-          _bus_rows(sol.bus_ids, sol.vm, np.degrees(sol.va), sol.p_inj, sol.q_inj),
+          _per_bus(case, sol.vm, np.degrees(sol.va), sol.p_inj, sol.q_inj),
           comment=f"iterations={sol.iterations} max_mismatch={sol.max_mismatch!r}")
     return 0
 
@@ -166,7 +171,7 @@ def _cmd_simulate(args, run: RunConfig) -> int:
     traj = simulate(model, args.bus, dp, run.dt)
     header = (["t", "dp", "coi_freq"]
               + [f"gen_{k}" for k in range(len(model.m))]
-              + [f"bus_{b}" for b in traj.bus_ids])
+              + [f"bus_{b}" for b in model.bus_ids])
     rows = np.vstack([traj.t, traj.injection, traj.coi_freq, traj.gen_freq,
                       traj.bus_freq]).T.tolist()
     _emit(args, header, rows, comment=f"seed={run.seed} bus={args.bus} dt={run.dt!r}")
@@ -199,7 +204,7 @@ def _cmd_mc(args, run: RunConfig) -> int:
     analysis = analyze_case(case, tol=run.tol, max_iter=run.max_iter)
     summary = montecarlo.run_monte_carlo(case, buses, run, workers)
 
-    gfv_at = dict(zip(analysis.gfv.bus_ids, analysis.gfv.gfv))
+    gfv = analysis.gfv.vector  # rows in case bus order
     summary_rows = []
     for bus, stats in summary.placements.items():
         bus_dir = out_dir / f"bus_{bus}"
@@ -212,7 +217,7 @@ def _cmd_mc(args, run: RunConfig) -> int:
                     [[float(v)] for v in stats.ifd_samples], json_mirror=args.json)
         q = stats.ifd_quartiles
         summary_rows.append([
-            bus, float(gfv_at[bus]), q.median, q.q3 - q.q1, q.q1, q.q3,
+            bus, float(gfv[rows[bus]]), q.median, q.q3 - q.q1, q.q1, q.q3,
             q.whisker_low, q.whisker_high, stats.coi_std, stats.poi_std,
             len(stats.ifd_samples),
         ])
@@ -305,22 +310,21 @@ _COMMANDS = {
     "pf": _Command("solve the AC power flow", _cmd_pf, ("case",),
                    ("--tol", "--max-iter")),
     "laplacian": _analysis("dump the weighted Laplacian", lambda a: (
-        ["bus_id"] + [str(b) for b in a.laplacian.bus_ids],
-        _bus_rows(a.laplacian.bus_ids, *a.laplacian.l.T),
+        ["bus_id"] + [str(b) for b in bus_ids(a.case)],
+        _per_bus(a.case, *a.laplacian.T),
     )),
     "dmatrix": _analysis("dump the frequency participation matrix", lambda a: (
-        ["bus_id"] + [f"gen_{k}" for k in range(a.participation.d.shape[1])],
-        _bus_rows(a.participation.bus_ids, *a.participation.d.T),
+        ["bus_id"] + [f"gen_{k}" for k in range(a.case.n_gen)],
+        _per_bus(a.case, *a.participation.T),
     )),
     "inertia": _analysis("per-bus nodal inertia", lambda a: (
         ["bus_id", "nodal_inertia_s"],
-        _bus_rows(a.inertia.bus_ids, a.inertia.h),
+        _per_bus(a.case, a.inertia),
     )),
     "gfv": _analysis("per-bus placement metric and Fiedler vector", lambda a: (
         ["bus_id", "nodal_inertia_s", "fiedler_norm", "gfv"],
-        _bus_rows(a.gfv.bus_ids, a.inertia.h, a.fiedler.vector, a.gfv.gfv),
-        f"lambda2={a.fiedler.lambda2!r} "
-        f"lambda2_bar={a.gfv.dynamic_connectivity!r}",
+        _per_bus(a.case, a.inertia, a.fiedler.vector, a.gfv.vector),
+        f"lambda2={a.fiedler.value!r} lambda2_bar={a.gfv.value!r}",
     )),
     "simulate": _Command(
         "one stochastic-wind trajectory", _cmd_simulate, ("case", "--bus"),

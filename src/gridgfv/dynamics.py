@@ -18,10 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .case_model import bus_positions
+from .case_model import bus_ids, bus_positions
 from .errors import GridGfvError, SimulationUnstableError
 from .pipeline import OperatingPoint
-from .reduction import NodeKey, ParticipationMatrix, kron_reduce
+from .reduction import kron_reduce
 
 OMEGA_SYNC = 2.0 * math.pi * 60.0  # rad/s at 60 Hz nominal
 # Damping (pu) of machines whose case entry gives none.
@@ -67,22 +67,18 @@ class SwingModel:
     """Linearized multi-machine model at one operating point.
 
     m holds 2H per machine, damp the damping coefficients.  l_red is the
-    operating-point-weighted Laplacian over internal nodes plus all network
-    buses (every bus stays available as an injection port); simulate() does
-    the final algebraic elimination per injection node.
+    operating-point-weighted Laplacian over all network buses (rows in
+    bus_ids order, every bus stays available as an injection port) and then
+    the internal nodes, machine k's at row len(bus_ids)+k; simulate() does
+    the final algebraic elimination per injection node.  participation is
+    the (n_bus, n_gen) matrix D of f_bus = D @ f_gen.
     """
 
     m: np.ndarray
     damp: np.ndarray
     l_red: np.ndarray
-    nodes: tuple[NodeKey, ...]
-    participation: ParticipationMatrix
-    omega_s: float
+    participation: np.ndarray
     bus_ids: tuple[int, ...]
-
-    @property
-    def gen_rows(self) -> list[int]:
-        return [i for i, (kind, _) in enumerate(self.nodes) if kind == "gen"]
 
 
 @dataclass(frozen=True)
@@ -95,7 +91,6 @@ class Trajectory:
     bus_freq: np.ndarray  # (n_bus, n_t)
     coi_freq: np.ndarray  # (n_t,)
     injection: np.ndarray  # (n_t,)
-    bus_ids: tuple[int, ...]
 
 
 def simulate_ou(params: OuParams, dt: float, n_steps: int, seed) -> np.ndarray:
@@ -144,7 +139,7 @@ def build_swing_model(
     b_machine = 1.0 / np.array([g.xd_p for g in case.generators])
     w = emfs.e_mag * sol.vm[term] * b_machine * np.cos(emfs.delta0 - sol.va[term])
     lap = np.zeros((n + case.n_gen, n + case.n_gen))
-    lap[:n, :n] = op.laplacian.l
+    lap[:n, :n] = op.laplacian
     np.add.at(lap, (term, term), w)
     lap[gen, gen] = w
     lap[gen, term] = -w
@@ -155,41 +150,44 @@ def build_swing_model(
             [g.d if g.d is not None else default_damping for g in case.generators]
         ),
         l_red=lap,
-        nodes=op.aug.nodes,
         participation=op.participation,
-        omega_s=OMEGA_SYNC,
-        bus_ids=sol.bus_ids,
+        bus_ids=bus_ids(case),
     )
 
 
-def _resolve_node(model: SwingModel, injection_bus) -> NodeKey:
+def _resolve_node(model: SwingModel, injection_bus) -> int:
+    """The row of l_red of an injection port: a bus id, ("bus", id), or
+    ("gen", k) for machine k's internal node."""
     if isinstance(injection_bus, (int, np.integer)):
-        key: NodeKey = ("bus", int(injection_bus))
+        kind, index = "bus", int(injection_bus)
     else:
-        key = (injection_bus[0], int(injection_bus[1]))
-    if key not in model.nodes:
-        raise GridGfvError(f"unknown injection node {injection_bus!r}")
-    return key
+        kind, index = injection_bus[0], int(injection_bus[1])
+    if kind == "bus" and index in model.bus_ids:
+        return model.bus_ids.index(index)
+    if kind == "gen" and 0 <= index < len(model.m):
+        return len(model.bus_ids) + index
+    raise GridGfvError(f"unknown injection node {injection_bus!r}")
 
 
-def _injection_reduction(model: SwingModel, node: NodeKey):
-    """Laplacian over internal nodes and the injection gain vector.
+def _injection_reduction(model: SwingModel, row: int):
+    """Laplacian over internal nodes and the injection gain vector for the
+    port at row of l_red.
 
     A bus port is eliminated algebraically: with zero inertia there, its
     angle tracks 0 = dP - L_bG theta_G - L_bb theta_b, which folds the
     injection onto the machines with weights -L_Gb / L_bb (summing to 1).
     An internal-node port injects directly on that machine.
     """
-    g_rows = model.gen_rows
-    if node[0] == "gen":
+    n = len(model.bus_ids)
+    g_rows = list(range(n, len(model.l_red)))
+    if row >= n:
         l_red = kron_reduce(model.l_red, g_rows)
         w = np.zeros(len(g_rows))
-        w[node[1]] = 1.0
+        w[row - n] = 1.0
         return l_red, w
-    b_row = model.nodes.index(node)
-    # kron_reduce keeps original row order: bus rows precede internal-node
-    # rows in the augmented ordering, so the bus port lands in row 0.
-    kept = kron_reduce(model.l_red, g_rows + [b_row])
+    # kron_reduce keeps row order, and bus rows precede the internal nodes:
+    # the bus port lands in row 0.
+    kept = kron_reduce(model.l_red, g_rows + [row])
     l_gb = kept[1:, 0]
     l_bb = kept[0, 0]
     l_red = kept[1:, 1:] - np.outer(l_gb, l_gb) / l_bb
@@ -267,11 +265,10 @@ def simulate(model: SwingModel, injection_bus, dp: np.ndarray, dt: float) -> Tra
     dp = np.asarray(dp, dtype=float)
     if dp.ndim != 1 or len(dp) < 1:
         raise ValueError("dp must be a non-empty 1-d series")
-    node = _resolve_node(model, injection_bus)
-    l_red, w = _injection_reduction(model, node)
+    l_red, w = _injection_reduction(model, _resolve_node(model, injection_bus))
     ng = len(model.m)
     a = np.zeros((2 * ng, 2 * ng))
-    a[:ng, ng:] = model.omega_s * np.eye(ng)
+    a[:ng, ng:] = OMEGA_SYNC * np.eye(ng)
     a[ng:, :ng] = -l_red / model.m[:, None]
     a[ng:, ng:] = np.diag(-model.damp / model.m)
     g = np.zeros(2 * ng)
@@ -292,14 +289,13 @@ def simulate(model: SwingModel, injection_bus, dp: np.ndarray, dt: float) -> Tra
 
     h_weights = 0.5 * model.m
     coi = (h_weights @ omega) / h_weights.sum()
-    bus_freq = model.participation.d @ omega
+    bus_freq = model.participation @ omega
     return Trajectory(
         t=np.arange(n_t) * dt,
         gen_freq=omega,
         bus_freq=bus_freq,
         coi_freq=coi,
         injection=dp.copy(),
-        bus_ids=model.bus_ids,
     )
 
 

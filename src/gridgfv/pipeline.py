@@ -5,11 +5,16 @@ one Ybus, the power flow solved with it, the machine EMFs, the same Ybus
 augmented with the internal nodes, the participation matrix and the bus
 Laplacian.  The spectral analysis (analyze_case) and the swing model
 (dynamics.build_swing_model) both read that model; neither rebuilds any of it.
+
+Every array is in the case's row order: the buses in case order (labelled by
+case_model.bus_ids), then machine k's internal node at row n_bus+k.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .case_model import NetworkCase
 from .powerflow import (
@@ -21,18 +26,10 @@ from .powerflow import (
     internal_emfs,
     solve_powerflow,
 )
-from .reduction import (
-    AugmentedAdmittance,
-    ParticipationMatrix,
-    augment_internal_nodes,
-    frequency_participation,
-)
+from .reduction import augment_internal_nodes, frequency_participation
 from .spectral import (
-    FiedlerResult,
     GeneralizedDecomposition,
-    GfvResult,
-    LaplacianMatrix,
-    NodalInertiaVector,
+    SecondMode,
     build_laplacian,
     eigendecompose,
     fiedler,
@@ -47,17 +44,17 @@ class OperatingPoint:
     case: NetworkCase
     solution: PowerFlowSolution
     emfs: InternalEmfs
-    aug: AugmentedAdmittance
-    participation: ParticipationMatrix
-    laplacian: LaplacianMatrix
+    aug: np.ndarray  # complex, buses then internal nodes
+    participation: np.ndarray  # (n_bus, n_gen)
+    laplacian: np.ndarray  # (n_bus, n_bus)
 
 
 @dataclass(frozen=True)
 class CaseAnalysis(OperatingPoint):
-    fiedler: FiedlerResult
-    inertia: NodalInertiaVector
+    fiedler: SecondMode  # of L: value is lambda2
+    inertia: np.ndarray  # per bus, seconds
     gep: GeneralizedDecomposition
-    gfv: GfvResult
+    gfv: SecondMode  # of (L, diag(inertia)): value is lambda2_bar
 
 
 def operating_point(
@@ -75,7 +72,7 @@ def operating_point(
         solution=sol,
         emfs=emfs,
         aug=aug,
-        participation=frequency_participation(aug),
+        participation=frequency_participation(aug, case.n_bus),
         laplacian=build_laplacian(case, sol),
     )
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .case_model import NetworkCase, bus_ids, bus_positions
+from .case_model import NetworkCase, bus_positions
 from .errors import CaseError, ConvergenceError, SingularMatrixError
 
 # Newton-Raphson defaults: mismatch tolerance (pu, infinity norm), iterations.
@@ -24,7 +24,6 @@ PF_MAX_ITER = 20
 class PowerFlowSolution:
     """Solved operating point, arrays aligned with the case bus order."""
 
-    bus_ids: tuple[int, ...]
     vm: np.ndarray
     va: np.ndarray
     p_inj: np.ndarray
@@ -121,7 +120,6 @@ def solve_powerflow(
         max_mm = float(np.max(np.abs(mismatch))) if mismatch.size else 0.0
         if max_mm <= tol:
             return PowerFlowSolution(
-                bus_ids=bus_ids(case),
                 vm=vm,
                 va=va,
                 p_inj=s.real,

@@ -3,59 +3,29 @@ frequency participation matrix.
 
 Internal nodes couple to their terminal bus through the transient reactance
 only, so the augmented admittance has one extra row/column per machine with a
-single off-diagonal entry.  Everything downstream (participation matrix,
-nodal inertia susceptances, swing coupling) is a view or Schur complement of
-this one matrix.
+single off-diagonal entry: the buses are rows 0 ... n_bus-1 in case order and
+machine k's internal node is row n_bus+k.  Everything downstream
+(participation matrix, nodal inertia susceptances, swing coupling) is a view
+or Schur complement of this one matrix.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 from scipy.linalg.lapack import get_lapack_funcs
 
-from .case_model import NetworkCase, bus_ids, bus_positions
+from .case_model import NetworkCase, bus_positions
 from .errors import SingularMatrixError
-
-# Node keys: ("bus", bus_id) for network buses, ("gen", k) for the internal
-# node of generator k (generators have no ids of their own; k is the index
-# in the case's generator list).
-NodeKey = tuple[str, int]
 
 # A block to invert is singular when its 1-norm condition number exceeds this.
 _COND_LIMIT = 1e12
 
 
-@dataclass(frozen=True)
-class AugmentedAdmittance:
-    """Complex admittance over network buses plus generator internal nodes."""
-
-    matrix: np.ndarray
-    nodes: tuple[NodeKey, ...]
-
-    def bus_rows(self) -> list[int]:
-        return [i for i, (kind, _) in enumerate(self.nodes) if kind == "bus"]
-
-    def gen_rows(self) -> list[int]:
-        return [i for i, (kind, _) in enumerate(self.nodes) if kind == "gen"]
-
-
-@dataclass(frozen=True)
-class ParticipationMatrix:
-    """Maps generator frequencies to bus frequencies: f_bus = d @ f_gen.
-
-    Row order follows the case bus order, column order the generator order.
-    On shunt-free cases every row sums to 1.
-    """
-
-    d: np.ndarray
-    bus_ids: tuple[int, ...]
-
-
-def augment_internal_nodes(ybus: np.ndarray, case: NetworkCase) -> AugmentedAdmittance:
-    """Extend ybus with one internal node per generator behind 1/(j*xd_p).
+def augment_internal_nodes(ybus: np.ndarray, case: NetworkCase) -> np.ndarray:
+    """Extend ybus with one internal node per generator behind 1/(j*xd_p),
+    machine k's at row and column n_bus+k.
 
     A zero transient reactance would make the internal node electrically
     identical to its terminal and collapse the block partition, so it is
@@ -80,10 +50,7 @@ def augment_internal_nodes(ybus: np.ndarray, case: NetworkCase) -> AugmentedAdmi
         aug[t, t] += y
         aug[g, t] = -y
         aug[t, g] = -y
-    nodes = tuple(("bus", bid) for bid in bus_ids(case)) + tuple(
-        ("gen", k) for k in range(ng)
-    )
-    return AugmentedAdmittance(matrix=aug, nodes=nodes)
+    return aug
 
 
 def _solve(a: np.ndarray, b: np.ndarray, message: str) -> np.ndarray:
@@ -125,17 +92,16 @@ def kron_reduce(y: np.ndarray, keep: Sequence[int]) -> np.ndarray:
     )
 
 
-def frequency_participation(aug: AugmentedAdmittance) -> ParticipationMatrix:
-    """Frequency-divider participation matrix d = -B_ext^{-1} B_g.
+def frequency_participation(aug: np.ndarray, n_bus: int) -> np.ndarray:
+    """Frequency-divider participation matrix D = -B_ext^{-1} B_g, mapping
+    machine frequencies to bus frequencies: f_bus = D @ f_gen.  Rows follow
+    the case bus order, columns the generator order; on shunt-free cases
+    every row sums to 1.
 
     B_ext is the imaginary part of the bus-bus block of the augmented
     admittance (generator reactances already sit on its diagonal), B_g the
     imaginary part of the bus-to-internal-node coupling block.
     """
-    b_rows = aug.bus_rows()
-    g_rows = aug.gen_rows()
-    b_ext = aug.matrix[np.ix_(b_rows, b_rows)].imag
-    b_g = aug.matrix[np.ix_(b_rows, g_rows)].imag
-    d = -_solve(b_ext, b_g, "bus susceptance block B_ext is singular")
-    ids = tuple(nid for kind, nid in aug.nodes if kind == "bus")
-    return ParticipationMatrix(d=d, bus_ids=ids)
+    b_ext = aug[:n_bus, :n_bus].imag
+    b_g = aug[:n_bus, n_bus:].imag
+    return -_solve(b_ext, b_g, "bus susceptance block B_ext is singular")

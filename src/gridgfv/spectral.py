@@ -19,14 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .case_model import NetworkCase, bus_ids, bus_positions
+from .case_model import NetworkCase, bus_positions
 from .errors import (
     DisconnectedNetworkError,
     GridGfvError,
     StabilityRegionError,
 )
 from .powerflow import InternalEmfs, PowerFlowSolution
-from .reduction import AugmentedAdmittance, ParticipationMatrix, kron_reduce
+from .reduction import kron_reduce
 
 # Eigenvalues below this fraction of the largest one count as zero, in the
 # standard and the generalized problem alike.
@@ -36,38 +36,17 @@ DEGENERATE_REL = 1e-6
 
 
 @dataclass(frozen=True)
-class LaplacianMatrix:
-    l: np.ndarray
-    bus_ids: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class FiedlerResult:
-    lambda2: float
-    vector: np.ndarray  # |phi_2| / max|phi_2|
-    degenerate: bool
-
-
-@dataclass(frozen=True)
-class NodalInertiaVector:
-    h: np.ndarray  # seconds, per bus
-    bus_ids: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class GeneralizedDecomposition:
     eigenvalues: np.ndarray  # ascending
     eigenvectors: np.ndarray  # columns, N-orthonormal (orthonormal at N = I)
     zero_multiplicity: int
-    bus_ids: tuple[int, ...]
 
 
 @dataclass(frozen=True)
-class GfvResult:
-    dynamic_connectivity: float  # second generalized eigenvalue, 1/s
-    gfv: np.ndarray  # per bus, in [0, 1], max entry exactly 1
+class SecondMode:
+    value: float  # second eigenvalue
+    vector: np.ndarray  # |v2| / max|v2|, in [0, 1] with max entry exactly 1
     degenerate: bool
-    bus_ids: tuple[int, ...]
 
 
 def branch_susceptance(r: float, x: float) -> float:
@@ -75,7 +54,7 @@ def branch_susceptance(r: float, x: float) -> float:
     return x / (r * r + x * x)
 
 
-def build_laplacian(case: NetworkCase, sol: PowerFlowSolution) -> LaplacianMatrix:
+def build_laplacian(case: NetworkCase, sol: PowerFlowSolution) -> np.ndarray:
     """Operating-point-weighted Laplacian over the network buses.
 
     Off-diagonal (i,j): -|Vi||Vj|Bij cos(ti-tj), Bij summed over parallel
@@ -100,11 +79,10 @@ def build_laplacian(case: NetworkCase, sol: PowerFlowSolution) -> LaplacianMatri
             )
         w[i, j] += sol.vm[i] * sol.vm[j] * branch_susceptance(br.r, br.x) * math.cos(spread)
         w[j, i] = w[i, j]
-    lap = np.diag(w.sum(axis=1)) - w
-    return LaplacianMatrix(l=lap, bus_ids=bus_ids(case))
+    return np.diag(w.sum(axis=1)) - w
 
 
-def _eigh_pencil(l: np.ndarray, h: np.ndarray, ids) -> GeneralizedDecomposition:
+def _eigh_pencil(l: np.ndarray, h: np.ndarray) -> GeneralizedDecomposition:
     """Eigenpairs of (L, diag(h)) through M = N^{-1/2} L N^{-1/2}: eigh(M)
     gives real ascending eigenvalues, and back-transformed vectors
     N^{-1/2} psi satisfy L v = lambda N v.  At h = 1 every scaling is exact."""
@@ -116,18 +94,16 @@ def _eigh_pencil(l: np.ndarray, h: np.ndarray, ids) -> GeneralizedDecomposition:
         eigenvalues=vals,
         eigenvectors=s[:, None] * psi,
         zero_multiplicity=int(np.sum(np.abs(vals) <= ZERO_EIG_REL * scale)),
-        bus_ids=ids,
     )
 
 
-def eigendecompose(lap: LaplacianMatrix) -> GeneralizedDecomposition:
+def eigendecompose(lap: np.ndarray) -> GeneralizedDecomposition:
     """Full symmetric eigendecomposition of L: the pencil (L, I)."""
-    return _eigh_pencil(lap.l, np.ones(len(lap.l)), lap.bus_ids)
+    return _eigh_pencil(lap, np.ones(len(lap)))
 
 
-def _second_mode(decomp: GeneralizedDecomposition, what: str):
-    """(second eigenvalue, |v2| / max|v2|, degenerate) of a connected
-    network's decomposition."""
+def _second_mode(decomp: GeneralizedDecomposition, what: str) -> SecondMode:
+    """The second mode of a connected network's decomposition."""
     vals = decomp.eigenvalues
     if decomp.zero_multiplicity != 1:
         raise DisconnectedNetworkError(
@@ -141,27 +117,27 @@ def _second_mode(decomp: GeneralizedDecomposition, what: str):
         gap = vals[2] - vals[1]
         degenerate = gap <= DEGENERATE_REL * max(abs(vals[2]), abs(vals[1]))
     vec = np.abs(decomp.eigenvectors[:, 1])
-    return float(vals[1]), vec / vec.max(), degenerate
+    return SecondMode(float(vals[1]), vec / vec.max(), degenerate)
 
 
-def fiedler(decomp: GeneralizedDecomposition) -> FiedlerResult:
-    """Second-smallest eigenpair, vector reported as |phi2|/max|phi2|.
+def fiedler(decomp: GeneralizedDecomposition) -> SecondMode:
+    """Second-smallest eigenpair of L: value is the algebraic connectivity
+    lambda2, vector |phi2|/max|phi2|.
 
     A (near-)degenerate second/third pair is flagged rather than rejected:
     the vector is then one arbitrary member of the eigenspace.
     """
-    lambda2, vector, degenerate = _second_mode(decomp, "Fiedler analysis")
-    return FiedlerResult(lambda2=lambda2, vector=vector, degenerate=degenerate)
+    return _second_mode(decomp, "Fiedler analysis")
 
 
 def nodal_inertia(
     case: NetworkCase,
     sol: PowerFlowSolution,
     emfs: InternalEmfs,
-    participation: ParticipationMatrix,
-    aug: AugmentedAdmittance,
-) -> NodalInertiaVector:
-    """Per-bus nodal inertia in seconds.
+    participation: np.ndarray,
+    aug: np.ndarray,
+) -> np.ndarray:
+    """Per-bus nodal inertia in seconds, in case bus order.
 
     For each bus j the network is Kron-reduced onto {bus j, all internal
     nodes}; the equivalent susceptances B_kj = Im(Y_red)_{kj} feed
@@ -169,46 +145,46 @@ def nodal_inertia(
         h_j = sum_k B_kj E_k cos(d_k0 - t_j0)
               / sum_i H_i^{-1} D_ji B_ij E_i cos(d_i0 - t_j0)
 
-    which collapses to h = H for a single-machine system.
+    which collapses to h = H for a single-machine system.  A bus whose h is
+    not positive is an error: the pencil (L, diag(h)) needs h > 0.
     """
     pos = bus_positions(case)
-    g_rows = aug.gen_rows()
+    g_rows = list(range(case.n_bus, case.n_bus + case.n_gen))
     h_gen = np.array([g.h for g in case.generators])
     h_out = np.zeros(case.n_bus)
     for bus in case.buses:
         j = pos[bus.id]
-        reduced = kron_reduce(aug.matrix, [j] + g_rows)
+        reduced = kron_reduce(aug, [j] + g_rows)
         b_col = reduced[1:, 0].imag  # bus j kept first, then internal nodes
         terms = b_col * emfs.e_mag * np.cos(emfs.delta0 - sol.va[j])
-        denom = float(np.sum(terms * participation.d[j, :] / h_gen))
+        denom = float(np.sum(terms * participation[j, :] / h_gen))
         if abs(denom) < 1e-12:
             raise GridGfvError(
                 f"nodal inertia undefined at bus {bus.id}: denominator "
                 f"{denom:.3e} (participation/angle cancellation)"
             )
         h_out[j] = float(np.sum(terms)) / denom
-    return NodalInertiaVector(h=h_out, bus_ids=bus_ids(case))
-
-
-def solve_gep(lap: LaplacianMatrix, inertia: NodalInertiaVector) -> GeneralizedDecomposition:
-    """Generalized eigenpairs of (L, N) with N = diag(h), h > 0."""
-    h = inertia.h
-    if np.any(h <= 0) or not np.all(np.isfinite(h)):
-        bad = [inertia.bus_ids[i] for i in np.nonzero(~(h > 0))[0]]
+    if not _positive(h_out):
+        bad = [case.buses[i].id for i in np.nonzero(~(h_out > 0))[0]]
         raise GridGfvError(f"non-positive nodal inertia at buses {bad}")
-    return _eigh_pencil(lap.l, h, inertia.bus_ids)
+    return h_out
 
 
-def gfv(gep: GeneralizedDecomposition) -> GfvResult:
-    """Normalized magnitude of the second generalized eigenvector.
+def _positive(h: np.ndarray) -> bool:
+    return bool(np.all(h > 0) and np.all(np.isfinite(h)))
 
-    The associated eigenvalue is the dynamic connectivity; low vector entries
-    mark buses with high nodal frequency strength.
+
+def solve_gep(lap: np.ndarray, h: np.ndarray) -> GeneralizedDecomposition:
+    """Generalized eigenpairs of (L, N) with N = diag(h), h > 0."""
+    if not _positive(h):
+        raise GridGfvError("the pencil (L, diag(h)) needs h > 0: h has "
+                           "non-positive or non-finite entries")
+    return _eigh_pencil(lap, h)
+
+
+def gfv(gep: GeneralizedDecomposition) -> SecondMode:
+    """Second generalized eigenpair: value is the dynamic connectivity
+    lambda2_bar (1/s), vector the per-bus placement metric |v2|/max|v2|.
+    Low vector entries mark buses with high nodal frequency strength.
     """
-    connectivity, vector, degenerate = _second_mode(gep, "the placement metric")
-    return GfvResult(
-        dynamic_connectivity=connectivity,
-        gfv=vector,
-        degenerate=degenerate,
-        bus_ids=gep.bus_ids,
-    )
+    return _second_mode(gep, "the placement metric")

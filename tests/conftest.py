@@ -1,5 +1,13 @@
 """Shared fixtures: bundled case files and cached per-case analyses."""
 
+import os
+
+# One BLAS thread, set before numpy is first imported: OpenBLAS worker
+# threads otherwise contend with the small matrix products of the tests and
+# with the Monte Carlo worker processes.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 from functools import lru_cache
 from pathlib import Path
 

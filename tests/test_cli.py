@@ -149,6 +149,13 @@ def test_simulate_output_shape(tmp_path):
     assert len(rows) == 101
 
 
+def test_simulate_unknown_bus_is_one_line(capsys):
+    assert main(["simulate", STUDY, "--bus", "99", "--t", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: unknown injection node 99\n"
+
+
 def test_json_mirror(tmp_path):
     out = tmp_path / "gfv.csv"
     assert main(["gfv", CASE9, "--out", str(out), "--json"]) == 0
@@ -266,6 +273,7 @@ def test_config_file_defaults(tmp_path):
     '{"max_iter": true}',  # boolean for an integer
     '{"ou": {"alpha": -1}}',  # value out of its range
     '{"tol": 1' + '0' * 400 + '}',  # integer too large for a float
+    pytest.param('[' * 100_000, id="nested-too-deeply"),  # for the JSON parser
 ])
 def test_bad_config_file_is_a_one_line_usage_error(tmp_path, capsys, text):
     cfg = tmp_path / "run.json"

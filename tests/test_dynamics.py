@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from gridgfv import (
+    GridGfvError,
     OuParams,
     SimulationUnstableError,
     StabilityRegionError,
@@ -22,7 +23,9 @@ from gridgfv import (
     wind_to_power,
 )
 from gridgfv import pipeline
+from gridgfv.case_model import bus_ids
 from gridgfv.dynamics import (
+    OMEGA_SYNC,
     _BLOCK,
     _injection_reduction,
     _resolve_node,
@@ -118,6 +121,11 @@ def test_wind_power_delta_method_std():
     assert abs(dp.std() - predicted) <= 0.25 * predicted
 
 
+def _internal_rows(model):
+    # Machine k's internal node is row n_bus + k of l_red.
+    return list(range(len(model.bus_ids), len(model.l_red)))
+
+
 def _model_from(doc, default_damping=1.0):
     case = parse_case(json.dumps(doc))
     return case, build_swing_model(operating_point(case), default_damping)
@@ -171,7 +179,7 @@ def test_two_identical_machines_coi_aggregates():
 def test_nine_bus_swing_coupling_is_psd():
     case = get_case("case9")
     model = build_swing_model(operating_point(case))
-    lred = kron_reduce(model.l_red, model.gen_rows)
+    lred = kron_reduce(model.l_red, _internal_rows(model))
     assert np.max(np.abs(lred.sum(axis=1))) <= 1e-9
     vals = np.linalg.eigvalsh(lred)
     assert vals.min() >= -1e-9 * vals.max()
@@ -187,12 +195,13 @@ def test_swing_laplacian_is_the_admittance_weighted_laplacian(name):
     sol, emfs, aug = analysis.solution, analysis.emfs, analysis.aug
     mag = np.concatenate([sol.vm, emfs.e_mag])
     ang = np.concatenate([sol.va, emfs.delta0])
-    b_off = aug.matrix.imag.copy()
+    b_off = aug.imag.copy()
     np.fill_diagonal(b_off, 0.0)
     w = np.outer(mag, mag) * b_off * np.cos(ang[:, None] - ang[None, :])
     reference = np.diag(w.sum(axis=1)) - w
     model = build_swing_model(analysis)
-    assert model.nodes == aug.nodes
+    assert model.l_red.shape == aug.shape
+    assert model.bus_ids == bus_ids(analysis.case)
     assert np.max(np.abs(model.l_red - reference)) <= 1e-12 * np.abs(reference).max()
 
 
@@ -230,8 +239,8 @@ def test_simulate_matches_closed_form_two_nodes():
     dt = 0.01
     dp = np.full(1001, 0.05)
     traj = simulate(model, ("gen", 0), dp, dt)
-    lred = kron_reduce(model.l_red, model.gen_rows)
-    w_s = model.omega_s
+    lred = kron_reduce(model.l_red, _internal_rows(model))
+    w_s = OMEGA_SYNC
     expected = (
         closed_form_response(lred, model.m[0] / w_s, model.damp[0] / w_s, 0, 0.05, traj.t)
         / w_s
@@ -262,7 +271,7 @@ def test_simulate_matches_independent_integrator():
         u = np.interp(t, t_grid, dp)
         return np.concatenate(
             [
-                model.omega_s * omega,
+                OMEGA_SYNC * omega,
                 (w * u - model.damp * omega - l_red @ theta) / model.m,
             ]
         )
@@ -284,7 +293,7 @@ def test_simulate_coi_is_inertia_weighted_mean():
     expected = (h @ traj.gen_freq) / h.sum()
     assert np.max(np.abs(traj.coi_freq - expected)) <= 1e-12
     assert traj.bus_freq.shape == (9, 301)
-    assert np.allclose(traj.bus_freq, model.participation.d @ traj.gen_freq)
+    assert np.allclose(traj.bus_freq, model.participation @ traj.gen_freq)
 
 
 def test_momentum_balance_zero_damping():
@@ -306,6 +315,25 @@ def test_momentum_balance_zero_damping():
     assert traj.coi_freq[-1] == pytest.approx(0.2 * dt * (k_imp - 0.5) / model.m.sum())
 
 
+def test_injection_ports_resolve_to_their_rows():
+    case = get_case("case9")
+    model = build_swing_model(get_analysis("case9"))
+    for row, bus in enumerate(case.buses):
+        assert _resolve_node(model, bus.id) == row
+        assert _resolve_node(model, ("bus", bus.id)) == row
+    for k in range(case.n_gen):
+        assert _resolve_node(model, ("gen", k)) == case.n_bus + k
+
+
+@pytest.mark.parametrize("port", [99, ("bus", 99), ("gen", 3), ("gen", -1), ("node", 1)])
+def test_simulate_rejects_an_unknown_injection_port(port):
+    # case9 has buses 1-9 and three machines; a negative machine index must
+    # not wrap around to the last machine.
+    model = build_swing_model(get_analysis("case9"))
+    with pytest.raises(GridGfvError, match="unknown injection node"):
+        simulate(model, port, np.zeros(10), 0.01)
+
+
 def test_simulate_unstable_step_reports_time():
     case, model = _model_from(PAIR)
     with pytest.raises(SimulationUnstableError) as err:
@@ -319,7 +347,7 @@ def _stepped_gen_freq(model, injection_bus, dp, dt):
     l_red, w = _injection_reduction(model, _resolve_node(model, injection_bus))
     ng = len(model.m)
     a = np.zeros((2 * ng, 2 * ng))
-    a[:ng, ng:] = model.omega_s * np.eye(ng)
+    a[:ng, ng:] = OMEGA_SYNC * np.eye(ng)
     a[ng:, :ng] = -l_red / model.m[:, None]
     a[ng:, ng:] = np.diag(-model.damp / model.m)
     g = np.zeros(2 * ng)

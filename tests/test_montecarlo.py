@@ -15,14 +15,13 @@ from conftest import get_case
 
 def fake_trajectory(bus_freq):
     bus_freq = np.asarray(bus_freq, dtype=float)
-    n_bus, n_t = bus_freq.shape
+    n_t = bus_freq.shape[1]
     return Trajectory(
         t=np.arange(n_t) * 0.01,
         gen_freq=np.zeros((1, n_t)),
         bus_freq=bus_freq,
         coi_freq=np.zeros(n_t),
         injection=np.zeros(n_t),
-        bus_ids=tuple(range(1, n_bus + 1)),
     )
 
 

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridgfv import (
-    AugmentedAdmittance,
     SingularMatrixError,
     augment_internal_nodes,
     build_ybus,
@@ -17,8 +16,9 @@ from gridgfv import (
     kron_reduce,
     parse_case,
 )
+from gridgfv.case_model import bus_positions
 
-from conftest import get_analysis, get_case
+from conftest import FIXTURE_NAMES, get_analysis, get_case
 
 
 def single_bus_single_gen(xd_p=0.25):
@@ -38,17 +38,18 @@ def test_augment_single_machine():
     case = single_bus_single_gen()
     aug = augment_internal_nodes(build_ybus(case), case)
     expected = np.array([[-4j, 4j], [4j, -4j]])
-    assert np.allclose(aug.matrix, expected, atol=1e-14)
-    assert aug.nodes == (("bus", 1), ("gen", 0))
+    assert np.allclose(aug, expected, atol=1e-14)
+    # The bus is row 0, the machine's internal node row n_bus + 0 = 1.
+    assert aug[1, 0] == aug[0, 1] == -1 / (1j * 0.25)
 
 
 def test_augment_leaves_other_buses_untouched():
     case = get_case("case2")
     y = build_ybus(case)
     aug = augment_internal_nodes(y, case)
-    assert aug.matrix.shape == (3, 3)
-    assert np.allclose(aug.matrix[1, :2], y[1, :])
-    assert aug.matrix[1, 2] == 0
+    assert aug.shape == (3, 3)
+    assert np.allclose(aug[1, :2], y[1, :])
+    assert aug[1, 2] == 0
 
 
 def test_augment_rejects_zero_reactance():
@@ -81,11 +82,11 @@ def test_augment_nine_bus_matches_naive():
     case = get_case("case9")
     aug = augment_internal_nodes(build_ybus(case), case)
     expected = naive_augmented(case)
-    assert aug.matrix.shape == (12, 12)
-    assert np.allclose(aug.matrix, expected, atol=1e-14)
-    assert np.allclose(aug.matrix, aug.matrix.T, atol=1e-14)
+    assert aug.shape == (12, 12)
+    assert np.allclose(aug, expected, atol=1e-14)
+    assert np.allclose(aug, aug.T, atol=1e-14)
     # Internal rows couple to exactly one bus.
-    for row in aug.matrix[9:]:
+    for row in aug[9:]:
         assert np.count_nonzero(row) == 2
 
 
@@ -110,7 +111,7 @@ def test_kron_terminal_equivalence_nine_bus():
     # Voltages on kept nodes with zero injection at eliminated nodes must
     # draw the same kept-node currents through the reduced matrix.
     case = get_case("case9")
-    aug = augment_internal_nodes(build_ybus(case), case).matrix
+    aug = augment_internal_nodes(build_ybus(case), case)
     keep = list(range(9, 12))
     elim = list(range(9))
     red = kron_reduce(aug, keep)
@@ -169,9 +170,9 @@ def test_kron_singular_block_rejected():
 def test_participation_single_source():
     case = single_bus_single_gen()
     aug = augment_internal_nodes(build_ybus(case), case)
-    d = frequency_participation(aug)
-    assert d.d.shape == (1, 1)
-    assert d.d[0, 0] == pytest.approx(1.0, abs=1e-14)
+    d = frequency_participation(aug, case.n_bus)
+    assert d.shape == (1, 1)
+    assert d[0, 0] == pytest.approx(1.0, abs=1e-14)
 
 
 def test_participation_symmetric_pair():
@@ -192,10 +193,10 @@ def test_participation_symmetric_pair():
         )
     )
     aug = augment_internal_nodes(build_ybus(case), case)
-    d = frequency_participation(aug).d
+    d = frequency_participation(aug, case.n_bus)
     # Oracle: direct 2x2 inversion of the bus susceptance block.
-    b_ext = aug.matrix[:2, :2].imag
-    b_g = aug.matrix[:2, 2:].imag
+    b_ext = aug[:2, :2].imag
+    b_g = aug[:2, 2:].imag
     expected = -np.linalg.inv(b_ext) @ b_g
     assert np.allclose(d, expected, atol=1e-13)
     a = d[0, 0]
@@ -207,8 +208,24 @@ def test_participation_symmetric_pair():
 
 
 def test_participation_row_sums_lossless_nine_bus():
-    d = get_analysis("case9_lossless").participation.d
+    d = get_analysis("case9_lossless").participation
     assert np.allclose(d.sum(axis=1), 1.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_internal_nodes_follow_the_buses(name):
+    # Row order: the buses in case order, then machine k at n_bus + k, wired
+    # to its terminal row alone through -1/(j xd_p).
+    case = get_case(name)
+    n = case.n_bus
+    aug = augment_internal_nodes(build_ybus(case), case)
+    rows = bus_positions(case)
+    for k, gen in enumerate(case.generators):
+        t = rows[gen.bus]
+        assert aug[n + k, t] == aug[t, n + k] == -1 / (1j * gen.xd_p)
+        assert np.count_nonzero(aug[n + k]) == 2
+    expected = -np.linalg.inv(aug[:n, :n].imag) @ aug[:n, n:].imag
+    assert np.allclose(frequency_participation(aug, n), expected, atol=1e-12)
 
 
 def _susceptance_network(n, edges):
@@ -227,8 +244,6 @@ def test_island_blocks_are_rejected_without_warnings(tie):
     # Buses 3 and 4 form an island held to bus 2 by a tie of susceptance
     # `tie`; the last node is a machine's internal node behind bus 1.
     y = _susceptance_network(5, [(0, 1, 1.0), (1, 2, tie), (2, 3, 1.0), (0, 4, 5.0)])
-    nodes = tuple(("bus", b) for b in range(1, 5)) + (("gen", 0),)
-    aug = AugmentedAdmittance(matrix=y, nodes=nodes)
     island, b_ext = y[2:4, 2:4], y[:4, :4].imag
     assert np.linalg.cond(island) > 1e12 and np.linalg.cond(b_ext) > 1e12
     if tie:  # ill-conditioned, but LU meets no exact zero pivot
@@ -239,4 +254,4 @@ def test_island_blocks_are_rejected_without_warnings(tie):
         with pytest.raises(SingularMatrixError, match="isolated subnetwork"):
             kron_reduce(y, [0, 1, 4])
         with pytest.raises(SingularMatrixError, match="B_ext"):
-            frequency_participation(aug)
+            frequency_participation(y, 4)

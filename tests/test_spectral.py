@@ -9,6 +9,7 @@ import pytest
 
 from gridgfv import (
     DisconnectedNetworkError,
+    GridGfvError,
     StabilityRegionError,
     analyze_case,
     augment_internal_nodes,
@@ -26,9 +27,8 @@ from gridgfv import (
     solve_gep,
     solve_powerflow,
 )
-from gridgfv.case_model import bus_positions
+from gridgfv.case_model import bus_ids, bus_positions
 from gridgfv.powerflow import PowerFlowSolution
-from gridgfv.spectral import LaplacianMatrix, NodalInertiaVector
 
 from conftest import FIXTURE_NAMES, fixture_path, get_analysis, get_case
 
@@ -36,7 +36,6 @@ from conftest import FIXTURE_NAMES, fixture_path, get_analysis, get_case
 def flat_solution(case, vm=None, va=None):
     n = case.n_bus
     return PowerFlowSolution(
-        bus_ids=tuple(b.id for b in case.buses),
         vm=np.ones(n) if vm is None else np.asarray(vm, dtype=float),
         va=np.zeros(n) if va is None else np.asarray(va, dtype=float),
         p_inj=np.zeros(n),
@@ -49,13 +48,13 @@ def flat_solution(case, vm=None, va=None):
 def test_laplacian_two_bus_flat():
     case = get_case("case2")
     lap = build_laplacian(case, flat_solution(case))
-    assert np.allclose(lap.l, [[5.0, -5.0], [-5.0, 5.0]], atol=1e-14)
+    assert np.allclose(lap, [[5.0, -5.0], [-5.0, 5.0]], atol=1e-14)
 
 
 def test_laplacian_sixty_degree_spread():
     case = get_case("case2")
     lap = build_laplacian(case, flat_solution(case, va=[0.0, -math.pi / 3]))
-    assert lap.l[0, 1] == pytest.approx(-2.5, abs=1e-12)
+    assert lap[0, 1] == pytest.approx(-2.5, abs=1e-12)
 
 
 def test_laplacian_rejects_ninety_degree_branch():
@@ -68,8 +67,8 @@ def test_laplacian_nine_bus_rows_and_oracle():
     case = get_case("case9")
     analysis = get_analysis("case9")
     lap = analysis.laplacian
-    assert np.max(np.abs(lap.l.sum(axis=1))) <= 1e-10
-    assert np.allclose(lap.l, lap.l.T, atol=1e-12)
+    assert np.max(np.abs(lap.sum(axis=1))) <= 1e-10
+    assert np.allclose(lap, lap.T, atol=1e-12)
     # Oracle: independent per-branch accumulation.
     sol = analysis.solution
     pos = bus_positions(case)
@@ -82,11 +81,11 @@ def test_laplacian_nine_bus_rows_and_oracle():
         expected[j, i] -= w
         expected[i, i] += w
         expected[j, j] += w
-    assert np.allclose(lap.l, expected, atol=1e-12)
+    assert np.allclose(lap, expected, atol=1e-12)
 
 
 def test_eigendecompose_two_bus():
-    lap = LaplacianMatrix(l=np.array([[5.0, -5.0], [-5.0, 5.0]]), bus_ids=(1, 2))
+    lap = np.array([[5.0, -5.0], [-5.0, 5.0]])
     decomp = eigendecompose(lap)
     assert np.allclose(decomp.eigenvalues, [0.0, 10.0], atol=1e-12)
     assert decomp.zero_multiplicity == 1
@@ -95,9 +94,9 @@ def test_eigendecompose_two_bus():
 
 
 def test_fiedler_two_bus():
-    lap = LaplacianMatrix(l=np.array([[5.0, -5.0], [-5.0, 5.0]]), bus_ids=(1, 2))
+    lap = np.array([[5.0, -5.0], [-5.0, 5.0]])
     res = fiedler(eigendecompose(lap))
-    assert res.lambda2 == pytest.approx(10.0, rel=1e-12)
+    assert res.value == pytest.approx(10.0, rel=1e-12)
     assert np.allclose(res.vector, [1.0, 1.0], atol=1e-12)
 
 
@@ -109,7 +108,7 @@ def test_eigendecompose_path_graph_closed_form():
     expected = [2 - 2 * math.cos(k * math.pi / 4) for k in range(4)]
     assert np.allclose(decomp.eigenvalues, expected, atol=1e-12)
     res = fiedler(decomp)
-    assert res.lambda2 == pytest.approx(2 - math.sqrt(2), abs=1e-12)
+    assert res.value == pytest.approx(2 - math.sqrt(2), abs=1e-12)
     # Magnitudes fall monotonically from the ends toward the middle.
     v = res.vector
     assert v[0] == pytest.approx(1.0)
@@ -146,7 +145,7 @@ def test_zero_multiplicity_tracks_components():
 def test_nodal_inertia_single_generator_exact():
     analysis = get_analysis("case2")
     h_gen = analysis.case.generators[0].h
-    assert np.max(np.abs(analysis.inertia.h - h_gen)) <= 1e-10
+    assert np.max(np.abs(analysis.inertia - h_gen)) <= 1e-10
 
 
 def test_nodal_inertia_symmetric_three_bus():
@@ -173,23 +172,23 @@ def test_nodal_inertia_symmetric_three_bus():
     sol = solve_powerflow(case)
     emfs = internal_emfs(case, sol)
     aug = augment_internal_nodes(build_ybus(case), case)
-    part = frequency_participation(aug)
+    part = frequency_participation(aug, case.n_bus)
     inertia = nodal_inertia(case, sol, emfs, part, aug)
     middle = 1  # bus 2
 
-    assert part.d[middle, 0] == pytest.approx(0.5, abs=1e-12)
-    reduced = kron_reduce(aug.matrix, [middle, 3, 4])
+    assert part[middle, 0] == pytest.approx(0.5, abs=1e-12)
+    reduced = kron_reduce(aug, [middle, 3, 4])
     b = reduced[1:, 0].imag
     terms = b * emfs.e_mag * np.cos(emfs.delta0 - sol.va[middle])
     by_hand = terms.sum() / np.sum(terms * np.array([0.5, 0.5]) / 4.0)
-    assert inertia.h[middle] == pytest.approx(by_hand, rel=1e-12)
-    assert inertia.h[middle] == pytest.approx(8.0, rel=1e-12)
+    assert inertia[middle] == pytest.approx(by_hand, rel=1e-12)
+    assert inertia[middle] == pytest.approx(8.0, rel=1e-12)
 
 
 def test_gep_identity_weight_reduces_to_standard():
     analysis = get_analysis("case9")
     lap = analysis.laplacian
-    ones = NodalInertiaVector(h=np.ones(9), bus_ids=lap.bus_ids)
+    ones = np.ones(9)
     gep = solve_gep(lap, ones)
     std = eigendecompose(lap)
     assert np.allclose(gep.eigenvalues, std.eigenvalues, atol=1e-9)
@@ -199,7 +198,7 @@ def test_gep_uniform_weight_scales_spectrum():
     analysis = get_analysis("case9")
     lap = analysis.laplacian
     std = eigendecompose(lap)
-    uniform = NodalInertiaVector(h=np.full(9, 4.0), bus_ids=lap.bus_ids)
+    uniform = np.full(9, 4.0)
     gep = solve_gep(lap, uniform)
     assert np.allclose(gep.eigenvalues, std.eigenvalues / 4.0, atol=1e-9)
 
@@ -208,26 +207,26 @@ def test_gep_two_bus_pencil_oracle():
     # det(L - lambda N) = 0 for L = [[5,-5],[-5,5]], N = diag(1, 4):
     # 4 lambda^2 - 25 lambda = 0, so the nonzero root is 6.25 and the
     # eigenvector direction solves (L - 6.25 N) v = 0 as [1, -0.25].
-    lap = LaplacianMatrix(l=np.array([[5.0, -5.0], [-5.0, 5.0]]), bus_ids=(1, 2))
-    inertia = NodalInertiaVector(h=np.array([1.0, 4.0]), bus_ids=(1, 2))
+    lap = np.array([[5.0, -5.0], [-5.0, 5.0]])
+    inertia = np.array([1.0, 4.0])
     gep = solve_gep(lap, inertia)
     assert gep.eigenvalues[1] == pytest.approx(6.25, rel=1e-12)
     v = gep.eigenvectors[:, 1]
     assert v[1] / v[0] == pytest.approx(-0.25, rel=1e-10)
     result = gfv(gep)
-    assert result.gfv == pytest.approx([1.0, 0.25], rel=1e-10)
-    assert result.dynamic_connectivity == pytest.approx(6.25, rel=1e-12)
+    assert result.vector == pytest.approx([1.0, 0.25], rel=1e-10)
+    assert result.value == pytest.approx(6.25, rel=1e-12)
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_gep_residuals_on_fixtures(name):
     analysis = get_analysis(name)
     lap, gep = analysis.laplacian, analysis.gep
-    n_mat = np.diag(analysis.inertia.h)
-    norm_l = np.linalg.norm(lap.l, 2)
+    n_mat = np.diag(analysis.inertia)
+    norm_l = np.linalg.norm(lap, 2)
     for k in range(len(gep.eigenvalues)):
         v = gep.eigenvectors[:, k]
-        res = np.linalg.norm(lap.l @ v - gep.eigenvalues[k] * (n_mat @ v))
+        res = np.linalg.norm(lap @ v - gep.eigenvalues[k] * (n_mat @ v))
         assert res <= 1e-8 * norm_l
     assert np.all(gep.eigenvalues >= -1e-9 * gep.eigenvalues.max())
 
@@ -239,7 +238,7 @@ def test_standard_eigen_residuals(name):
     scale = max(decomp.eigenvalues.max(), 1e-30)
     for k in range(len(decomp.eigenvalues)):
         v = decomp.eigenvectors[:, k]
-        res = np.linalg.norm(lap.l @ v - decomp.eigenvalues[k] * v)
+        res = np.linalg.norm(lap @ v - decomp.eigenvalues[k] * v)
         assert res <= 1e-8 * scale
 
 
@@ -249,35 +248,31 @@ def test_homogeneity_collapse(name):
     # Fiedler analysis, with the spectrum scaled by 1/h.
     analysis = get_analysis(name)
     c = 2.5
-    uniform = NodalInertiaVector(
-        h=np.full(analysis.case.n_bus, c), bus_ids=analysis.laplacian.bus_ids
-    )
+    uniform = np.full(analysis.case.n_bus, c)
     gep = solve_gep(analysis.laplacian, uniform)
     result = gfv(gep)
-    assert np.max(np.abs(result.gfv - analysis.fiedler.vector)) <= 1e-9
-    assert result.dynamic_connectivity == pytest.approx(
-        analysis.fiedler.lambda2 / c, rel=1e-9
+    assert np.max(np.abs(result.vector - analysis.fiedler.vector)) <= 1e-9
+    assert result.value == pytest.approx(
+        analysis.fiedler.value / c, rel=1e-9
     )
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_gfv_scale_invariance(name):
     analysis = get_analysis(name)
-    scaled = NodalInertiaVector(
-        h=analysis.inertia.h * 7.0, bus_ids=analysis.inertia.bus_ids
-    )
+    scaled = analysis.inertia * 7.0
     gep = solve_gep(analysis.laplacian, scaled)
     result = gfv(gep)
-    assert np.allclose(result.gfv, analysis.gfv.gfv, atol=1e-9)
-    assert result.dynamic_connectivity == pytest.approx(
-        analysis.gfv.dynamic_connectivity / 7.0, rel=1e-9
+    assert np.allclose(result.vector, analysis.gfv.vector, atol=1e-9)
+    assert result.value == pytest.approx(
+        analysis.gfv.value / 7.0, rel=1e-9
     )
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_constant_vector_is_zero_mode(name):
     analysis = get_analysis(name)
-    lap = analysis.laplacian.l
+    lap = analysis.laplacian
     ones = np.ones(lap.shape[0])
     scale = max(np.abs(analysis.gep.eigenvalues).max(), 1e-30)
     assert np.linalg.norm(lap @ ones) <= 1e-9 * max(np.linalg.norm(lap, 2), 1.0)
@@ -286,14 +281,26 @@ def test_constant_vector_is_zero_mode(name):
 
 def test_gfv_max_is_exactly_one():
     for name in FIXTURE_NAMES:
-        vec = get_analysis(name).gfv.gfv
+        vec = get_analysis(name).gfv.vector
         assert vec.max() == 1.0
         assert np.all(vec >= 0.0) and np.all(vec <= 1.0)
 
 
+def test_nodal_inertia_names_the_buses_of_non_positive_inertia():
+    # Flipping two participation rows flips the sign of h at those buses.
+    analysis = get_analysis("case9")
+    flipped = analysis.participation.copy()
+    flipped[[2, 4]] *= -1.0
+    bad = [analysis.case.buses[2].id, analysis.case.buses[4].id]
+    message = rf"^non-positive nodal inertia at buses \[{bad[0]}, {bad[1]}\]$"
+    with pytest.raises(GridGfvError, match=message):
+        nodal_inertia(analysis.case, analysis.solution, analysis.emfs, flipped,
+                      analysis.aug)
+
+
 def test_gep_rejects_non_positive_inertia():
-    lap = LaplacianMatrix(l=np.array([[1.0, -1.0], [-1.0, 1.0]]), bus_ids=(1, 2))
-    bad = NodalInertiaVector(h=np.array([1.0, -2.0]), bus_ids=(1, 2))
+    lap = np.array([[1.0, -1.0], [-1.0, 1.0]])
+    bad = np.array([1.0, -2.0])
     with pytest.raises(Exception, match="non-positive"):
         solve_gep(lap, bad)
 
@@ -303,10 +310,10 @@ def test_degenerate_second_mode_is_flagged():
     w = np.zeros((4, 4))
     for i, j in ((0, 1), (1, 2), (2, 3), (3, 0)):
         w[i, j] = w[j, i] = 1.0
-    lap = LaplacianMatrix(l=np.diag(w.sum(axis=1)) - w, bus_ids=(1, 2, 3, 4))
+    lap = np.diag(w.sum(axis=1)) - w
     res = fiedler(eigendecompose(lap))
     assert res.degenerate
-    uniform = NodalInertiaVector(h=np.ones(4), bus_ids=(1, 2, 3, 4))
+    uniform = np.ones(4)
     assert gfv(solve_gep(lap, uniform)).degenerate
 
 
@@ -324,5 +331,5 @@ def _reference_case_path():
 )
 def test_reference_68_bus_gfv_ordering():
     analysis = analyze_case(load_case(_reference_case_path()))
-    at = dict(zip(analysis.gfv.bus_ids, analysis.gfv.gfv))
+    at = dict(zip(bus_ids(analysis.case), analysis.gfv.vector))
     assert at[53] < at[61] < at[51] < at[20]
