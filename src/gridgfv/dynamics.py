@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .case_model import bus_ids, bus_positions
 from .errors import GridGfvError, SimulationUnstableError
@@ -28,6 +27,12 @@ OMEGA_SYNC = 2.0 * math.pi * 60.0  # rad/s at 60 Hz nominal
 DEFAULT_DAMPING = 1.0
 # Steps per block of the time-blocked recurrence in _advance.
 _BLOCK = 64
+# Rows of _advance's gather table by input c (rows) and step i (columns) of
+# a block, m = _BLOCK: the s0-only row m + 2 + i for c = 0, lag i - c for
+# 0 < c <= i, and the zero row m + 1 for c > i.
+_LAGS = np.fromfunction(
+    lambda c, i: np.where(c == 0, _BLOCK + 2 + i, np.where(c <= i, i - c, _BLOCK + 1)),
+    (_BLOCK + 1, _BLOCK + 1), dtype=int)
 
 
 @dataclass(frozen=True)
@@ -109,7 +114,7 @@ def simulate_ou(params: OuParams, dt: float, n_steps: int, seed) -> np.ndarray:
     # x_{k+1} = rho x_k + sigma xi_k from x_0 = 0; the appended input sample
     # would only drive x_{n_steps + 1}.
     deviations = _advance(np.array([[rho]]), np.array([sigma]), np.zeros(1),
-                          np.append(xi, 0.0))
+                          np.append(xi, 0.0), slice(None))
     return params.mu + deviations[0]
 
 
@@ -157,15 +162,15 @@ def build_swing_model(
 
 def _resolve_node(model: SwingModel, injection_bus) -> int:
     """The row of l_red of an injection port: a bus id, ("bus", id), or
-    ("gen", k) for machine k's internal node."""
-    if isinstance(injection_bus, (int, np.integer)):
-        kind, index = "bus", int(injection_bus)
-    else:
-        kind, index = injection_bus[0], int(injection_bus[1])
-    if kind == "bus" and index in model.bus_ids:
-        return model.bus_ids.index(index)
-    if kind == "gen" and 0 <= index < len(model.m):
-        return len(model.bus_ids) + index
+    ("gen", k) for machine k's internal node.  Ids and k are integers; a
+    float or a bool is no port."""
+    port = injection_bus if isinstance(injection_bus, tuple) else ("bus", injection_bus)
+    kind, index = port if len(port) == 2 else (None, None)
+    if isinstance(index, (int, np.integer)) and not isinstance(index, bool):
+        if kind == "bus" and index in model.bus_ids:
+            return model.bus_ids.index(index)
+        if kind == "gen" and 0 <= index < len(model.m):
+            return len(model.bus_ids) + int(index)
     raise GridGfvError(f"unknown injection node {injection_bus!r}")
 
 
@@ -214,43 +219,60 @@ def _rk4_step_operators(a: np.ndarray, g: np.ndarray, dt: float):
     return r, b_start + 0.5 * b_mid, b_end + 0.5 * b_mid
 
 
-def _advance(r: np.ndarray, s0: np.ndarray, s1: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """States x_0 ... x_{N-1}, as columns, of x_{k+1} = R x_k + s0 u_k + s1 u_{k+1}
-    from x_0 = 0, for an input series u of N samples.
+def _advance(r: np.ndarray, s0: np.ndarray, s1: np.ndarray, u: np.ndarray,
+             rows: slice) -> np.ndarray:
+    """The rows `rows` of the states x_0 ... x_{N-1}, as columns, of
+    x_{k+1} = R x_k + s0 u_k + s1 u_{k+1} from x_0 = 0, for an input series u
+    of N samples.
 
     Blocked in time: with m = _BLOCK and k0 a multiple of m,
     x_{k0+i} = R^i x_{k0} + sum_c G[i, c] u_{k0+c} for i = 0 ... m.  One
-    matmul gives the forced part of every block, a loop of N/m steps carries
-    the block-start states, and one more matmul fills in every state.  The
+    matmul gives the forced part of the requested rows inside every block and
+    of every state at each block's end, a doubling prefix scan carries the
+    block-start states, and one more matmul fills in the requested rows.  The
     result is that of stepping the recurrence up to summation order.
     """
     n, m = len(s0), _BLOCK
     n_blocks = -(-len(u) // m)
-    # R^0 ... R^m stacked by rows, by doubling: each step is one matmul.
-    powers = np.eye(n)
-    while len(powers) <= m * n:
-        head = powers[: (m + 1) * n - len(powers)]
-        powers = np.concatenate([powers, head @ (powers[-n:] @ r)])
+    # By doubling (m is a power of two): the requested rows of R^0 ... R^(m-1)
+    # stacked by rows, the columns R^i s0 and R^i s1 interleaved, and
+    # power = R^m.
+    fill = np.eye(n)[rows]
+    k = len(fill)
+    vecs = np.stack([s0, s1], axis=1)
+    power = r
+    while len(fill) < m * k:
+        fill = np.concatenate([fill, fill @ power])
+        vecs = np.concatenate([vecs, power @ vecs], axis=1)
+        power = power @ power
     # G[i, c] = R^{i-1-c} s0 [c < i] + R^{i-c} s1 [0 < c <= i] depends on the
-    # lag i - c alone but in column 0, which lacks the s1 term: row i is a
-    # window of the reversed, zero-padded sequence over lags.
-    from_s0 = np.concatenate([np.zeros(n), powers[: m * n] @ s0]).reshape(m + 1, n)
-    by_lag = np.concatenate([(from_s0 + (powers @ s1).reshape(m + 1, n))[::-1],
-                             np.zeros((m, n))])
-    g = sliding_window_view(by_lag, m + 1, axis=0)[::-1].copy()  # (i, state, c)
-    g[:, :, 0] = from_s0
+    # lag i - c alone but in column 0, which lacks the s1 term: _LAGS gathers
+    # it from the lag sequence, a zero row and the s0 terms.
+    from_s0 = np.concatenate([np.zeros((1, n)), vecs[:, 0::2].T])
+    by_lag = from_s0 + np.concatenate([vecs[:, 1::2].T, (power @ s1)[None]])
+    table = np.concatenate([by_lag, np.zeros((1, n)), from_s0])
+    g = np.concatenate([table[:, rows].take(_LAGS[:, :m], axis=0).reshape(m + 1, m * k),
+                        table.take(_LAGS[:, m], axis=0)], axis=1)
     # Input windows u_{k0} ... u_{k0+m}; the zeros past the end drive only
     # states past x_{N-1}.
-    padded = np.zeros(n_blocks * m + 1)
+    padded = np.zeros((n_blocks + 1) * m)
     padded[: len(u)] = u
-    windows = sliding_window_view(padded, m + 1)[::m]  # (block, c)
-    forced = (windows @ g.reshape(-1, m + 1).T).reshape(n_blocks, m + 1, n)
+    blocks = padded.reshape(n_blocks + 1, m)
+    forced = np.concatenate([blocks[:-1], blocks[1:, :1]], axis=1) @ g
+    # Block starts s_0 = 0, s_{b+1} = R^m s_b + (forced end of block b).
+    # After the pass at distance d, starts[b] holds the ends of the up to 2d
+    # blocks before b, each carried to b.  starts[0] = 0 is never read, so an
+    # overflowing power cannot turn it into NaN.
     starts = np.zeros((n_blocks, n))
-    carry = powers[m * n :].T
-    for b in range(n_blocks - 1):
-        starts[b + 1] = starts[b] @ carry + forced[b, m]
-    states = (starts @ powers[: m * n].T).reshape(n_blocks, m, n) + forced[:, :m]
-    return states.reshape(-1, n)[: len(u)].T
+    starts[1:] = forced[:-1, m * k :]
+    d = 1
+    while d < n_blocks - 1:
+        starts[d + 1 :] += starts[1 : n_blocks - d] @ power.T
+        d *= 2
+        if d < n_blocks - 1:
+            power = power @ power
+    states = starts @ fill.T + forced[:, : m * k]
+    return states.reshape(-1, k)[: len(u)].T
 
 
 def simulate(model: SwingModel, injection_bus, dp: np.ndarray, dt: float) -> Trajectory:
@@ -265,6 +287,8 @@ def simulate(model: SwingModel, injection_bus, dp: np.ndarray, dt: float) -> Tra
     dp = np.asarray(dp, dtype=float)
     if dp.ndim != 1 or len(dp) < 1:
         raise ValueError("dp must be a non-empty 1-d series")
+    if not np.all(np.isfinite(dp)):
+        raise ValueError("dp must be finite")
     l_red, w = _injection_reduction(model, _resolve_node(model, injection_bus))
     ng = len(model.m)
     a = np.zeros((2 * ng, 2 * ng))
@@ -277,7 +301,7 @@ def simulate(model: SwingModel, injection_bus, dp: np.ndarray, dt: float) -> Tra
     r, s0, s1 = _rk4_step_operators(a, g, dt)
     n_t = len(dp)
     with np.errstate(over="ignore", invalid="ignore"):
-        omega = _advance(r, s0, s1, dp)[ng:]
+        omega = _advance(r, s0, s1, dp, slice(ng, None))
 
     if not np.all(np.isfinite(omega)):
         bad = np.nonzero(~np.isfinite(omega).all(axis=0))[0][0]

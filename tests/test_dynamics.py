@@ -27,6 +27,7 @@ from gridgfv.case_model import bus_ids
 from gridgfv.dynamics import (
     OMEGA_SYNC,
     _BLOCK,
+    _advance,
     _injection_reduction,
     _resolve_node,
     _rk4_step_operators,
@@ -325,13 +326,25 @@ def test_injection_ports_resolve_to_their_rows():
         assert _resolve_node(model, ("gen", k)) == case.n_bus + k
 
 
-@pytest.mark.parametrize("port", [99, ("bus", 99), ("gen", 3), ("gen", -1), ("node", 1)])
+@pytest.mark.parametrize("port", [99, ("bus", 99), ("gen", 3), ("gen", -1), ("node", 1),
+                                  ("gen", 1.7), ("bus", 2.9), 3.0, True])
 def test_simulate_rejects_an_unknown_injection_port(port):
     # case9 has buses 1-9 and three machines; a negative machine index must
     # not wrap around to the last machine.
     model = build_swing_model(get_analysis("case9"))
     with pytest.raises(GridGfvError, match="unknown injection node"):
         simulate(model, port, np.zeros(10), 0.01)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_simulate_rejects_a_non_finite_dp(bad):
+    # Not an unstable model: the block kernel would spread NaN * 0 over the
+    # whole block and report a non-finite state at t = 0.
+    model = build_swing_model(get_analysis("case9"))
+    dp = np.zeros(100)
+    dp[50] = bad
+    with pytest.raises(ValueError, match="dp must be finite"):
+        simulate(model, 5, dp, 0.01)
 
 
 def test_simulate_unstable_step_reports_time():
@@ -392,6 +405,64 @@ def test_blocked_integration_at_block_edges(n_t):
     assert traj.coi_freq.shape == (n_t,)
     scale = max(np.abs(reference).max(), np.finfo(float).tiny)
     assert np.max(np.abs(traj.gen_freq - reference)) <= 1e-10 * scale
+
+
+@pytest.mark.parametrize("n_t", [_BLOCK * b + extra for b in (2, 3, 4, 5, 8, 9, 16, 17, 33, 65)
+                                 for extra in (0, 1)])
+def test_blocked_integration_at_every_scan_level(n_t):
+    # The block starts are carried by a doubling scan: block counts at and
+    # just past each power of two reach every level and its edges.
+    model = build_swing_model(get_analysis("case9"))
+    dp = _wind_dp(n_t - 1, 5)
+    traj = simulate(model, 5, dp, 0.01)
+    reference = _stepped_gen_freq(model, 5, dp, 0.01)
+    assert traj.gen_freq.shape == (3, n_t)
+    scale = np.abs(reference).max()
+    assert np.max(np.abs(traj.gen_freq - reference)) <= 1e-10 * scale
+
+
+def _random_swing_operators(ng, seed, dt=0.01):
+    """RK4 operators of a random stable, connected swing model of ng machines."""
+    rng = np.random.default_rng(seed)
+    w = np.triu(rng.uniform(0.5, 2.0, (ng, ng)), 1)
+    w = w + w.T
+    lap = np.diag(w.sum(axis=1)) - w + np.diag(rng.uniform(0.1, 1.0, ng))
+    m = rng.uniform(4.0, 10.0, ng)
+    a = np.zeros((2 * ng, 2 * ng))
+    a[:ng, ng:] = OMEGA_SYNC * np.eye(ng)
+    a[ng:, :ng] = -lap / m[:, None]
+    a[ng:, ng:] = np.diag(-rng.uniform(0.5, 2.0, ng) / m)
+    g = np.zeros(2 * ng)
+    g[ng:] = rng.uniform(0.0, 1.0, ng) / m
+    return _rk4_step_operators(a, g, dt)
+
+
+@pytest.mark.parametrize("rows", [slice(20, None), slice(0, 20), slice(7, 8), slice(0, 1)])
+def test_advance_rows_are_rows_of_the_whole_state(rows):
+    r, s0, s1 = _random_swing_operators(20, 4)
+    u = np.random.default_rng(8).standard_normal(9 * _BLOCK + 17)
+    whole = _advance(r, s0, s1, u, slice(None))
+    part = _advance(r, s0, s1, u, rows)
+    assert whole.shape == (40, len(u))
+    assert part.shape == whole[rows].shape
+    scale = np.abs(whole[rows]).max()
+    assert np.max(np.abs(part - whole[rows])) <= 1e-13 * scale
+    # Held against the recurrence stepped one sample at a time.
+    x = np.zeros(40)
+    stepped = np.zeros((40, len(u)))
+    for k in range(len(u) - 1):
+        x = r @ x + s0 * u[k] + s1 * u[k + 1]
+        stepped[:, k + 1] = x
+    assert np.max(np.abs(whole - stepped)) <= 1e-10 * np.abs(stepped).max()
+
+
+def test_blocked_zero_input_is_exactly_zero_at_seventy_blocks():
+    case = get_case("case9")
+    model = build_swing_model(get_analysis("case9"))
+    for node in [bus.id for bus in case.buses] + [("gen", 2)]:
+        traj = simulate(model, node, np.zeros(70 * _BLOCK + 3), 0.01)
+        assert np.all(traj.gen_freq == 0.0)
+        assert np.all(traj.bus_freq == 0.0)
 
 
 def test_blocked_zero_input_is_exactly_zero_at_every_port():
