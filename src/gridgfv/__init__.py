@@ -36,6 +36,7 @@ from .errors import (
     ConvergenceError,
     DisconnectedNetworkError,
     GridGfvError,
+    NumericalError,
     SimulationUnstableError,
     SingularMatrixError,
     StabilityRegionError,

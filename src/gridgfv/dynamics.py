@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .case_model import bus_ids, bus_positions
-from .errors import GridGfvError, SimulationUnstableError
+from .errors import GridGfvError, NumericalError, SimulationUnstableError
 from .pipeline import OperatingPoint
 from .reduction import kron_reduce
 
@@ -298,12 +298,20 @@ def simulate(model: SwingModel, injection_bus, dp: np.ndarray, dt: float) -> Tra
     g = np.zeros(2 * ng)
     g[ng:] = w / model.m
 
-    r, s0, s1 = _rk4_step_operators(a, g, dt)
     n_t = len(dp)
     with np.errstate(over="ignore", invalid="ignore"):
+        r, s0, s1 = _rk4_step_operators(a, g, dt)
         omega = _advance(r, s0, s1, dp, slice(ng, None))
 
     if not np.all(np.isfinite(omega)):
+        # The rigid-body mode puts an eigenvalue of R at 1, computed to within
+        # about 1e-12; 1e-8 above 1 grows the states by 1% in 1e6 steps.  An
+        # R that overflowed itself comes from a step far outside the region.
+        if np.all(np.isfinite(r)) and np.max(np.abs(np.linalg.eigvals(r))) <= 1.0 + 1e-8:
+            raise NumericalError(
+                "non-finite state; the input drives the states past the float "
+                "range (the linear model is stable at this step size)"
+            )
         bad = np.nonzero(~np.isfinite(omega).all(axis=0))[0][0]
         raise SimulationUnstableError(
             f"non-finite state at t = {bad * dt:.4f} s; the linear model is "

@@ -156,6 +156,19 @@ def test_simulate_unknown_bus_is_one_line(capsys):
     assert captured.err == "error: unknown injection node 99\n"
 
 
+def test_simulate_overflow_of_a_stable_model_is_not_called_unstable(tmp_path, capsys):
+    # dt = 0.01 is well inside case9's stability region; a 1e306 pu turbine
+    # drives the states past the float range, which the same run at
+    # --t 5 (states near 1e299) does not reach.
+    argv = ["simulate", CASE9, "--bus", "5", "--rated-power", "1e306", "--ou-b", "1",
+            "--out", str(tmp_path / "traj.csv")]
+    assert main(argv + ["--t", "5"]) == 0
+    assert main(argv + ["--t", "50"]) == 3
+    err = capsys.readouterr().err
+    assert err == ("numerical failure: non-finite state; the input drives the states "
+                   "past the float range (the linear model is stable at this step size)\n")
+
+
 def test_json_mirror(tmp_path):
     out = tmp_path / "gfv.csv"
     assert main(["gfv", CASE9, "--out", str(out), "--json"]) == 0
@@ -745,13 +758,20 @@ def test_placement_study_script_failure_is_one_line(extra, code, message):
     assert done.stderr.startswith(message) and len(done.stderr.splitlines()) == 1
 
 
-def test_cli_import_leaves_scipy_signal_out():
-    # scipy.signal drags in scipy.stats and scipy.interpolate: most of a
-    # command's start-up time when it was imported.
+def test_no_scipy_module_is_loaded_by_import_gfv_or_mc(tmp_path):
+    # import scipy.linalg alone was about half of every command's start-up
+    # time; the package imports numpy only.
+    script = (
+        "import sys, gridgfv.cli\n"
+        f"assert gridgfv.cli.main(['gfv', {CASE9!r}, '--out', {str(tmp_path / 'g.csv')!r}]) == 0\n"
+        f"assert gridgfv.cli.main(['mc', {CASE9!r}, '--buses', '5', '--n', '2', '--t', '1',"
+        f" '--out-dir', {str(tmp_path / 'mc')!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
     done = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, gridgfv.cli; print('scipy.signal' in sys.modules)"],
-        env={**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")},
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src"),
+             "GRID_GFV_THREADS": "1"},
         capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "[]"

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 
 from gridgfv import (
     GridGfvError,
+    NumericalError,
     OuParams,
     SimulationUnstableError,
     StabilityRegionError,
@@ -352,6 +354,26 @@ def test_simulate_unstable_step_reports_time():
     with pytest.raises(SimulationUnstableError) as err:
         simulate(model, 1, np.full(4000, 0.1), 1.0)
     assert err.value.first_time is not None
+
+
+def test_simulate_overflow_of_a_stable_model_is_not_an_instability():
+    # dt = 0.01 is well inside case9's stability region: a constant 1e306 pu
+    # step makes the angles grow linearly until they leave the float range.
+    model = build_swing_model(get_analysis("case9"))
+    with pytest.raises(NumericalError, match="past the float range") as err:
+        simulate(model, 5, np.full(5000, 1e306), 0.01)
+    assert not isinstance(err.value, SimulationUnstableError)
+
+
+def test_simulate_step_operator_overflow_is_an_instability():
+    # A damping of 1e100 makes dt * A so large that R = I + dt A + ... +
+    # (dt A)^4 / 24 itself overflows; the failure is an error, not a warning.
+    model = build_swing_model(get_analysis("case9"))
+    model = replace(model, damp=np.full(len(model.m), 1e100))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SimulationUnstableError, match="unstable at this step size"):
+            simulate(model, 5, np.full(10, 0.1), 0.01)
 
 
 def _stepped_gen_freq(model, injection_bus, dp, dt):

@@ -10,13 +10,17 @@ from hypothesis import strategies as st
 
 from gridgfv import (
     SingularMatrixError,
+    analyze_case,
     augment_internal_nodes,
+    build_swing_model,
     build_ybus,
     frequency_participation,
     kron_reduce,
     parse_case,
 )
+from gridgfv import reduction
 from gridgfv.case_model import bus_positions
+from gridgfv.dynamics import _injection_reduction
 
 from conftest import FIXTURE_NAMES, get_analysis, get_case
 
@@ -255,3 +259,90 @@ def test_island_blocks_are_rejected_without_warnings(tie):
             kron_reduce(y, [0, 1, 4])
         with pytest.raises(SingularMatrixError, match="B_ext"):
             frequency_participation(y, 4)
+
+
+def _assert_solves(x, a, b):
+    # x comes from one solve against [b | probes]: its columns must match a
+    # solve against b alone.
+    ref = np.linalg.solve(a, b)
+    np.testing.assert_allclose(x, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+
+
+def _gecon_rcond(a):
+    # LAPACK's 1-norm reciprocal condition estimate, the check _solve made
+    # before it moved to numpy.
+    from scipy.linalg.lapack import get_lapack_funcs
+
+    getrf, gecon = get_lapack_funcs(("getrf", "gecon"), (a,))
+    lu, _, info = getrf(a)
+    return 0.0 if info else gecon(lu, np.linalg.norm(a, 1), norm="1")[0]
+
+
+def _program_blocks(monkeypatch):
+    # Every (a, b, message) _solve factors for the bundled cases: B_ext, the
+    # per-bus nodal inertia reductions and the injection reduction at every
+    # bus.
+    blocks = []
+    solve = reduction._solve
+
+    def spy(a, b, message):
+        blocks.append((a.copy(), b.copy(), message))
+        return solve(a, b, message)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(reduction, "_solve", spy)
+        for name in FIXTURE_NAMES:
+            model = build_swing_model(analyze_case(get_case(name)))
+            for row in range(len(model.bus_ids)):
+                _injection_reduction(model, row)
+    return blocks
+
+
+def test_program_blocks_pass_the_condition_check_without_the_exact_fallback(monkeypatch):
+    blocks = _program_blocks(monkeypatch)
+    conds = [np.linalg.cond(a, 1) for a, _, _ in blocks]
+    # One B_ext per case, and one inertia and one injection reduction per bus.
+    assert len(blocks) == sum(1 + 2 * get_case(name).n_bus for name in FIXTURE_NAMES)
+    assert max(conds) < 1e4
+    assert all(_gecon_rcond(a) > 1.0 / reduction._COND_LIMIT for a, _, _ in blocks)
+
+    def no_inverse(a):
+        raise AssertionError("the exact condition number was computed")
+
+    monkeypatch.setattr(np.linalg, "inv", no_inverse)
+    for a, b, message in blocks:
+        _assert_solves(reduction._solve(a, b, message), a, b)
+
+
+def _haar(rng, n, complex_):
+    z = rng.standard_normal((n, n))
+    if complex_:
+        z = z + 1j * rng.standard_normal((n, n))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("n", [2, 3, 4, 9, 30, 120, 220])
+def test_condition_check_rejects_whatever_gecon_puts_past_the_limit(n, complex_):
+    # U diag(s) V^H with 2-norm condition number kappa in [1e9, 1e15] (the
+    # 1-norm one is within a factor n of it), graded singular values or one
+    # small one, at scales 1e-3 ... 1e3.  The probe bound is at most a few
+    # hundred below the exact value here, well inside the 1e4 margin, so
+    # exactly the matrices whose exact 1-norm condition number passes the
+    # limit are rejected; LAPACK's estimate, a lower bound too, may fall
+    # short of it.
+    rng = np.random.default_rng([n, int(complex_)])
+    for graded in (True, False) * 6:
+        kappa = 10 ** rng.uniform(9, 15)
+        s = np.geomspace(1.0, 1.0 / kappa, n) if graded else np.r_[np.ones(n - 1), 1 / kappa]
+        a = (_haar(rng, n, complex_) * s) @ _haar(rng, n, complex_).conj().T
+        a *= 10 ** rng.uniform(-3, 3)
+        b = rng.standard_normal((n, 2)).astype(a.dtype)
+        past_limit = np.linalg.cond(a, 1) > reduction._COND_LIMIT
+        if past_limit or _gecon_rcond(a) < 1.0 / reduction._COND_LIMIT:
+            assert past_limit
+            with pytest.raises(SingularMatrixError, match="msg"):
+                reduction._solve(a, b, "msg")
+        else:
+            _assert_solves(reduction._solve(a, b, "msg"), a, b)
