@@ -26,7 +26,6 @@ from .dynamics import (
     Trajectory,
     TurbineParams,
     build_swing_model,
-    closed_form_response,
     simulate,
     simulate_ou,
     wind_to_power,

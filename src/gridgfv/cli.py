@@ -240,6 +240,20 @@ def _cmd_mc(args, run: RunConfig) -> int:
     return 0
 
 
+def _ranks(values) -> np.ndarray:
+    """The 1-based rank of each of values; tied values share their mean rank."""
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
+
+
+def _spearman(x, y) -> str:
+    """Spearman's rank correlation of x and y as a float's repr, or
+    "undefined" when a side has fewer than two distinct values."""
+    if min(len(set(x)), len(set(y))) < 2:
+        return "undefined"
+    return repr(float(np.corrcoef(_ranks(x), _ranks(y))[0, 1]))
+
+
 def _cmd_report(args, run: RunConfig) -> int:
     summary_path = Path(args.out_dir) / "summary.csv"
     needed = ["bus_id", "gfv", "median_ifd", "ifd_iqr", "coi_std", "poi_std"]
@@ -257,7 +271,8 @@ def _cmd_report(args, run: RunConfig) -> int:
             raise ValueError("a value is not a finite number")
     except ValueError as exc:  # also a file that is not UTF-8
         raise CaseError(f"{summary_path}: {exc}") from None
-    _emit(args, needed, out_rows)
+    rho = _spearman([row[1] for row in out_rows], [row[2] for row in out_rows])
+    _emit(args, needed, out_rows, comment=f"spearman_gfv_median_ifd={rho}")
     return 0
 
 

@@ -22,8 +22,6 @@ def format_cell(value) -> str:
         if not math.isfinite(value):
             raise UnusableResultError(f"non-finite value {value!r} in CSV output")
         return repr(value)
-    if isinstance(value, int):
-        return str(value)
     return str(value)
 
 

@@ -16,7 +16,6 @@ from gridgfv import (
     OuParams,
     RunConfig,
     analyze_case,
-    closed_form_response,
     gfv,
     load_case,
     operating_point,
@@ -31,6 +30,7 @@ from gridgfv.case_model import bus_ids
 from gridgfv.dynamics import OMEGA_SYNC, TurbineParams, build_swing_model
 from gridgfv.reduction import kron_reduce
 
+from closed_form import closed_form_response
 from conftest import (
     FIXTURE_NAMES,
     fixture_path,

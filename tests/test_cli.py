@@ -12,15 +12,16 @@ import sys
 import warnings
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import spearmanr
 
-from gridgfv import cli, montecarlo, powerflow
+from gridgfv import OuParams, TurbineParams, cli, montecarlo, powerflow
 from gridgfv.cli import main
 from gridgfv.csvio import format_cell, read_table, write_table
 
@@ -28,6 +29,7 @@ from conftest import FIXTURE_NAMES, fixture_path
 
 CASE9 = str(fixture_path("case9"))
 STUDY = str(fixture_path("case7_study"))
+STUDY_RUN = str(fixture_path("case7_study_run"))
 
 
 def test_validate_clean_case_exits_zero(capsys):
@@ -577,31 +579,34 @@ def test_any_run_parameter_vector_ends_in_a_documented_exit(tmp_path_factory, ve
                                                                      caught)
 
 
-@pytest.mark.parametrize("argv, message", [
-    (["simulate", STUDY, "--bus", "3", "--t", "0.05", "--dt", "0.01", "--bins=3"],
+@pytest.mark.parametrize("argv, code, message", [
+    (["simulate", STUDY, "--bus", "3", "--t", "0.05", "--dt", "0.01", "--bins=3"], 1,
      "grid-gfv: unrecognized arguments: --bins=3\n"),
-    (["mc", STUDY, "--n", "1", "--t", "0.05", "--out-dir", "{tmp}"],
+    (["mc", STUDY, "--n", "1", "--t", "0.05", "--out-dir", "{tmp}"], 1,
      "grid-gfv mc: the following arguments are required: --buses\n"),
-    (["mc", STUDY, "--buses", "3", "--n", "x", "--out-dir", "{tmp}"],
+    (["mc", STUDY, "--buses", "3", "--n", "x", "--out-dir", "{tmp}"], 1,
      "grid-gfv mc: argument --n: invalid int value: 'x'\n"),
-    (["frobnicate"], "grid-gfv: argument command: invalid choice: 'frobnicate' "
+    (["frobnicate"], 1, "grid-gfv: argument command: invalid choice: 'frobnicate' "
      "(choose from 'validate', 'pf', 'laplacian', 'dmatrix', 'inertia', 'gfv', "
      "'simulate', 'mc', 'report')\n"),
-    ([], "grid-gfv: the following arguments are required: command\n"),
+    ([], 1, "grid-gfv: the following arguments are required: command\n"),
     # A prefix of a flag is not that flag.
-    (["gfv", CASE9, "--to", "1e-3"], "grid-gfv: unrecognized arguments: --to 1e-3\n"),
-    (["mc", STUDY, "--buses", "3", "--out-dir", "{tmp}", "--out", "D"],
+    (["gfv", CASE9, "--to", "1e-3"], 1, "grid-gfv: unrecognized arguments: --to 1e-3\n"),
+    (["mc", STUDY, "--buses", "3", "--out-dir", "{tmp}", "--out", "D"], 1,
      "grid-gfv: unrecognized arguments: --out D\n"),
-    (["mc", STUDY, "--buses", "3", "--out-dir", "{tmp}", "--bus", "3"],
+    (["mc", STUDY, "--buses", "3", "--out-dir", "{tmp}", "--bus", "3"], 1,
      "grid-gfv: unrecognized arguments: --bus 3\n"),
     # A newline in an argument or a path is written escaped.
-    (["pf", CASE9, "--x\ny"], "grid-gfv: unrecognized arguments: --x\\ny\n"),
-    (["validate", "no\nsuch.json"], "file not found: no\\nsuch.json\n"),
+    (["pf", CASE9, "--x\ny"], 1, "grid-gfv: unrecognized arguments: --x\\ny\n"),
+    (["validate", "no\nsuch.json"], 1, "file not found: no\\nsuch.json\n"),
+    # A bus the case does not have is a data error.
+    (["mc", STUDY, "--buses", "99", "--n", "1", "--t", "0.05", "--out-dir", "{tmp}"], 2,
+     "error: placement buses not in case: [99]\n"),
 ], ids=["foreign-flag", "missing-buses", "bad-int", "unknown-command", "no-command",
         "flag-prefix", "mc-out-prefix", "mc-bus-prefix", "newline-in-argument",
-        "newline-in-path"])
-def test_argument_error_is_one_line(tmp_path, capsys, argv, message):
-    assert main([arg.format(tmp=tmp_path) for arg in argv]) == 1
+        "newline-in-path", "mc-unknown-bus"])
+def test_argument_error_is_one_line(tmp_path, capsys, argv, code, message):
+    assert main([arg.format(tmp=tmp_path) for arg in argv]) == code
     assert capsys.readouterr().err == message
 
 
@@ -730,42 +735,69 @@ def test_mc_tolerances_reach_every_power_flow(tmp_path, capsys, monkeypatch):
     assert seen == [(1e-3, 7), (1e-3, 7)]
 
 
-def test_placement_study_script_writes_one_ranking_row_per_bus(tmp_path):
-    script = Path(__file__).parents[1] / "scripts" / "placement_study.py"
-    out_dir = tmp_path / "study"
-    done = subprocess.run(
-        [sys.executable, str(script), STUDY, "--buses", "3,5", "--n", "2", "--t", "0.5",
-         "--out-dir", str(out_dir)],
-        env={**os.environ, "GRID_GFV_THREADS": "1"}, capture_output=True, text=True)
-    assert done.returncode == 0, done.stderr
-    header, rows = read_table(out_dir / "ranking.csv")
-    assert header[0] == "bus_id"
-    assert sorted(int(row[0]) for row in rows) == [3, 5]
+def _spearman_comment(path) -> str:
+    """The value of the spearman_gfv_median_ifd comment on report output path."""
+    first = Path(path).read_text(encoding="utf-8").splitlines()[0]
+    assert first.startswith("# spearman_gfv_median_ifd="), first
+    return first.split("=", 1)[1]
 
 
-@pytest.mark.parametrize("extra, code, message", [
-    (["--buses", "99"], 2, "error: placement buses not in case: [99]"),
-    (["--buses", "3", "--t", "400", "--dt", "1.0"], 3, "numerical failure: placement bus 3"),
-    (["--buses", "3", "--ou-alpha", "0"], 1, "placement_study: alpha must be positive"),
-    (["--buses", "3", "--out-dir", STUDY], 1, f"{STUDY}: File exists"),
-], ids=["unknown-bus", "unstable-step", "bad-run-parameter", "out-dir-is-a-file"])
-def test_placement_study_script_failure_is_one_line(extra, code, message):
-    script = Path(__file__).parents[1] / "scripts" / "placement_study.py"
-    done = subprocess.run(
-        [sys.executable, str(script), STUDY, "--n", "1", "--t", "0.5"] + extra,
-        env={**os.environ, "GRID_GFV_THREADS": "1"}, capture_output=True, text=True)
-    assert done.returncode == code
-    assert done.stderr.startswith(message) and len(done.stderr.splitlines()) == 1
+def test_study_config_runs_the_placement_study(tmp_path, monkeypatch):
+    # The placement study is mc with the committed run parameters, then report.
+    monkeypatch.setenv("GRID_GFV_THREADS", "1")
+    out_dir, ranking = tmp_path / "study", tmp_path / "ranking.csv"
+    assert main(["mc", STUDY, "--config", STUDY_RUN, "--n", "2", "--t", "0.5",
+                 "--buses", "7,3,5,4", "--out-dir", str(out_dir)]) == 0
+    assert main(["report", str(out_dir), "--out", str(ranking)]) == 0
+    header, rows = read_table(ranking)
+    assert header == ["bus_id", "gfv", "median_ifd", "ifd_iqr", "coi_std", "poi_std"]
+    assert [int(row[0]) for row in rows] == [3, 4, 5, 7]
+    rho = spearmanr([float(row[1]) for row in rows], [float(row[2]) for row in rows])
+    assert float(_spearman_comment(ranking)) == pytest.approx(rho.statistic, abs=1e-12)
+
+
+@pytest.mark.parametrize("rows", [
+    [(3, 0.1, 2.0), (4, 0.1, 1.0), (5, 0.3, 1.0), (7, 0.5, 3.0)],
+    [(3, 0.4, 2.0), (4, 0.1, 2.0), (5, 0.3, 5.0), (7, 0.1, 2.0), (9, 0.2, -1.0)],
+    [(3, 0.1, 2.0)],
+    [(3, 0.1, 2.0), (4, 0.1, 1.0), (5, 0.1, 3.0)],
+    [(3, 0.1, 2.0), (4, 0.2, 2.0)],
+], ids=["ties", "ties-both", "one-row", "constant-gfv", "constant-median"])
+def test_report_spearman_matches_scipy(tmp_path, rows):
+    # Average ranks for ties; undefined where scipy's coefficient is nan.
+    lines = ["bus_id,gfv,median_ifd,ifd_iqr,coi_std,poi_std"]
+    lines += [f"{bus},{g!r},{m!r},1.0,1.0,1.0" for bus, g, m in rows]
+    (tmp_path / "summary.csv").write_text("\n".join(lines) + "\n")
+    ranking = tmp_path / "ranking.csv"
+    assert main(["report", str(tmp_path), "--out", str(ranking)]) == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # scipy warns on constant input
+        rho = spearmanr([g for _, g, _ in rows], [m for _, _, m in rows]).statistic
+    value = _spearman_comment(ranking)
+    if math.isnan(rho):
+        assert value == "undefined"
+    else:
+        assert float(value) == pytest.approx(rho, abs=1e-12)
+
+
+def test_study_config_is_the_acceptance_study():
+    expected = montecarlo.RunConfig(
+        n_realizations=200, horizon=50.0, dt=0.01,
+        ou=OuParams(mu=14.0, alpha=2.0, b=0.4427),
+        turbine=TurbineParams(rated_power=1.0, v_rated=15.0, v_ref=14.0), seed=2024)
+    assert asdict(cli._load_run_config(STUDY_RUN)) == asdict(expected)
 
 
 def test_no_scipy_module_is_loaded_by_import_gfv_or_mc(tmp_path):
     # import scipy.linalg alone was about half of every command's start-up
-    # time; the package imports numpy only.
+    # time; the package imports numpy only, report's rank correlation too.
     script = (
         "import sys, gridgfv.cli\n"
         f"assert gridgfv.cli.main(['gfv', {CASE9!r}, '--out', {str(tmp_path / 'g.csv')!r}]) == 0\n"
-        f"assert gridgfv.cli.main(['mc', {CASE9!r}, '--buses', '5', '--n', '2', '--t', '1',"
+        f"assert gridgfv.cli.main(['mc', {CASE9!r}, '--buses', '5,7', '--n', '2', '--t', '1',"
         f" '--out-dir', {str(tmp_path / 'mc')!r}]) == 0\n"
+        f"assert gridgfv.cli.main(['report', {str(tmp_path / 'mc')!r},"
+        f" '--out', {str(tmp_path / 'r.csv')!r}]) == 0\n"
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
     )
     done = subprocess.run(

@@ -16,7 +16,6 @@ from gridgfv import (
     StabilityRegionError,
     TurbineParams,
     build_swing_model,
-    closed_form_response,
     operating_point,
     parse_case,
     simulate,
@@ -36,6 +35,7 @@ from gridgfv.dynamics import (
 )
 from gridgfv.reduction import kron_reduce
 
+from closed_form import closed_form_response
 from conftest import FIXTURE_NAMES, get_analysis, get_case
 
 
