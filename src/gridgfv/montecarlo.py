@@ -13,7 +13,10 @@ frequency; nothing adds the nominal value back onto the series.
 
 from __future__ import annotations
 
+import errno
 import math
+import mmap
+import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -93,11 +96,11 @@ class BoxStats:
 
 @dataclass(frozen=True)
 class PlacementSamples:
-    """Raw per-bus collections, one entry per successful realization."""
+    """Raw per-bus collections, one entry (row) per successful realization."""
 
     ifd_values: tuple[float, ...]
-    coi: tuple[np.ndarray, ...]
-    poi: tuple[np.ndarray, ...]
+    coi: np.ndarray  # (n_ok, n_t)
+    poi: np.ndarray  # (n_ok, n_t)
     failures: tuple[str, ...]
 
 
@@ -127,8 +130,7 @@ def ifd(traj: Trajectory) -> float:
 
 
 def _histogram(samples: np.ndarray, bins: int) -> Histogram:
-    lo = float(samples.min())
-    hi = float(samples.max())
+    lo, hi = float(samples.min()), float(samples.max())
     if lo == hi:
         return Histogram(edges=np.array([lo, hi]), counts=np.array([samples.size]))
     counts, edges = np.histogram(samples, bins=bins, range=(lo, hi))
@@ -138,13 +140,8 @@ def _histogram(samples: np.ndarray, bins: int) -> Histogram:
 def _box_stats(values: np.ndarray) -> BoxStats:
     q1, median, q3 = (float(v) for v in np.percentile(values, [25.0, 50.0, 75.0]))
     iqr = q3 - q1
-    return BoxStats(
-        q1=q1,
-        median=median,
-        q3=q3,
-        whisker_low=max(q1 - 1.5 * iqr, float(values.min())),
-        whisker_high=min(q3 + 1.5 * iqr, float(values.max())),
-    )
+    return BoxStats(q1, median, q3, whisker_low=max(q1 - 1.5 * iqr, float(values.min())),
+                    whisker_high=min(q3 + 1.5 * iqr, float(values.max())))
 
 
 def summarize(samples: dict[int, PlacementSamples], bins: int = RunConfig.bins) -> McSummary:
@@ -164,8 +161,8 @@ def summarize(samples: dict[int, PlacementSamples], bins: int = RunConfig.bins) 
             first = f" ({group.failures[0]})" if group.failures else ""
             raise UnusableResultError(
                 f"placement bus {bus} has no successful realizations{first}")
-        coi_pool = np.concatenate(group.coi)
-        poi_pool = np.concatenate(group.poi)
+        coi_pool = group.coi.reshape(-1)
+        poi_pool = group.poi.reshape(-1)
         ifd_arr = np.asarray(group.ifd_values)
         placements[bus] = PlacementStats(
             coi_histogram=_histogram(coi_pool, bins),
@@ -184,28 +181,36 @@ def summarize(samples: dict[int, PlacementSamples], bins: int = RunConfig.bins) 
     )
 
 
-# ---------------------------------------------------------------------------
-# Realization execution (serial or process pool)
-# ---------------------------------------------------------------------------
-
-
 def _one_realization(cfg: RunConfig, model: SwingModel, rows: dict[int, int],
-                     realization: int) -> list:
+                     series: np.ndarray, realization: int) -> list:
     """One wind path replayed at every placement bus, rows mapping each to
-    its row of bus_freq: per bus, (ifd, coi, poi) or the failure message."""
+    its row of bus_freq: per bus, the IFD or the failure message.  The k-th
+    bus's COI and POI series go to series[k, :, realization]."""
     # The seed is shared across placement buses: common random numbers.
     wind = simulate_ou(cfg.ou, cfg.dt, cfg.n_steps, (cfg.seed, realization))
     dp = wind_to_power(wind, cfg.turbine)
     results = []
-    for bus, row in rows.items():
+    for k, (bus, row) in enumerate(rows.items()):
         try:
             traj = simulate(model, bus, dp, cfg.dt)
         except GridGfvError as exc:
             results.append(f"realization {realization}: {exc}")
             continue
-        # A copy, so the kept series does not hold all of bus_freq.
-        results.append((ifd(traj), traj.coi_freq, traj.bus_freq[row].copy()))
+        series[k, :, realization] = traj.coi_freq, traj.bus_freq[row]
+        results.append(ifd(traj))
     return results
+
+
+_realize = None  # in a forked pool worker, the run's realize, set by _attach
+
+
+def _attach(realize):
+    global _realize
+    _realize = realize
+
+
+def _attached(realization: int) -> list:
+    return _realize(realization)
 
 
 def resolve_workers(workers: int | None, n_tasks: int) -> int:
@@ -242,22 +247,33 @@ def run_monte_carlo(
     """
     rows = placement_rows(case, buses)
     op = operating_point(case, tol=cfg.tol, max_iter=cfg.max_iter)
-    realize = partial(_one_realization, cfg, build_swing_model(op, cfg.damping), rows)
+    model = build_swing_model(op, cfg.damping)
+    # The kept COI/POI series, zeroed, in an anonymous shared mapping that
+    # forked workers write into; it is unmapped with the last view of it.
+    shape = (len(rows), 2, cfg.n_realizations, cfg.n_steps + 1)
+    try:
+        series = np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape))).reshape(shape)
+    except (OSError, OverflowError) as exc:  # OverflowError: past any ssize_t
+        if getattr(exc, "errno", errno.ENOMEM) != errno.ENOMEM:
+            raise
+        raise MemoryError(f"Unable to map the COI/POI series of shape {shape}") from None
+    realize = partial(_one_realization, cfg, model, rows, series)
     n_workers = resolve_workers(workers, cfg.n_realizations)
-    if n_workers == 1:
+    if n_workers == 1 or "fork" not in multiprocessing.get_all_start_methods():
         results = [realize(r) for r in range(cfg.n_realizations)]
     else:
+        # Forked workers inherit realize, the series mapping with it, unpickled.
         chunk = max(1, cfg.n_realizations // (4 * n_workers))
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(realize, range(cfg.n_realizations), chunksize=chunk))
+        with ProcessPoolExecutor(n_workers, multiprocessing.get_context("fork"),
+                                 initializer=_attach, initargs=(realize,)) as pool:
+            results = list(pool.map(_attached, range(cfg.n_realizations), chunksize=chunk))
 
     collected = {}
-    for bus, per_bus in zip(rows, zip(*results)):
-        ok = [r for r in per_bus if not isinstance(r, str)]
+    for bus, kept, per_bus in zip(rows, series, zip(*results)):
+        ok = [not isinstance(r, str) for r in per_bus]
+        kept = kept if all(ok) else kept[:, ok]  # a view unless some failed
         collected[bus] = PlacementSamples(
-            ifd_values=tuple(r[0] for r in ok),
-            coi=tuple(r[1] for r in ok),
-            poi=tuple(r[2] for r in ok),
-            failures=tuple(r for r in per_bus if isinstance(r, str)),
-        )
+            ifd_values=tuple(r for r in per_bus if not isinstance(r, str)),
+            coi=kept[0], poi=kept[1],
+            failures=tuple(r for r in per_bus if isinstance(r, str)))
     return summarize(collected, bins=cfg.bins)

@@ -1,5 +1,9 @@
 """IFD metric, aggregation, and the Monte Carlo driver."""
 
+import pickle
+import weakref
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,8 +11,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from gridgfv import OuParams, RunConfig, ifd, montecarlo, run_monte_carlo, summarize
-from gridgfv.dynamics import Trajectory, TurbineParams
-from gridgfv.montecarlo import PlacementSamples, _histogram
+from gridgfv.dynamics import Trajectory, TurbineParams, build_swing_model
+from gridgfv.errors import SimulationUnstableError
+from gridgfv.montecarlo import PlacementSamples, _histogram, _one_realization
+from gridgfv.pipeline import operating_point
 
 from conftest import get_case
 
@@ -56,8 +62,8 @@ def test_ifd_matches_brute_force(bus_freq):
 def _samples(ifd_values, series):
     return PlacementSamples(
         ifd_values=tuple(ifd_values),
-        coi=tuple(series),
-        poi=tuple(series),
+        coi=np.array(series),
+        poi=np.array(series),
         failures=(),
     )
 
@@ -146,6 +152,75 @@ def test_worker_count_does_not_change_results():
             serial.placements[bus].poi_histogram.counts,
             pooled.placements[bus].poi_histogram.counts,
         )
+        assert_same_stats(serial.placements[bus], pooled.placements[bus])
+
+
+def assert_same_stats(a, b):
+    for hist in ("coi_histogram", "poi_histogram"):
+        assert np.array_equal(getattr(a, hist).edges, getattr(b, hist).edges)
+        assert np.array_equal(getattr(a, hist).counts, getattr(b, hist).counts)
+    assert np.array_equal(a.ifd_samples, b.ifd_samples)
+    assert (a.coi_std, a.poi_std, a.failures) == (b.coi_std, b.poi_std, b.failures)
+
+
+def test_partial_runs_agree_across_worker_counts(monkeypatch):
+    # The failing (realization, bus) pairs are picked from the wind data, not
+    # from call order, so forked workers, which inherit the patch, fail the
+    # same ones as the serial run.
+    simulate = montecarlo.simulate
+
+    def flaky(model, bus, dp, dt):
+        if dp[bus] > dp[0]:
+            raise SimulationUnstableError("non-finite state (injected)")
+        return simulate(model, bus, dp, dt)
+
+    monkeypatch.setattr(montecarlo, "simulate", flaky)
+    case = get_case("case7_study")
+    cfg = RunConfig(n_realizations=8, horizon=1.0, dt=0.01, seed=29)
+    serial = run_monte_carlo(case, (3, 7), cfg, workers=1)
+    pooled = run_monte_carlo(case, (3, 7), cfg, workers=2)
+    assert serial.partial and pooled.partial
+    assert serial.n_realizations == pooled.n_realizations == 8
+    failed = {bus: {f.split(":")[0] for f in serial.placements[bus].failures}
+              for bus in (3, 7)}
+    assert failed[3] != failed[7]  # some realization fails at one bus only
+    for bus in (3, 7):
+        a, b = serial.placements[bus], pooled.placements[bus]
+        assert 0 < len(a.failures) < 8
+        assert_same_stats(a, b)
+        n_ok = len(a.ifd_samples)
+        assert n_ok + len(a.failures) == 8
+        assert a.coi_histogram.counts.sum() == n_ok * (cfg.n_steps + 1)
+        assert a.poi_histogram.counts.sum() == n_ok * (cfg.n_steps + 1)
+
+
+def test_a_realization_returns_one_scalar_per_bus():
+    # What a pool worker sends back: an IFD or a failure message per bus; the
+    # series stay in the shared array.
+    cfg = RunConfig(horizon=50.0, dt=0.01, seed=3)
+    model = build_swing_model(operating_point(get_case("case7_study")), cfg.damping)
+    rows = montecarlo.placement_rows(get_case("case7_study"), (3, 4, 5, 7))
+    series = np.zeros((len(rows), 2, 1, cfg.n_steps + 1))
+    results = _one_realization(cfg, model, rows, series, 0)
+    assert [type(r) for r in results] == [float] * 4
+    assert len(pickle.dumps(results)) < 1024
+    assert np.all(series[:, :, 0, 1:] != 0.0)  # every series was written
+
+
+def test_the_series_mapping_is_released_before_the_run_returns(monkeypatch):
+    mappings = []
+    real = montecarlo.mmap.mmap
+
+    def recording_mmap(*args):
+        mappings.append(real(*args))
+        return mappings[-1]
+
+    monkeypatch.setattr(montecarlo, "mmap", SimpleNamespace(mmap=recording_mmap))
+    cfg = RunConfig(n_realizations=4, horizon=0.5, dt=0.01, seed=4)
+    for workers in (1, 2):
+        run_monte_carlo(get_case("case7_study"), (3, 5), cfg, workers=workers)
+        released = weakref.ref(mappings.pop())
+        assert released() is None
 
 
 def test_symmetric_placements_equivalent():
@@ -218,8 +293,8 @@ def test_summarize_rejects_empty_input():
 def test_recorded_failures_mark_summary_partial():
     group = PlacementSamples(
         ifd_values=(1.0, 2.0),
-        coi=(np.zeros(3), np.zeros(3)),
-        poi=(np.zeros(3), np.zeros(3)),
+        coi=np.zeros((2, 3)),
+        poi=np.zeros((2, 3)),
         failures=("realization 2: non-finite state",),
     )
     s = summarize({1: group}, bins=4)
