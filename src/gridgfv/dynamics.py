@@ -108,6 +108,8 @@ def simulate_ou(params: OuParams, dt: float, n_steps: int, seed) -> np.ndarray:
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
+    if n_steps > np.iinfo(np.intp).max:  # numpy would raise a ValueError
+        raise MemoryError(f"Unable to allocate an OU path of {n_steps} steps")
     rho = math.exp(-params.alpha * dt)
     sigma = params.b * math.sqrt((1.0 - rho * rho) / (2.0 * params.alpha))
     xi = np.random.default_rng(seed).standard_normal(n_steps)

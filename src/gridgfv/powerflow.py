@@ -64,9 +64,22 @@ def build_ybus(case: NetworkCase) -> np.ndarray:
     return y
 
 
-def _injections(vm, va, ybus):
-    v = vm * np.exp(1j * va)
-    return v * np.conj(ybus @ v)
+def _ds_dv(ybus, v, ibus, vm):
+    """dS/dtheta and dS/d|V| of the bus injections S = v conj(ybus v) at
+    v = vm exp(j theta), given the bus currents ibus = ybus v.
+
+    Element (r, c) of dS/dtheta is j v_r (conj(i_r) [r = c] - conj(Y_rc v_c)),
+    and of dS/d|V| it is v_r conj(Y_rc v_c / vm_c) + conj(i_r) v_r / vm_r
+    [r = c]: broadcast products and a diagonal, O(n^2).
+    """
+    vnorm = v / vm
+    diag = np.diag_indices_from(ybus)
+    ds_dva = -np.conj(ybus * v)
+    ds_dva[diag] += np.conj(ibus)
+    ds_dva *= 1j * v[:, None]
+    ds_dvm = v[:, None] * np.conj(ybus * vnorm)
+    ds_dvm[diag] += np.conj(ibus) * vnorm
+    return ds_dva, ds_dvm
 
 
 def _scheduled(case: NetworkCase):
@@ -113,7 +126,9 @@ def solve_powerflow(
 
     iterations = 0
     for iterations in range(max_iter + 1):
-        s = _injections(vm, va, ybus)
+        v = vm * np.exp(1j * va)
+        ibus = ybus @ v
+        s = v * np.conj(ibus)
         dp = p_sched[pvpq] - s.real[pvpq]
         dq = q_sched[pq] - s.imag[pq]
         mismatch = np.concatenate([dp, dq])
@@ -130,14 +145,7 @@ def solve_powerflow(
         if iterations == max_iter:
             break
 
-        v = vm * np.exp(1j * va)
-        ibus = ybus @ v
-        diag_v = np.diag(v)
-        diag_i = np.diag(ibus)
-        diag_vnorm = np.diag(v / vm)
-        ds_dva = 1j * diag_v @ np.conj(diag_i - ybus @ diag_v)
-        ds_dvm = diag_v @ np.conj(ybus @ diag_vnorm) + np.conj(diag_i) @ diag_vnorm
-
+        ds_dva, ds_dvm = _ds_dv(ybus, v, ibus, vm)
         j11 = ds_dva[np.ix_(pvpq, pvpq)].real
         j12 = ds_dvm[np.ix_(pvpq, pq)].real
         j21 = ds_dva[np.ix_(pq, pvpq)].imag

@@ -102,17 +102,20 @@ def kron_reduce(y: np.ndarray, keep: Sequence[int]) -> np.ndarray:
     block is nonsingular (complex admittance or real Laplacian alike).
     """
     n = y.shape[0]
-    kept = set(keep)
-    keep_idx = [i for i in range(n) if i in kept]
-    elim_idx = [i for i in range(n) if i not in kept]
-    if len(keep_idx) != len(kept):
+    kept = np.zeros(n, dtype=bool)
+    index = np.asarray(keep)
+    if index.size and not (index.dtype.kind in "iu"
+                           and index.min() >= 0 and index.max() < n):
         raise ValueError("keep contains indices outside the matrix")
-    if not elim_idx:
+    kept[index.astype(np.intp)] = True
+    k = int(kept.sum())
+    if k == n:
         return y.copy()
-    y_kk = y[np.ix_(keep_idx, keep_idx)]
-    y_ke = y[np.ix_(keep_idx, elim_idx)]
-    y_ek = y[np.ix_(elim_idx, keep_idx)]
-    y_ee = y[np.ix_(elim_idx, elim_idx)]
+    # Kept rows first, then the eliminated ones, each in ascending order.
+    order = np.concatenate([np.flatnonzero(kept), np.flatnonzero(~kept)])
+    p = y.take(order, axis=0).take(order, axis=1)
+    y_kk, y_ke = p[:k, :k], p[:k, k:]
+    y_ek, y_ee = p[k:, :k], p[k:, k:]
     return y_kk - y_ke @ _solve(
         y_ee, y_ek,
         "eliminated block is singular; the eliminated nodes contain an "

@@ -148,22 +148,22 @@ def nodal_inertia(
     which collapses to h = H for a single-machine system.  A bus whose h is
     not positive is an error: the pencil (L, diag(h)) needs h > 0.
     """
-    pos = bus_positions(case)
-    g_rows = list(range(case.n_bus, case.n_bus + case.n_gen))
+    n = case.n_bus
+    g_rows = list(range(n, n + case.n_gen))
+    # Row j: the susceptances from bus j to every internal node, bus j kept
+    # first in its reduction.
+    b = np.array([kron_reduce(aug, [j] + g_rows)[1:, 0].imag for j in range(n)])
+    terms = b * emfs.e_mag * np.cos(emfs.delta0 - sol.va[:, None])
     h_gen = np.array([g.h for g in case.generators])
-    h_out = np.zeros(case.n_bus)
-    for bus in case.buses:
-        j = pos[bus.id]
-        reduced = kron_reduce(aug, [j] + g_rows)
-        b_col = reduced[1:, 0].imag  # bus j kept first, then internal nodes
-        terms = b_col * emfs.e_mag * np.cos(emfs.delta0 - sol.va[j])
-        denom = float(np.sum(terms * participation[j, :] / h_gen))
-        if abs(denom) < 1e-12:
-            raise GridGfvError(
-                f"nodal inertia undefined at bus {bus.id}: denominator "
-                f"{denom:.3e} (participation/angle cancellation)"
-            )
-        h_out[j] = float(np.sum(terms)) / denom
+    denom = np.sum(terms * participation / h_gen, axis=1)
+    zero = np.abs(denom) < 1e-12
+    if zero.any():
+        j = int(np.argmax(zero))
+        raise GridGfvError(
+            f"nodal inertia undefined at bus {case.buses[j].id}: denominator "
+            f"{denom[j]:.3e} (participation/angle cancellation)"
+        )
+    h_out = np.sum(terms, axis=1) / denom
     if not _positive(h_out):
         bad = [case.buses[i].id for i in np.nonzero(~(h_out > 0))[0]]
         raise GridGfvError(f"non-positive nodal inertia at buses {bad}")

@@ -8,14 +8,16 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
+import importlib.util
 from functools import lru_cache
 from pathlib import Path
 
 import pytest
 
-from gridgfv import analyze_case, load_case
+from gridgfv import analyze_case, load_case, parse_case
 
-FIXTURES = Path(__file__).parents[1] / "fixtures"
+ROOT = Path(__file__).parents[1]
+FIXTURES = ROOT / "fixtures"
 
 # Every bundled case; several acceptance criteria quantify over all of them.
 FIXTURE_NAMES = [
@@ -33,8 +35,20 @@ def fixture_path(name: str) -> Path:
     return FIXTURES / f"{name}.json"
 
 
+# The benchmark's seeded 120-bus synthetic grid, for checks at a size that
+# no bundled case reaches.
+SYNTH120 = "synth120"
+
+
 @lru_cache(maxsize=None)
 def get_case(name: str):
+    """A bundled case by name, or SYNTH120 from perfbench/synthgrid.py."""
+    if name == SYNTH120:
+        spec = importlib.util.spec_from_file_location(
+            "synthgrid", ROOT / "perfbench" / "synthgrid.py")
+        synthgrid = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(synthgrid)
+        return parse_case(synthgrid.case_bytes(120, 0).decode())
     return load_case(fixture_path(name))
 
 

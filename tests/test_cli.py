@@ -330,17 +330,21 @@ def test_mc_damping_reaches_the_swing_model(tmp_path, monkeypatch):
     # More steps than fit in memory: numpy refuses the array at once.
     ["simulate", STUDY, "--bus", "3", "--t", "1e13", "--dt", "0.01"],
     ["mc", STUDY, "--buses", "3", "--n", "2", "--t", "1e13", "--dt", "0.01"],
+    # More steps than numpy's largest array dimension.
+    ["simulate", STUDY, "--bus", "3", "--t", "1e17", "--dt", "0.01"],
+    ["mc", STUDY, "--buses", "3", "--n", "2", "--t", "1e17", "--dt", "0.01"],
 ], ids=["simulate-dt-0", "mc-dt-0", "simulate-dt-nan", "mc-n-0", "mc-bins-0",
         "simulate-v-rated-0", "mc-t-negative", "mc-t-below-one-step",
         "simulate-t-inf", "simulate-seed-negative", "pf-max-iter-negative",
-        "pf-tol-nan", "simulate-t-beyond-memory", "mc-t-beyond-memory"])
+        "pf-tol-nan", "simulate-t-beyond-memory", "mc-t-beyond-memory",
+        "simulate-t-beyond-dimension", "mc-t-beyond-dimension"])
 def test_out_of_range_run_parameter_is_a_one_line_usage_error(tmp_path, capsys, argv):
     if argv[0] == "mc":
         argv = argv + ["--out-dir", str(tmp_path / "mc")]
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
-    if "1e13" in argv:  # more steps than fit in memory
+    if {"1e13", "1e17"} & set(argv):  # more steps than fit in memory
         assert err.startswith("out of memory: ")
 
 

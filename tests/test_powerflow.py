@@ -13,9 +13,11 @@ from gridgfv import (
     parse_case,
     solve_powerflow,
 )
+from gridgfv import powerflow
 from gridgfv.case_model import bus_positions
 
-from conftest import FIXTURE_NAMES, get_analysis, get_case
+from conftest import FIXTURE_NAMES, SYNTH120, get_analysis, get_case
+from references import dense_ds_dv
 
 
 def two_bus(b_ch=0.0):
@@ -128,6 +130,21 @@ def test_converged_solution_satisfies_balance(name):
             assert abs(s.real[i] - p_sched[i]) <= 1e-8
         if bus.kind == "pq":
             assert abs(s.imag[i] - q_sched[i]) <= 1e-8
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES + [SYNTH120])
+def test_power_derivatives_match_the_dense_formula(name):
+    # At a seeded non-flat point every term carries weight: the bus currents
+    # are far from zero and no voltage has unit magnitude.
+    case = get_case(name)
+    ybus = build_ybus(case)
+    rng = np.random.default_rng(7)
+    vm = rng.uniform(0.9, 1.1, case.n_bus)
+    va = rng.uniform(-0.5, 0.5, case.n_bus)
+    v = vm * np.exp(1j * va)
+    got = powerflow._ds_dv(ybus, v, ybus @ v, vm)
+    for fast, dense in zip(got, dense_ds_dv(ybus, vm, va)):
+        assert np.abs(fast - dense).max() <= 1e-13 * np.abs(dense).max()
 
 
 def test_nine_bus_converges_quickly():

@@ -23,6 +23,7 @@ from gridgfv.case_model import bus_positions
 from gridgfv.dynamics import _injection_reduction
 
 from conftest import FIXTURE_NAMES, get_analysis, get_case
+from references import four_block_kron
 
 
 def single_bus_single_gen(xd_p=0.25):
@@ -97,7 +98,35 @@ def test_augment_nine_bus_matches_naive():
 def test_kron_keep_all_is_identity():
     case = get_case("case9")
     y = build_ybus(case)
-    assert np.array_equal(kron_reduce(y, range(9)), y)
+    for keep in (range(9), [8, 0, 3, 1, 2, 4, 5, 6, 7, 0]):
+        red = kron_reduce(y, keep)
+        assert np.array_equal(red, y) and not np.shares_memory(red, y)
+
+
+@pytest.mark.parametrize("keep", [[-1], [0, -1], [9], [2, 9], [0.5]])
+def test_kron_rejects_indices_outside_the_matrix(keep):
+    # -1 would wrap to the last row under numpy indexing.
+    with pytest.raises(ValueError, match="outside the matrix"):
+        kron_reduce(build_ybus(get_case("case9")), keep)
+
+
+def test_kron_ignores_the_order_and_repeats_of_keep():
+    y = augment_internal_nodes(build_ybus(get_case("case9")), get_case("case9"))
+    red = kron_reduce(y, [2, 9, 10, 11])
+    assert np.array_equal(kron_reduce(y, [11, 2, 10, 9]), red)
+    assert np.array_equal(kron_reduce(y, [9, 2, 11, 2, 10, 9]), red)
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_kron_equals_the_four_block_formula_bit_for_bit(name):
+    # At the kept rows of nodal_inertia's per-bus reductions and of
+    # _injection_reduction's bus and internal-node ports.
+    analysis = get_analysis(name)
+    n = analysis.case.n_bus
+    g_rows = list(range(n, n + analysis.case.n_gen))
+    for y in (analysis.aug, build_swing_model(analysis).l_red):
+        for keep in [[j] + g_rows for j in range(n)] + [g_rows]:
+            assert np.array_equal(kron_reduce(y, keep), four_block_kron(y, keep))
 
 
 def test_kron_chain_series_combination():

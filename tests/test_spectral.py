@@ -30,7 +30,8 @@ from gridgfv import (
 from gridgfv.case_model import bus_ids, bus_positions
 from gridgfv.powerflow import PowerFlowSolution
 
-from conftest import FIXTURE_NAMES, fixture_path, get_analysis, get_case
+from conftest import FIXTURE_NAMES, SYNTH120, fixture_path, get_analysis, get_case
+from references import one_inverse_inertia, per_bus_inertia
 
 
 def flat_solution(case, vm=None, va=None):
@@ -295,6 +296,32 @@ def test_nodal_inertia_names_the_buses_of_non_positive_inertia():
     message = rf"^non-positive nodal inertia at buses \[{bad[0]}, {bad[1]}\]$"
     with pytest.raises(GridGfvError, match=message):
         nodal_inertia(analysis.case, analysis.solution, analysis.emfs, flipped,
+                      analysis.aug)
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES + [SYNTH120])
+def test_nodal_inertia_equals_the_per_bus_loop(name):
+    analysis = get_analysis(name)
+    assert np.array_equal(analysis.inertia, per_bus_inertia(analysis))
+
+
+@pytest.mark.parametrize("name", [name for name in FIXTURE_NAMES
+                                  if get_case(name).n_gen > 1] + [SYNTH120])
+def test_nodal_inertia_agrees_with_the_one_inverse_formula(name):
+    analysis = get_analysis(name)
+    np.testing.assert_allclose(analysis.inertia, one_inverse_inertia(analysis),
+                               rtol=1e-12, atol=0.0)
+
+
+def test_nodal_inertia_names_the_first_bus_of_zero_denominator():
+    # A zero participation row zeroes the denominator at that bus.
+    analysis = get_analysis("case9")
+    zeroed = analysis.participation.copy()
+    zeroed[[6, 3]] = 0.0
+    bus = analysis.case.buses[3].id
+    message = rf"^nodal inertia undefined at bus {bus}: denominator 0\.000e\+00 "
+    with pytest.raises(GridGfvError, match=message):
+        nodal_inertia(analysis.case, analysis.solution, analysis.emfs, zeroed,
                       analysis.aug)
 
 
