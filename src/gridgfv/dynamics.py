@@ -17,10 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .case_model import bus_ids, bus_positions
+from .case_model import bus_ids
 from .errors import GridGfvError, NumericalError, SimulationUnstableError
 from .pipeline import OperatingPoint
 from .reduction import kron_reduce
+from .spectral import build_laplacian
 
 OMEGA_SYNC = 2.0 * math.pi * 60.0  # rad/s at 60 Hz nominal
 # Damping (pu) of machines whose case entry gives none.
@@ -134,29 +135,19 @@ def build_swing_model(
     """Assemble the second-order model M dw/dt = dP - D w - L_red theta,
     d theta/dt = OMEGA_SYNC * w over generator internal nodes.
 
-    L_red is the operating point's bus Laplacian plus one edge per machine,
-    internal node to terminal t, of weight E_k |V_t| cos(d_k0 - t_t0) / xd_p.
+    L_red is the weighted Laplacian (spectral.build_laplacian) of the
+    augmented admittance at the bus voltages and the machine EMFs: the bus
+    Laplacian plus one edge per machine, internal node to terminal.
     Machines missing a damping value in the case file get default_damping.
     """
     case, sol, emfs = op.case, op.solution, op.emfs
-    n = case.n_bus
-    pos = bus_positions(case)
-    term = np.array([pos[g.bus] for g in case.generators], dtype=int)
-    gen = n + np.arange(case.n_gen)
-    b_machine = 1.0 / np.array([g.xd_p for g in case.generators])
-    w = emfs.e_mag * sol.vm[term] * b_machine * np.cos(emfs.delta0 - sol.va[term])
-    lap = np.zeros((n + case.n_gen, n + case.n_gen))
-    lap[:n, :n] = op.laplacian
-    np.add.at(lap, (term, term), w)
-    lap[gen, gen] = w
-    lap[gen, term] = -w
-    lap[term, gen] = -w
     return SwingModel(
         m=np.array([2.0 * g.h for g in case.generators]),
         damp=np.array(
             [g.d if g.d is not None else default_damping for g in case.generators]
         ),
-        l_red=lap,
+        l_red=build_laplacian(case, op.aug, np.concatenate([sol.vm, emfs.e_mag]),
+                              np.concatenate([sol.va, emfs.delta0])),
         participation=op.participation,
         bus_ids=bus_ids(case),
     )

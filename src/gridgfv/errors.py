@@ -28,7 +28,7 @@ class SingularMatrixError(NumericalError):
 
 class StabilityRegionError(NumericalError):
     """Operating point leaves the small-signal stability region
-    (some branch angle spread reaches 90 degrees)."""
+    (the angle spread across some coupling reaches 90 degrees)."""
 
 
 class DisconnectedNetworkError(NumericalError):

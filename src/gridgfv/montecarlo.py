@@ -246,6 +246,8 @@ def run_monte_carlo(
     workers=None honors GRID_GFV_THREADS, else uses all available cores.
     """
     rows = placement_rows(case, buses)
+    if (cfg.bins + 1) * 8 > np.iinfo(np.intp).max:  # numpy would fail with no MemoryError
+        raise MemoryError(f"Unable to allocate a histogram of {cfg.bins} bins")
     op = operating_point(case, tol=cfg.tol, max_iter=cfg.max_iter)
     model = build_swing_model(op, cfg.damping)
     # The kept COI/POI series, zeroed, in an anonymous shared mapping that

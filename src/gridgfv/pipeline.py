@@ -2,9 +2,9 @@
 
 operating_point builds the one model of a case at its solved operating point:
 one Ybus, the power flow solved with it, the machine EMFs, the same Ybus
-augmented with the internal nodes, the participation matrix and the bus
-Laplacian.  The spectral analysis (analyze_case) and the swing model
-(dynamics.build_swing_model) both read that model; neither rebuilds any of it.
+augmented with the internal nodes, and the participation matrix.  The spectral
+analysis (analyze_case) and the swing model (dynamics.build_swing_model) both
+read that model and neither rebuilds any of it; each reads its Laplacian off aug.
 
 Every array is in the case's row order: the buses in case order (labelled by
 case_model.bus_ids), then machine k's internal node at row n_bus+k.
@@ -46,11 +46,11 @@ class OperatingPoint:
     emfs: InternalEmfs
     aug: np.ndarray  # complex, buses then internal nodes
     participation: np.ndarray  # (n_bus, n_gen)
-    laplacian: np.ndarray  # (n_bus, n_bus)
 
 
 @dataclass(frozen=True)
 class CaseAnalysis(OperatingPoint):
+    laplacian: np.ndarray  # (n_bus, n_bus)
     fiedler: SecondMode  # of L: value is lambda2
     inertia: np.ndarray  # per bus, seconds
     gep: GeneralizedDecomposition
@@ -73,7 +73,6 @@ def operating_point(
         emfs=emfs,
         aug=aug,
         participation=frequency_participation(aug, case.n_bus),
-        laplacian=build_laplacian(case, sol),
     )
 
 
@@ -84,8 +83,9 @@ def analyze_case(
 ) -> CaseAnalysis:
     """Run the whole analysis chain on a validated case."""
     op = operating_point(case, tol=tol, max_iter=max_iter)
-    fied = fiedler(eigendecompose(op.laplacian))
-    inertia = nodal_inertia(case, op.solution, op.emfs, op.participation, op.aug)
-    gep = solve_gep(op.laplacian, inertia)
-    return CaseAnalysis(**vars(op), fiedler=fied, inertia=inertia, gep=gep,
-                        gfv=gfv(gep))
+    n, sol = case.n_bus, op.solution
+    lap = build_laplacian(case, op.aug[:n, :n], sol.vm, sol.va)  # Ybus's couplings
+    inertia = nodal_inertia(case, sol, op.emfs, op.participation, op.aug)
+    gep = solve_gep(lap, inertia)
+    return CaseAnalysis(**vars(op), laplacian=lap, fiedler=fiedler(eigendecompose(lap)),
+                        inertia=inertia, gep=gep, gfv=gfv(gep))

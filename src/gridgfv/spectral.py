@@ -2,11 +2,11 @@
 eigenvalue problem whose second mode defines the inertia-weighted placement
 metric.
 
-The Laplacian weight of a branch is |Vi||Vj|Bij cos(ti - tj): the
-synchronizing power coefficient at the solved operating point, with Bij the
-series susceptance magnitude (conductances dropped).  Nodal inertia h_j
-aggregates, per bus, how much machine inertia backs the local frequency,
-combining equivalent susceptances to each internal node with the frequency
+The Laplacian weight of a coupling is |Ui||Uj| Im(Yij) cos(ai - aj): the
+synchronizing power coefficient at the solved operating point, read off an
+admittance matrix (conductances dropped).  Nodal inertia h_j aggregates,
+per bus, how much machine inertia backs the local frequency, combining
+equivalent susceptances to each internal node with the frequency
 participation weights.  The pencil (L, diag(h)) then generalizes algebraic
 connectivity: its second eigenvector, rescaled to unit maximum, scores every
 bus between 0 (strongest) and 1 (weakest).
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .case_model import NetworkCase, bus_positions
+from .case_model import NetworkCase
 from .errors import (
     DisconnectedNetworkError,
     GridGfvError,
@@ -49,37 +49,42 @@ class SecondMode:
     degenerate: bool
 
 
-def branch_susceptance(r: float, x: float) -> float:
-    """Series susceptance magnitude x/(r^2+x^2); equals 1/x when lossless."""
-    return x / (r * r + x * x)
+def _node(case: NetworkCase, row: int) -> str:
+    """Row of an augmented admittance, named as validate_case names it."""
+    if row < case.n_bus:
+        return f"bus {case.buses[row].id}"
+    return f"generator[{row - case.n_bus}] at bus {case.generators[row - case.n_bus].bus}"
 
 
-def build_laplacian(case: NetworkCase, sol: PowerFlowSolution) -> np.ndarray:
-    """Operating-point-weighted Laplacian over the network buses.
+def build_laplacian(case: NetworkCase, admittance: np.ndarray, vm: np.ndarray,
+                    va: np.ndarray) -> np.ndarray:
+    """Operating-point-weighted Laplacian of case's network from an
+    admittance matrix (Ybus or the augmented one; its diagonal is not read)
+    and the node voltage magnitudes vm and angles va in the same row order.
 
-    Off-diagonal (i,j): -|Vi||Vj|Bij cos(ti-tj), Bij summed over parallel
-    in-service branches; diagonals are the negated off-diagonal row sums, so
-    rows sum to zero by construction.  An angle spread of 90 degrees or more
-    across any branch would flip the sign of its synchronizing coefficient
-    and is rejected as a stability-region violation.
+    Each coupling Im(Y_ij) != 0, i != j, weighs
+    w_ij = vm_i vm_j Im(Y_ij) cos(va_i - va_j): -w_ij off the diagonal, the
+    row sums of w on it.  An angle spread (modulo 360 degrees) of 90 degrees
+    or more across a coupling would flip the sign of its synchronizing
+    coefficient and is rejected as a stability-region violation.
     """
-    n = case.n_bus
-    pos = bus_positions(case)
-    w = np.zeros((n, n))
-    for br in case.branches:
-        if not br.status:
-            continue
-        i, j = pos[br.from_bus], pos[br.to_bus]
-        spread = sol.va[i] - sol.va[j]
-        if abs(spread) >= math.pi / 2:
-            raise StabilityRegionError(
-                f"branch {br.from_bus}-{br.to_bus}: angle spread "
-                f"{math.degrees(spread):.1f} deg reaches 90 deg at the "
-                "operating point"
-            )
-        w[i, j] += sol.vm[i] * sol.vm[j] * branch_susceptance(br.r, br.x) * math.cos(spread)
-        w[j, i] = w[i, j]
-    return np.diag(w.sum(axis=1)) - w
+    i, j = np.nonzero(np.triu(admittance.imag, 1))
+    spread = va[i] - va[j]
+    spread -= 2 * math.pi * np.round(spread / (2 * math.pi))  # EMF angles are wrapped
+    beyond = np.abs(spread) >= math.pi / 2
+    if beyond.any():
+        k = int(np.argmax(beyond))
+        raise StabilityRegionError(
+            f"angle spread {math.degrees(spread[k]):.1f} deg between "
+            f"{_node(case, i[k])} and {_node(case, j[k])} reaches 90 deg at "
+            "the operating point"
+        )
+    w = vm[i] * vm[j] * admittance.imag[i, j] * np.cos(spread)
+    lap = np.zeros(admittance.shape)
+    lap[i, j] = lap[j, i] = -w
+    np.fill_diagonal(lap, np.bincount(np.concatenate([i, j]), np.concatenate([w, w]),
+                                      len(lap)))
+    return lap
 
 
 def _eigh_pencil(l: np.ndarray, h: np.ndarray) -> GeneralizedDecomposition:

@@ -1,9 +1,12 @@
 """Dense and direct formulas that the program's faster kernels are checked
 against."""
 
+import math
+
 import numpy as np
 
 from gridgfv import kron_reduce, reduction
+from gridgfv.case_model import bus_positions
 
 
 def dense_ds_dv(ybus, vm, va):
@@ -17,6 +20,36 @@ def dense_ds_dv(ybus, vm, va):
     ds_dva = 1j * diag_v @ np.conj(diag_i - ybus @ diag_v)
     ds_dvm = diag_v @ np.conj(ybus @ diag_vnorm) + np.conj(diag_i) @ diag_vnorm
     return ds_dva, ds_dvm
+
+
+def powerflow_jacobian(case, ybus, sol):
+    """The Newton-Raphson Jacobian of solve_powerflow at sol: P over the
+    angles of the pv and pq buses and the magnitudes of the pq buses, then Q
+    of the pq buses over the same unknowns."""
+    ds_dva, ds_dvm = dense_ds_dv(ybus, sol.vm, sol.va)
+    pvpq = [i for i, b in enumerate(case.buses) if b.kind != "slack"]
+    pq = [i for i, b in enumerate(case.buses) if b.kind == "pq"]
+    return np.block([[ds_dva[np.ix_(pvpq, pvpq)].real, ds_dvm[np.ix_(pvpq, pq)].real],
+                     [ds_dva[np.ix_(pq, pvpq)].imag, ds_dvm[np.ix_(pq, pq)].imag]])
+
+
+def per_branch_laplacian(case, sol):
+    """The bus Laplacian branch by branch: each in-service branch adds
+    w = |Vi||Vj| x/(r^2+x^2) cos(ti - tj) to its two diagonal entries and -w
+    to its two off-diagonal ones."""
+    pos = bus_positions(case)
+    lap = np.zeros((case.n_bus, case.n_bus))
+    for br in case.branches:
+        if not br.status:
+            continue
+        i, j = pos[br.from_bus], pos[br.to_bus]
+        b = br.x / (br.r * br.r + br.x * br.x)
+        w = sol.vm[i] * sol.vm[j] * b * math.cos(sol.va[i] - sol.va[j])
+        lap[i, j] -= w
+        lap[j, i] -= w
+        lap[i, i] += w
+        lap[j, j] += w
+    return lap
 
 
 def four_block_kron(y, keep):

@@ -221,6 +221,23 @@ def test_mc_outputs_and_determinism(tmp_path):
     assert len(ifd_rows) == 4
 
 
+def test_other_placement_buses_never_perturb_a_bus(tmp_path, monkeypatch):
+    # Common random numbers: bus 3's outputs are the same bytes whether it
+    # runs alone or among other placement buses.
+    monkeypatch.setenv("GRID_GFV_THREADS", "2")
+    outputs = {}
+    for buses in ("3", "5,3,7"):
+        out_dir = tmp_path / buses.replace(",", "_")
+        assert main(["mc", STUDY, "--buses", buses, "--n", "6", "--t", "5",
+                     "--seed", "3", "--out-dir", str(out_dir)]) == 0
+        summary = (out_dir / "summary.csv").read_text().splitlines()
+        outputs[buses] = ([row for row in summary if row.startswith("3,")],
+                          [(out_dir / "bus_3" / name).read_bytes()
+                           for name in ("coi_hist.csv", "poi_hist.csv", "ifd.csv")])
+    assert len(outputs["3"][0]) == 1
+    assert outputs["3"] == outputs["5,3,7"]
+
+
 def test_report_ranking(tmp_path):
     out_dir = _run_mc(tmp_path, "rep", threads=1)
     report = tmp_path / "report.csv"
@@ -333,18 +350,25 @@ def test_mc_damping_reaches_the_swing_model(tmp_path, monkeypatch):
     # More steps than numpy's largest array dimension.
     ["simulate", STUDY, "--bus", "3", "--t", "1e17", "--dt", "0.01"],
     ["mc", STUDY, "--buses", "3", "--n", "2", "--t", "1e17", "--dt", "0.01"],
+    # More histogram edges than fit in memory, past numpy's largest array and
+    # past int64.
+    ["mc", STUDY, "--buses", "3", "--n", "1", "--t", "0.02", "--bins", str(2**60 - 1)],
+    ["mc", STUDY, "--buses", "3", "--n", "1", "--t", "0.02", "--bins", str(2**63 - 1)],
+    ["mc", STUDY, "--buses", "3", "--n", "1", "--t", "0.02", "--bins", str(10**20)],
 ], ids=["simulate-dt-0", "mc-dt-0", "simulate-dt-nan", "mc-n-0", "mc-bins-0",
         "simulate-v-rated-0", "mc-t-negative", "mc-t-below-one-step",
         "simulate-t-inf", "simulate-seed-negative", "pf-max-iter-negative",
         "pf-tol-nan", "simulate-t-beyond-memory", "mc-t-beyond-memory",
-        "simulate-t-beyond-dimension", "mc-t-beyond-dimension"])
+        "simulate-t-beyond-dimension", "mc-t-beyond-dimension",
+        "mc-bins-beyond-memory", "mc-bins-int64-max", "mc-bins-beyond-int64"])
 def test_out_of_range_run_parameter_is_a_one_line_usage_error(tmp_path, capsys, argv):
     if argv[0] == "mc":
         argv = argv + ["--out-dir", str(tmp_path / "mc")]
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
-    if {"1e13", "1e17"} & set(argv):  # more steps than fit in memory
+    beyond_memory = {"1e13", "1e17", str(2**60 - 1), str(2**63 - 1), str(10**20)}
+    if beyond_memory & set(argv):  # more steps or bins than fit in memory
         assert err.startswith("out of memory: ")
 
 

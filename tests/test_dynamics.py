@@ -15,6 +15,7 @@ from gridgfv import (
     SimulationUnstableError,
     StabilityRegionError,
     TurbineParams,
+    analyze_case,
     build_swing_model,
     operating_point,
     parse_case,
@@ -24,7 +25,8 @@ from gridgfv import (
     wind_to_power,
 )
 from gridgfv import pipeline
-from gridgfv.case_model import bus_ids
+from gridgfv.case_model import bus_ids, bus_positions
+from gridgfv.cli import main
 from gridgfv.dynamics import (
     OMEGA_SYNC,
     _BLOCK,
@@ -36,7 +38,7 @@ from gridgfv.dynamics import (
 from gridgfv.reduction import kron_reduce
 
 from closed_form import closed_form_response
-from conftest import FIXTURE_NAMES, get_analysis, get_case
+from conftest import FIXTURE_NAMES, fixture_path, get_analysis, get_case
 
 
 def test_ou_zero_diffusion_is_constant():
@@ -214,7 +216,67 @@ def test_swing_model_rejects_ninety_degree_branch(monkeypatch):
     sol = replace(sol, va=np.array([0.0, -math.pi / 2]))
     monkeypatch.setattr(pipeline, "solve_powerflow", lambda *args, **kwargs: sol)
     with pytest.raises(StabilityRegionError):
-        operating_point(case)
+        build_swing_model(operating_point(case))
+    with pytest.raises(StabilityRegionError):
+        analyze_case(case)
+
+
+@pytest.mark.parametrize("name", ["case2", "case7_study", "case9", "case9_lossless"])
+def test_swing_model_takes_angle_spreads_modulo_a_turn(monkeypatch, name):
+    # Turning every bus angle by 3 rad turns the EMFs with them, and the
+    # wrapped EMF angle of some machine then trails its unwrapped terminal
+    # angle by nearly a full turn; the couplings are the same.
+    case = get_case(name)
+    want = build_swing_model(operating_point(case)).l_red
+    real = pipeline.solve_powerflow
+
+    def turned(*args, **kwargs):
+        sol = real(*args, **kwargs)
+        return replace(sol, va=sol.va + 3.0)
+
+    monkeypatch.setattr(pipeline, "solve_powerflow", turned)
+    op = operating_point(case)
+    term = [bus_positions(case)[g.bus] for g in case.generators]
+    assert np.any(np.abs(op.emfs.delta0 - op.solution.va[term]) > math.pi)
+    got = build_swing_model(op).l_red
+    # Each angle moves by a few ulps of 2 pi and cos is 1-Lipschitz; the
+    # EMF magnitudes and the diagonal sums add a few ulps more.
+    bound = 16 * np.finfo(float).eps * 2 * math.pi * np.abs(want).max()
+    assert np.max(np.abs(got - want)) <= bound
+
+
+def _lead_machine(monkeypatch, k, degrees):
+    """operating_point then gives machine k an EMF angle that leads its
+    terminal's voltage angle by degrees."""
+    real = pipeline.internal_emfs
+
+    def leading(case, sol):
+        emfs = real(case, sol)
+        delta0 = emfs.delta0.copy()
+        term = bus_positions(case)[case.generators[k].bus]
+        delta0[k] = sol.va[term] + math.radians(degrees)
+        return replace(emfs, delta0=delta0)
+
+    monkeypatch.setattr(pipeline, "internal_emfs", leading)
+
+
+def test_swing_model_rejects_ninety_degree_machine_edge(monkeypatch):
+    # Machine 1 of case9 sits at bus 2; its edge would take a negative weight.
+    _lead_machine(monkeypatch, 1, 95.0)
+    op = operating_point(get_case("case9"))
+    message = (r"^angle spread -95\.0 deg between bus 2 and generator\[1\] at "
+               r"bus 2 reaches 90 deg at the operating point$")
+    with pytest.raises(StabilityRegionError, match=message):
+        build_swing_model(op)
+
+
+def test_simulate_command_reports_a_ninety_degree_machine_edge(monkeypatch, capsys):
+    _lead_machine(monkeypatch, 1, 95.0)
+    assert main(["simulate", str(fixture_path("case9")), "--bus", "5", "--t", "1"]) == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert err.startswith("numerical failure: angle spread ")
+    assert "generator[1] at bus 2" in err
 
 
 def test_simulate_zero_input_stays_zero():

@@ -323,3 +323,13 @@ def test_kept_poi_series_share_no_memory_with_trajectories(monkeypatch):
     assert len(kept) == len(trajectories) == 4
     assert not any(np.shares_memory(series, traj.bus_freq)
                    for series in kept for traj in trajectories)
+
+
+def test_impossible_bins_fail_before_any_simulation(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the operating point was built")
+
+    monkeypatch.setattr(montecarlo, "operating_point", unreachable)
+    cfg = RunConfig(n_realizations=1000, horizon=200.0, bins=2**63 - 1)
+    with pytest.raises(MemoryError, match=r"^Unable to allocate a histogram of \d+ bins$"):
+        run_monte_carlo(get_case("case7_study"), [3], cfg)

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -27,62 +28,64 @@ from gridgfv import (
     solve_gep,
     solve_powerflow,
 )
-from gridgfv.case_model import bus_ids, bus_positions
-from gridgfv.powerflow import PowerFlowSolution
+from gridgfv.case_model import bus_ids
 
 from conftest import FIXTURE_NAMES, SYNTH120, fixture_path, get_analysis, get_case
-from references import one_inverse_inertia, per_bus_inertia
+from references import one_inverse_inertia, per_branch_laplacian, per_bus_inertia
 
 
-def flat_solution(case, vm=None, va=None):
-    n = case.n_bus
-    return PowerFlowSolution(
-        vm=np.ones(n) if vm is None else np.asarray(vm, dtype=float),
-        va=np.zeros(n) if va is None else np.asarray(va, dtype=float),
-        p_inj=np.zeros(n),
-        q_inj=np.zeros(n),
-        iterations=0,
-        max_mismatch=0.0,
-    )
+def flat_laplacian(case, va=None):
+    """The bus Laplacian of case at |V| = 1 and angles va (default 0)."""
+    va = np.zeros(case.n_bus) if va is None else np.asarray(va, dtype=float)
+    return build_laplacian(case, build_ybus(case), np.ones(case.n_bus), va)
 
 
 def test_laplacian_two_bus_flat():
     case = get_case("case2")
-    lap = build_laplacian(case, flat_solution(case))
+    lap = flat_laplacian(case)
     assert np.allclose(lap, [[5.0, -5.0], [-5.0, 5.0]], atol=1e-14)
 
 
 def test_laplacian_sixty_degree_spread():
     case = get_case("case2")
-    lap = build_laplacian(case, flat_solution(case, va=[0.0, -math.pi / 3]))
+    lap = flat_laplacian(case, va=[0.0, -math.pi / 3])
     assert lap[0, 1] == pytest.approx(-2.5, abs=1e-12)
 
 
 def test_laplacian_rejects_ninety_degree_branch():
     case = get_case("case2")
-    with pytest.raises(StabilityRegionError):
-        build_laplacian(case, flat_solution(case, va=[0.0, -1.6]))
+    message = (r"^angle spread 91\.7 deg between bus 1 and bus 2 reaches 90 deg "
+               r"at the operating point$")
+    with pytest.raises(StabilityRegionError, match=message):
+        flat_laplacian(case, va=[0.0, -1.6])
 
 
 def test_laplacian_nine_bus_rows_and_oracle():
-    case = get_case("case9")
     analysis = get_analysis("case9")
     lap = analysis.laplacian
     assert np.max(np.abs(lap.sum(axis=1))) <= 1e-10
-    assert np.allclose(lap, lap.T, atol=1e-12)
-    # Oracle: independent per-branch accumulation.
-    sol = analysis.solution
-    pos = bus_positions(case)
-    expected = np.zeros((9, 9))
-    for br in case.branches:
-        i, j = pos[br.from_bus], pos[br.to_bus]
-        b = br.x / (br.r**2 + br.x**2)
-        w = sol.vm[i] * sol.vm[j] * b * math.cos(sol.va[i] - sol.va[j])
-        expected[i, j] -= w
-        expected[j, i] -= w
-        expected[i, i] += w
-        expected[j, j] += w
-    assert np.allclose(lap, expected, atol=1e-12)
+    assert np.array_equal(lap, lap.T)
+    assert np.allclose(lap, per_branch_laplacian(analysis.case, analysis.solution),
+                       atol=1e-12)
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES + [SYNTH120])
+def test_laplacian_equals_the_per_branch_loop(name):
+    # Rounding bound.  Both formulas weigh a branch vm_i vm_j b cos(t_i - t_j).
+    # The susceptance b (complex division in Ybus against x/(r^2+x^2)) and
+    # the cosine (numpy against math) each differ by at most 2 eps, and the
+    # three products round by eps/2 in each formula, so a weight differs by
+    # at most 7 eps relative.  An entry sums at most d weights, d the most
+    # branches at one bus, in another order, which adds (d - 1) eps of the
+    # sum of their magnitudes: (d + 8) eps covers both.
+    analysis = get_analysis(name)
+    case = analysis.case
+    reference = per_branch_laplacian(case, analysis.solution)
+    ends = Counter(b for br in case.branches if br.status
+                   for b in (br.from_bus, br.to_bus))
+    weights = np.abs(reference - np.diag(np.diag(reference))).sum(axis=1).max()
+    bound = (max(ends.values()) + 8) * np.finfo(float).eps * weights
+    assert np.max(np.abs(analysis.laplacian - reference)) <= bound
 
 
 def test_eigendecompose_two_bus():
@@ -104,7 +107,7 @@ def test_fiedler_two_bus():
 def test_eigendecompose_path_graph_closed_form():
     # Unit-weight path of 4 nodes: eigenvalues 2 - 2 cos(k pi / 4).
     case = get_case("case4_path")
-    lap = build_laplacian(case, flat_solution(case))
+    lap = flat_laplacian(case)
     decomp = eigendecompose(lap)
     expected = [2 - 2 * math.cos(k * math.pi / 4) for k in range(4)]
     assert np.allclose(decomp.eigenvalues, expected, atol=1e-12)
@@ -136,7 +139,7 @@ def test_zero_multiplicity_tracks_components():
         ],
     }
     case = parse_case(json.dumps(doc))
-    lap = build_laplacian(case, flat_solution(case))
+    lap = flat_laplacian(case)
     decomp = eigendecompose(lap)
     assert decomp.zero_multiplicity == 2
     with pytest.raises(DisconnectedNetworkError):
