@@ -17,6 +17,7 @@ import argparse
 import json
 import math
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable
@@ -395,14 +396,17 @@ def dispatch(argv) -> int:
 
 def report_failures(action: Callable[[], int]) -> int:
     """action()'s exit code, or that of its failure, reported as one stderr
-    line: 1 for usage and file-system errors, 2 for bad data, 3 for a
-    numerical failure."""
+    line: 1 for usage, memory and file-system errors and a Monte Carlo worker
+    that died, 2 for bad data, 3 for a numerical failure."""
     try:
         return action()
     except _UsageError as exc:
         return _fail(str(exc), 1)
     except MemoryError as exc:  # e.g. a horizon of more steps than fit in memory
         return _fail(f"out of memory: {exc}", 1)
+    except BrokenProcessPool:  # a worker that the OOM killer, say, ended
+        return _fail("error: a Monte Carlo worker process ended abruptly "
+                     "(killed, e.g. out of memory)", 1)
     except FileNotFoundError as exc:
         return _fail(f"file not found: {exc.filename or exc}", 1)
     except OSError as exc:  # e.g. a directory where a file belongs

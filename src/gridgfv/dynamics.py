@@ -13,7 +13,8 @@ any step), and maps to power through a clamped cubic turbine law.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -28,9 +29,9 @@ OMEGA_SYNC = 2.0 * math.pi * 60.0  # rad/s at 60 Hz nominal
 DEFAULT_DAMPING = 1.0
 # Steps per block of the time-blocked recurrence in _advance.
 _BLOCK = 64
-# Rows of _advance's gather table by input c (rows) and step i (columns) of
-# a block, m = _BLOCK: the s0-only row m + 2 + i for c = 0, lag i - c for
-# 0 < c <= i, and the zero row m + 1 for c > i.
+# Rows of _kernel's lag table that _input_map gathers, by input c (rows) and
+# step i (columns) of a block, m = _BLOCK: the s0-only row m + 2 + i for
+# c = 0, lag i - c for 0 < c <= i, and the zero row m + 1 for c > i.
 _LAGS = np.fromfunction(
     lambda c, i: np.where(c == 0, _BLOCK + 2 + i, np.where(c <= i, i - c, _BLOCK + 1)),
     (_BLOCK + 1, _BLOCK + 1), dtype=int)
@@ -78,6 +79,11 @@ class SwingModel:
     the internal nodes, machine k's at row len(bus_ids)+k; simulate() does
     the final algebraic elimination per injection node.  participation is
     the (n_bus, n_gen) matrix D of f_bus = D @ f_gen.
+
+    The model keeps the RK4 propagator of each port and step size that
+    simulate() has built, and reuses it for every later call at that port and
+    step size; outputs are the same as from a fresh model.  The store lives
+    and dies with the model (dataclasses.replace starts an empty one).
     """
 
     m: np.ndarray
@@ -85,6 +91,10 @@ class SwingModel:
     l_red: np.ndarray
     participation: np.ndarray
     bus_ids: tuple[int, ...]
+    # simulate's propagators, keyed by the bytes of the port's reduced
+    # Laplacian and gain vector and by dt.
+    _propagators: dict = field(default_factory=dict, init=False, compare=False,
+                               repr=False)
 
 
 @dataclass(frozen=True)
@@ -116,9 +126,26 @@ def simulate_ou(params: OuParams, dt: float, n_steps: int, seed) -> np.ndarray:
     xi = np.random.default_rng(seed).standard_normal(n_steps)
     # x_{k+1} = rho x_k + sigma xi_k from x_0 = 0; the appended input sample
     # would only drive x_{n_steps + 1}.
-    deviations = _advance(np.array([[rho]]), np.array([sigma]), np.zeros(1),
-                          np.append(xi, 0.0), slice(None))
+    deviations = _apply(*_ou_kernel(np.array([rho, sigma]).tobytes()), np.append(xi, 0.0))
     return params.mu + deviations[0]
+
+
+@lru_cache(maxsize=1)
+def _ou_kernel(rho_sigma: bytes):
+    """_apply's operands for x_{k+1} = rho x_k + sigma xi_k, rho and sigma
+    the two float64s of rho_sigma.  One entry: a run draws every path with
+    the same rho and sigma."""
+    rho, sigma = np.frombuffer(rho_sigma)
+    fill, table, power = _kernel(np.array([[rho]]), np.array([sigma]), np.zeros(1),
+                                 slice(None))
+    return _read_only(fill, _input_map(table, slice(None)), power)
+
+
+def _read_only(*arrays) -> tuple:
+    """arrays, made read-only: a stored propagator serves every later call."""
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
 
 
 def wind_to_power(v: np.ndarray, turbine: TurbineParams) -> np.ndarray:
@@ -212,24 +239,13 @@ def _rk4_step_operators(a: np.ndarray, g: np.ndarray, dt: float):
     return r, b_start + 0.5 * b_mid, b_end + 0.5 * b_mid
 
 
-def _advance(r: np.ndarray, s0: np.ndarray, s1: np.ndarray, u: np.ndarray,
-             rows: slice) -> np.ndarray:
-    """The rows `rows` of the states x_0 ... x_{N-1}, as columns, of
-    x_{k+1} = R x_k + s0 u_k + s1 u_{k+1} from x_0 = 0, for an input series u
-    of N samples.
-
-    Blocked in time: with m = _BLOCK and k0 a multiple of m,
-    x_{k0+i} = R^i x_{k0} + sum_c G[i, c] u_{k0+c} for i = 0 ... m.  One
-    matmul gives the forced part of the requested rows inside every block and
-    of every state at each block's end, a doubling prefix scan carries the
-    block-start states, and one more matmul fills in the requested rows.  The
-    result is that of stepping the recurrence up to summation order.
-    """
+def _kernel(r: np.ndarray, s0: np.ndarray, s1: np.ndarray, rows: slice):
+    """The block kernel of x_{k+1} = R x_k + s0 u_k + s1 u_{k+1}, m = _BLOCK:
+    the rows `rows` of R^0 ... R^(m-1) stacked by rows, the lag table that
+    _apply gathers the block's input map from, and R^m."""
     n, m = len(s0), _BLOCK
-    n_blocks = -(-len(u) // m)
-    # By doubling (m is a power of two): the requested rows of R^0 ... R^(m-1)
-    # stacked by rows, the columns R^i s0 and R^i s1 interleaved, and
-    # power = R^m.
+    # By doubling (m is a power of two), the columns R^i s0 and R^i s1
+    # interleaved.
     fill = np.eye(n)[rows]
     k = len(fill)
     vecs = np.stack([s0, s1], axis=1)
@@ -243,9 +259,24 @@ def _advance(r: np.ndarray, s0: np.ndarray, s1: np.ndarray, u: np.ndarray,
     # it from the lag sequence, a zero row and the s0 terms.
     from_s0 = np.concatenate([np.zeros((1, n)), vecs[:, 0::2].T])
     by_lag = from_s0 + np.concatenate([vecs[:, 1::2].T, (power @ s1)[None]])
-    table = np.concatenate([by_lag, np.zeros((1, n)), from_s0])
-    g = np.concatenate([table[:, rows].take(_LAGS[:, :m], axis=0).reshape(m + 1, m * k),
-                        table.take(_LAGS[:, m], axis=0)], axis=1)
+    return fill, np.concatenate([by_lag, np.zeros((1, n)), from_s0]), power
+
+
+def _input_map(table: np.ndarray, rows: slice) -> np.ndarray:
+    """The (m + 1, m * k + n) map from a block's input window to its forced
+    requested rows, step by step, and to its forced end state."""
+    m = _BLOCK
+    return np.concatenate([table[:, rows].take(_LAGS[:, :m], axis=0).reshape(m + 1, -1),
+                           table.take(_LAGS[:, m], axis=0)], axis=1)
+
+
+def _apply(fill: np.ndarray, g: np.ndarray, power: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The requested rows of x_0 ... x_{N-1}, as columns, from x_0 = 0 for an
+    input series u of N samples, given _kernel's fill and R^m and the
+    _input_map g."""
+    n, m = len(power), _BLOCK
+    k = len(fill) // m
+    n_blocks = -(-len(u) // m)
     # Input windows u_{k0} ... u_{k0+m}; the zeros past the end drive only
     # states past x_{N-1}.
     padded = np.zeros((n_blocks + 1) * m)
@@ -268,6 +299,24 @@ def _advance(r: np.ndarray, s0: np.ndarray, s1: np.ndarray, u: np.ndarray,
     return states.reshape(-1, k)[: len(u)].T
 
 
+def _advance(r: np.ndarray, s0: np.ndarray, s1: np.ndarray, u: np.ndarray,
+             rows: slice) -> np.ndarray:
+    """The rows `rows` of the states x_0 ... x_{N-1}, as columns, of
+    x_{k+1} = R x_k + s0 u_k + s1 u_{k+1} from x_0 = 0, for an input series u
+    of N samples.
+
+    Blocked in time: with m = _BLOCK and k0 a multiple of m,
+    x_{k0+i} = R^i x_{k0} + sum_c G[i, c] u_{k0+c} for i = 0 ... m.  One
+    matmul gives the forced part of the requested rows inside every block and
+    of every state at each block's end, a doubling prefix scan carries the
+    block-start states, and one more matmul fills in the requested rows.  The
+    result is that of stepping the recurrence up to summation order.  It is
+    _kernel's build followed by _apply.
+    """
+    fill, table, power = _kernel(r, s0, s1, rows)
+    return _apply(fill, _input_map(table, rows), power, u)
+
+
 def simulate(model: SwingModel, injection_bus, dp: np.ndarray, dt: float) -> Trajectory:
     """Integrate the swing model for one injection series.
 
@@ -276,6 +325,11 @@ def simulate(model: SwingModel, injection_bus, dp: np.ndarray, dt: float) -> Tra
     series length fixes the horizon.  Fixed-step 4th-order (RK4) integration,
     advanced in blocks of time steps (_advance); zero input from zero state
     stays identically zero.
+
+    The port's propagator (R and its block kernel) is built on the model's
+    first call at this port and dt and reused by later calls, which then
+    only reduce the network to the port and apply it; the result is the
+    same, byte for byte, as from a fresh model.
     """
     dp = np.asarray(dp, dtype=float)
     if dp.ndim != 1 or len(dp) < 1:
@@ -284,17 +338,23 @@ def simulate(model: SwingModel, injection_bus, dp: np.ndarray, dt: float) -> Tra
         raise ValueError("dp must be finite")
     l_red, w = _injection_reduction(model, _resolve_node(model, injection_bus))
     ng = len(model.m)
-    a = np.zeros((2 * ng, 2 * ng))
-    a[:ng, ng:] = OMEGA_SYNC * np.eye(ng)
-    a[ng:, :ng] = -l_red / model.m[:, None]
-    a[ng:, ng:] = np.diag(-model.damp / model.m)
-    g = np.zeros(2 * ng)
-    g[ng:] = w / model.m
-
+    rows = slice(ng, None)
+    # A, R and the kernel depend on the port only through l_red and w, so
+    # equal bytes give equal operators; dt's type enters the RK4 arithmetic.
+    key = (l_red.tobytes(), w.tobytes(), type(dt), np.float64(dt).tobytes())
     n_t = len(dp)
     with np.errstate(over="ignore", invalid="ignore"):
-        r, s0, s1 = _rk4_step_operators(a, g, dt)
-        omega = _advance(r, s0, s1, dp, slice(ng, None))
+        if key not in model._propagators:
+            a = np.zeros((2 * ng, 2 * ng))
+            a[:ng, ng:] = OMEGA_SYNC * np.eye(ng)
+            a[ng:, :ng] = -l_red / model.m[:, None]
+            a[ng:, ng:] = np.diag(-model.damp / model.m)
+            g = np.zeros(2 * ng)
+            g[ng:] = w / model.m
+            r, s0, s1 = _rk4_step_operators(a, g, dt)
+            model._propagators[key] = _read_only(r, *_kernel(r, s0, s1, rows))
+        r, fill, table, power = model._propagators[key]
+        omega = _apply(fill, _input_map(table, rows), power, dp)
 
     if not np.all(np.isfinite(omega)):
         # The rigid-body mode puts an eigenvalue of R at 1, computed to within

@@ -7,6 +7,11 @@ draws and adding a placement bus never perturbs the others).  Results are
 deterministic for a given base seed regardless of how many workers run the
 realizations.
 
+A run simulates on one swing model, which keeps each placement bus's RK4
+propagator after its first realization (in each worker), so later
+realizations only reduce the network to the bus and apply it; the results
+are the same bytes as with a fresh model per realization.
+
 Frequency samples are recorded as deviations in pu from the nominal
 frequency; nothing adds the nominal value back onto the series.
 """

@@ -238,6 +238,24 @@ def test_other_placement_buses_never_perturb_a_bus(tmp_path, monkeypatch):
     assert outputs["3"] == outputs["5,3,7"]
 
 
+def test_a_worker_that_dies_is_a_one_line_usage_error(tmp_path, capsys, monkeypatch):
+    # As under the OOM killer: the worker process ends without a word.
+    realize = montecarlo._one_realization
+
+    def dies_at_three(cfg, model, rows, series, realization):
+        if realization == 3:
+            os._exit(9)
+        return realize(cfg, model, rows, series, realization)
+
+    monkeypatch.setattr(montecarlo, "_one_realization", dies_at_three)
+    monkeypatch.setenv("GRID_GFV_THREADS", "2")
+    assert main(["mc", STUDY, "--buses", "3", "--n", "4", "--t", "0.5",
+                 "--out-dir", str(tmp_path / "mc")]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert err.startswith("error: a Monte Carlo worker process ended abruptly")
+
+
 def test_report_ranking(tmp_path):
     out_dir = _run_mc(tmp_path, "rep", threads=1)
     report = tmp_path / "report.csv"

@@ -438,6 +438,41 @@ def test_simulate_step_operator_overflow_is_an_instability():
             simulate(model, 5, np.full(10, 0.1), 0.01)
 
 
+def test_a_reused_propagator_gives_the_bytes_of_a_fresh_model():
+    # One model simulates every port in case order, then in reverse order,
+    # then at a second dt: the later calls reuse the propagators of the
+    # earlier ones, and every array must equal a fresh model's byte for byte.
+    # The machine ports share one reduced Laplacian and differ in the gain
+    # vector alone.
+    case = get_case("case9")
+    ports = [bus.id for bus in case.buses] + [("gen", k) for k in range(case.n_gen)]
+    dp = _wind_dp(700, 5)
+    model = build_swing_model(get_analysis("case9"))
+    for port, dt in ([(p, 0.01) for p in ports] + [(p, 0.01) for p in ports[::-1]]
+                     + [(p, 0.02) for p in ports]):
+        got = simulate(model, port, dp, dt)
+        want = simulate(build_swing_model(get_analysis("case9")), port, dp, dt)
+        for name in ("t", "gen_freq", "bus_freq", "coi_freq", "injection"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (port, dt, name)
+
+
+@pytest.mark.parametrize("damp, dt", [(None, 0.5), (1e100, 0.01)],
+                         ids=["unstable-step", "overflowing-step-operator"])
+def test_a_reused_unstable_propagator_fails_again_at_the_same_time(damp, dt):
+    # dt = 0.5 is outside case9's stability region; a damping of 1e100 makes
+    # R itself overflow.  The second call reuses the first call's R.
+    model = build_swing_model(get_analysis("case9"))
+    if damp is not None:
+        model = replace(model, damp=np.full(len(model.m), damp))
+    dp = _wind_dp(700, 5)
+    times = []
+    for _ in range(2):
+        with pytest.raises(SimulationUnstableError) as err:
+            simulate(model, 5, dp, dt)
+        times.append(err.value.first_time)
+    assert times[0] is not None and times[0] == times[1]
+
+
 def _stepped_gen_freq(model, injection_bus, dp, dt):
     """Machine frequencies by the RK4 recurrence stepped one sample at a
     time: the definition the time-blocked integration is held to."""

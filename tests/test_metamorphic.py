@@ -1,6 +1,7 @@
-"""Metamorphic invariants of the analysis chain: listing the buses in another
-order, or splitting every branch into two parallel halves, describes the
-same network, so the outputs may differ only by rounding."""
+"""Metamorphic invariants of the analysis chain: listing the buses or the
+generators in another order, or splitting every branch into two parallel
+halves, describes the same network, so the outputs may differ only by
+rounding; scaling every inertia constant scales h and lambda2_bar alone."""
 
 import zlib
 from dataclasses import replace
@@ -62,3 +63,30 @@ def test_splitting_every_branch_in_two_parallel_halves_changes_nothing(name):
                    for half in [replace(br, r=2 * br.r, x=2 * br.x, b_ch=br.b_ch / 2)] * 2)
     split = analyze_case(replace(case, branches=halves))
     _assert_same_analysis(split, get_analysis(name), np.arange(case.n_bus))
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES + [SYNTH120])
+def test_generator_permutation_changes_nothing(name):
+    case = get_case(name)
+    perm = np.random.default_rng(zlib.crc32(name.encode())).permutation(case.n_gen)
+    if np.array_equal(perm, np.arange(case.n_gen)):  # case9_lossless's draw
+        perm = perm[::-1]
+    permuted = analyze_case(replace(case, generators=tuple(case.generators[i] for i in perm)))
+    _assert_same_analysis(permuted, get_analysis(name), np.arange(case.n_bus))
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES + [SYNTH120])
+def test_tripling_every_inertia_triples_h_and_divides_lambda2(name):
+    # H enters neither the operating point nor L.  The pencil (L, 3N) has
+    # the eigenvalues of (L, N) over 3 and the same eigenvectors, and its
+    # rounding is that of (L, N) scaled by 3 at most, so _bounds applies to
+    # h / 3 and 3 * lambda2_bar.
+    case = get_case(name)
+    scaled = analyze_case(replace(case, generators=tuple(
+        replace(g, h=3 * g.h) for g in case.generators)))
+    want = get_analysis(name)
+    rel, lambda_tol, gfv_tol = _bounds(want)
+    assert np.max(np.abs(scaled.laplacian - want.laplacian)) <= rel * np.abs(want.laplacian).max()
+    assert np.max(np.abs(scaled.inertia / 3 - want.inertia)) <= rel * want.inertia.max()
+    assert abs(3 * scaled.gfv.value - want.gfv.value) <= lambda_tol
+    assert np.max(np.abs(scaled.gfv.vector - want.gfv.vector)) <= gfv_tol

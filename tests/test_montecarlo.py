@@ -194,6 +194,21 @@ def test_partial_runs_agree_across_worker_counts(monkeypatch):
         assert a.poi_histogram.counts.sum() == n_ok * (cfg.n_steps + 1)
 
 
+def test_placement_order_changes_no_bus_statistics():
+    # Common random numbers, and each bus simulated on its own: listing the
+    # placement buses in another order reorders the summary only.  The CLI
+    # sorts --buses itself, so this calls the library.
+    case = get_case("case7_study")
+    cfg = RunConfig(n_realizations=6, horizon=5.0, seed=3)
+    ordered = run_monte_carlo(case, (3, 5, 7), cfg, workers=2)
+    rotated = run_monte_carlo(case, (7, 3, 5), cfg, workers=2)
+    assert list(rotated.placements) == [7, 3, 5]
+    for bus in (3, 5, 7):
+        a, b = ordered.placements[bus], rotated.placements[bus]
+        assert_same_stats(a, b)
+        assert a.ifd_quartiles == b.ifd_quartiles
+
+
 def test_a_realization_returns_one_scalar_per_bus():
     # What a pool worker sends back: an IFD or a failure message per bus; the
     # series stay in the shared array.
