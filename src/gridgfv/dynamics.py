@@ -27,7 +27,7 @@ from .spectral import build_laplacian
 OMEGA_SYNC = 2.0 * math.pi * 60.0  # rad/s at 60 Hz nominal
 # Damping (pu) of machines whose case entry gives none.
 DEFAULT_DAMPING = 1.0
-# Steps per block of the time-blocked recurrence in _advance.
+# Steps per block of the time-blocked recurrence of _kernel and _apply.
 _BLOCK = 64
 # Rows of _kernel's lag table that _input_map gathers, by input c (rows) and
 # step i (columns) of a block, m = _BLOCK: the s0-only row m + 2 + i for
@@ -76,9 +76,11 @@ class SwingModel:
     m holds 2H per machine, damp the damping coefficients.  l_red is the
     operating-point-weighted Laplacian over all network buses (rows in
     bus_ids order, every bus stays available as an injection port) and then
-    the internal nodes, machine k's at row len(bus_ids)+k; simulate() does
-    the final algebraic elimination per injection node.  participation is
-    the (n_bus, n_gen) matrix D of f_bus = D @ f_gen.
+    the internal nodes, machine k's at row len(bus_ids)+k.  simulate()
+    eliminates every bus in one Kron reduction of l_red bordered with the
+    port's unit column (_injection_reduction), so every port, bus or machine,
+    gets the same machines' Laplacian, bit for bit, and its own gain vector.
+    participation is the (n_bus, n_gen) matrix D of f_bus = D @ f_gen.
 
     The model keeps the RK4 propagator of each port and step size that
     simulate() has built, and reuses it for every later call at that port and
@@ -121,6 +123,7 @@ def simulate_ou(params: OuParams, dt: float, n_steps: int, seed) -> np.ndarray:
         raise ValueError("n_steps must be >= 1")
     if n_steps > np.iinfo(np.intp).max:  # numpy would raise a ValueError
         raise MemoryError(f"Unable to allocate an OU path of {n_steps} steps")
+    dt = _checked_dt(dt)
     rho = math.exp(-params.alpha * dt)
     sigma = params.b * math.sqrt((1.0 - rho * rho) / (2.0 * params.alpha))
     xi = np.random.default_rng(seed).standard_normal(n_steps)
@@ -139,6 +142,14 @@ def _ou_kernel(rho_sigma: bytes):
     fill, table, power = _kernel(np.array([[rho]]), np.array([sigma]), np.zeros(1),
                                  slice(None))
     return _read_only(fill, _input_map(table, slice(None)), power)
+
+
+def _checked_dt(dt) -> float:
+    """dt as a float, which must be positive and finite."""
+    dt = float(dt)
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
+    return dt
 
 
 def _read_only(*arrays) -> tuple:
@@ -198,26 +209,20 @@ def _injection_reduction(model: SwingModel, row: int):
     """Laplacian over internal nodes and the injection gain vector for the
     port at row of l_red.
 
-    A bus port is eliminated algebraically: with zero inertia there, its
-    angle tracks 0 = dP - L_bG theta_G - L_bb theta_b, which folds the
-    injection onto the machines with weights -L_Gb / L_bb (summing to 1).
-    An internal-node port injects directly on that machine.
+    l_red is bordered with the unit column of the port's row, and one Kron
+    reduction eliminates every bus.  The kept block is the machines'
+    Laplacian L_GG - L_GB L_BB^-1 L_BG, the same for every port; the border
+    column is the gain vector w = e_G - L_GB L_BB^-1 e_B.  A bus port has
+    e_G = 0: with zero inertia there, its angle tracks the machines, which
+    folds the injection onto them with weights summing to 1.  A machine port
+    has e_B = 0, so w is its unit vector.
     """
-    n = len(model.bus_ids)
-    g_rows = list(range(n, len(model.l_red)))
-    if row >= n:
-        l_red = kron_reduce(model.l_red, g_rows)
-        w = np.zeros(len(g_rows))
-        w[row - n] = 1.0
-        return l_red, w
-    # kron_reduce keeps row order, and bus rows precede the internal nodes:
-    # the bus port lands in row 0.
-    kept = kron_reduce(model.l_red, g_rows + [row])
-    l_gb = kept[1:, 0]
-    l_bb = kept[0, 0]
-    l_red = kept[1:, 1:] - np.outer(l_gb, l_gb) / l_bb
-    w = -l_gb / l_bb
-    return l_red, w
+    n = len(model.l_red)
+    bordered = np.zeros((n + 1, n + 1))
+    bordered[:n, :n] = model.l_red
+    bordered[row, n] = 1.0
+    kept = kron_reduce(bordered, np.arange(len(model.bus_ids), n + 1))
+    return kept[:-1, :-1], kept[:-1, -1]
 
 
 def _rk4_step_operators(a: np.ndarray, g: np.ndarray, dt: float):
@@ -273,7 +278,15 @@ def _input_map(table: np.ndarray, rows: slice) -> np.ndarray:
 def _apply(fill: np.ndarray, g: np.ndarray, power: np.ndarray, u: np.ndarray) -> np.ndarray:
     """The requested rows of x_0 ... x_{N-1}, as columns, from x_0 = 0 for an
     input series u of N samples, given _kernel's fill and R^m and the
-    _input_map g."""
+    _input_map g.
+
+    Blocked in time: with m = _BLOCK and k0 a multiple of m,
+    x_{k0+i} = R^i x_{k0} + sum_c G[i, c] u_{k0+c} for i = 0 ... m.  One
+    matmul gives the forced part of the requested rows inside every block and
+    of every state at each block's end, a doubling prefix scan carries the
+    block-start states, and one more matmul fills in the requested rows.  The
+    result is that of stepping the recurrence up to summation order.
+    """
     n, m = len(power), _BLOCK
     k = len(fill) // m
     n_blocks = -(-len(u) // m)
@@ -299,32 +312,14 @@ def _apply(fill: np.ndarray, g: np.ndarray, power: np.ndarray, u: np.ndarray) ->
     return states.reshape(-1, k)[: len(u)].T
 
 
-def _advance(r: np.ndarray, s0: np.ndarray, s1: np.ndarray, u: np.ndarray,
-             rows: slice) -> np.ndarray:
-    """The rows `rows` of the states x_0 ... x_{N-1}, as columns, of
-    x_{k+1} = R x_k + s0 u_k + s1 u_{k+1} from x_0 = 0, for an input series u
-    of N samples.
-
-    Blocked in time: with m = _BLOCK and k0 a multiple of m,
-    x_{k0+i} = R^i x_{k0} + sum_c G[i, c] u_{k0+c} for i = 0 ... m.  One
-    matmul gives the forced part of the requested rows inside every block and
-    of every state at each block's end, a doubling prefix scan carries the
-    block-start states, and one more matmul fills in the requested rows.  The
-    result is that of stepping the recurrence up to summation order.  It is
-    _kernel's build followed by _apply.
-    """
-    fill, table, power = _kernel(r, s0, s1, rows)
-    return _apply(fill, _input_map(table, rows), power, u)
-
-
 def simulate(model: SwingModel, injection_bus, dp: np.ndarray, dt: float) -> Trajectory:
     """Integrate the swing model for one injection series.
 
     injection_bus is a network bus id, or a ("gen", k) node key to drive a
     machine directly.  dp samples live on the time grid t_k = k*dt; the
-    series length fixes the horizon.  Fixed-step 4th-order (RK4) integration,
-    advanced in blocks of time steps (_advance); zero input from zero state
-    stays identically zero.
+    series length fixes the horizon, and dt must be positive and finite.
+    Fixed-step 4th-order (RK4) integration, advanced in blocks of time steps
+    (_kernel, _apply); zero input from zero state stays identically zero.
 
     The port's propagator (R and its block kernel) is built on the model's
     first call at this port and dt and reused by later calls, which then
@@ -336,12 +331,13 @@ def simulate(model: SwingModel, injection_bus, dp: np.ndarray, dt: float) -> Tra
         raise ValueError("dp must be a non-empty 1-d series")
     if not np.all(np.isfinite(dp)):
         raise ValueError("dp must be finite")
+    dt = _checked_dt(dt)
     l_red, w = _injection_reduction(model, _resolve_node(model, injection_bus))
     ng = len(model.m)
     rows = slice(ng, None)
     # A, R and the kernel depend on the port only through l_red and w, so
-    # equal bytes give equal operators; dt's type enters the RK4 arithmetic.
-    key = (l_red.tobytes(), w.tobytes(), type(dt), np.float64(dt).tobytes())
+    # equal bytes give equal operators.
+    key = (l_red.tobytes(), w.tobytes(), dt)
     n_t = len(dp)
     with np.errstate(over="ignore", invalid="ignore"):
         if key not in model._propagators:

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 
-from gridgfv import kron_reduce, reduction
+from gridgfv import kron_reduce, reduction, simulate
 from gridgfv.case_model import bus_positions
 
 
@@ -63,6 +63,94 @@ def four_block_kron(y, keep):
     y_ek = y[np.ix_(elim_idx, keep_idx)]
     y_ee = y[np.ix_(elim_idx, elim_idx)]
     return y_kk - y_ke @ reduction._solve(y_ee, y_ek, "singular")
+
+
+def bus_port_reduction(l_red, n_bus, row):
+    """The machines' Laplacian and the injection gains of the bus port at
+    row (< n_bus) of a swing model's l_red: the four-block Kron reduction
+    onto the internal nodes, and w = -L_GB L_BB^{-1} e_row with L_BB^{-1}
+    e_row from np.linalg.solve."""
+    g_rows = list(range(n_bus, len(l_red)))
+    x = np.linalg.solve(l_red[:n_bus, :n_bus], np.eye(n_bus)[row])
+    return four_block_kron(l_red, g_rows), -l_red[n_bus:, :n_bus] @ x
+
+
+def impulse_responses(model, bus, cfg):
+    """simulate's trajectories at bus for two inputs of run_monte_carlo's
+    linearized wind model: f, the wind path of the normal xi_0 = 1 alone,
+    and g, a unit power impulse at step 1.
+
+    The OU deviation x_{k+1} = rho x_k + sigma xi_k from x_0 = 0 and the
+    turbine linearized at the mean wind speed mu, dp = kappa x with
+    kappa = 3 P_rated mu^2 / v_rated^3, make every series of a trajectory
+    linear in the normals: its response to xi_j is f shifted by j steps.
+    g, shifted likewise, gives any series' response to a power input that is
+    zero at step 0."""
+    ou, turbine = cfg.ou, cfg.turbine
+    rho = math.exp(-ou.alpha * cfg.dt)
+    sigma = ou.b * math.sqrt((1.0 - rho * rho) / (2.0 * ou.alpha))
+    kappa = 3.0 * turbine.rated_power * ou.mu**2 / turbine.v_rated**3
+    wind, unit = np.zeros(cfg.n_steps + 1), np.zeros(cfg.n_steps + 1)
+    wind[1:] = kappa * sigma * rho ** np.arange(cfg.n_steps)
+    unit[1] = 1.0
+    return simulate(model, bus, wind, cfg.dt), simulate(model, bus, unit, cfg.dt)
+
+
+def linearization_error(g, cfg):
+    """A bound on the RMS, at any sample, of the part of a series that the
+    turbine's linearization leaves out, for a series of unit power impulse
+    response g (impulse_responses).
+
+    Without the clamp, dp = kappa (x + x^2/mu + x^3/(3 mu^2)), and x_k is
+    normal with a variance below the stationary s^2 = b^2/(2 alpha), so the
+    left-out input has an RMS of at most kappa (sqrt(3) s^2/mu +
+    sqrt(15) s^3/(3 mu^2)) at every step; the series adds up at most
+    ||g||_1 of it (Minkowski)."""
+    ou = cfg.ou
+    s = ou.b / math.sqrt(2.0 * ou.alpha)
+    kappa = 3.0 * cfg.turbine.rated_power * ou.mu**2 / cfg.turbine.v_rated**3
+    rms_in = kappa * (math.sqrt(3.0) * s**2 / ou.mu + math.sqrt(15.0) * s**3 / (3.0 * ou.mu**2))
+    return np.abs(g).sum(axis=-1) * rms_in
+
+
+def expected_ifd(response):
+    """E[IFD] of the linearized model from its impulse response: bus p's
+    sample k is normal with mean 0 and variance V_pk = sum_{i<=k} f_pi^2,
+    and E|X| = sqrt(2/pi) sd(X)."""
+    return math.sqrt(2.0 / math.pi) * np.sqrt(np.cumsum(response.bus_freq**2, axis=1)).sum()
+
+
+def ifd_variance_bound(response):
+    """An upper bound of one realization's Var[IFD] in the linearized model.
+
+    For jointly normal X, Y of covariance c, Cov(|X|, |Y|) <= (1 - 2/pi)|c|
+    (Cov(|X|, |Y|) = (2/pi) sd(X) sd(Y) (r asin r + sqrt(1 - r^2) - 1), which
+    is convex in |r| and vanishes at 0).  The covariance of bus p's sample j
+    and bus q's sample k is sum_i f_p(j-i) f_q(k-i) over the normals i, so
+    the sum of every |c| is at most sum_i (sum_p S_p(n_t - 1 - i))^2, with
+    S_p the cumulative sum of |f_p|.  It grows with the correlation time of
+    the response: the OU's 1/alpha and the swing model's own."""
+    tails = np.cumsum(np.abs(response.bus_freq), axis=1).sum(axis=0)
+    return (1.0 - 2.0 / math.pi) * float(tails @ tails)
+
+
+def series_moments(f):
+    """For a series of impulse response f in the linearized model: the mean
+    over its samples of E[y_k^2], and the variances of one realization's
+    sample mean of y^2 and of its sample mean of y.
+
+    Sample j + d and sample j >= 0 have covariance C = sum_{t<=j} f_t
+    f_{t+d}.  With Q the sample mean of y^2, a quadratic form in the
+    normals, Var[Q] = 2 ||C||_F^2 / n^2; the sample mean has variance
+    sum(C) / n^2."""
+    n = len(f)
+    later = np.lib.stride_tricks.sliding_window_view(np.concatenate([f, np.zeros(n - 1)]), n)
+    cov = np.cumsum(f * later, axis=1)  # cov[d, j] = C_{j, j+d}, once j + d < n
+    cov[np.add.outer(np.arange(n), np.arange(n)) >= n] = 0.0
+    twice = np.full(n, 2.0)  # each lag d > 0 stands for C_{j, j+d} and C_{j+d, j}
+    twice[0] = 1.0
+    return (cov[0].mean(), 2.0 * (twice @ (cov**2).sum(axis=1)) / n**2,
+            (twice @ cov.sum(axis=1)) / n**2)
 
 
 def per_bus_inertia(analysis):

@@ -25,12 +25,13 @@ from gridgfv import (
     solve_gep,
     solve_powerflow,
 )
-from gridgfv.cli import main
+from gridgfv.cli import _load_run_config, main
 from gridgfv.case_model import bus_ids
 from gridgfv.dynamics import OMEGA_SYNC, TurbineParams, build_swing_model
 from gridgfv.reduction import kron_reduce
 
 from closed_form import closed_form_response
+from references import expected_ifd, impulse_responses
 from conftest import (
     FIXTURE_NAMES,
     fixture_path,
@@ -204,6 +205,18 @@ def test_08_placement_ranking_reproduction():
         assert STUDY_BUSES[int(np.argmin(gfv_values))] == STUDY_BUSES[
             int(np.argmin(medians))
         ]
+
+
+def test_08_the_second_moment_oracle_ranks_the_placements_as_gfv_does():
+    # test_08 without sampling: at the study's run parameters, E[IFD] of the
+    # linearized model (tests/references.py) orders the placement buses as
+    # their GFV entries do.
+    case = get_case("case7_study")
+    cfg = _load_run_config(fixture_path("case7_study_run"))
+    model = build_swing_model(operating_point(case), cfg.damping)
+    expected = [expected_ifd(impulse_responses(model, b, cfg)[0]) for b in STUDY_BUSES]
+    gfv_at = dict(zip(bus_ids(case), get_analysis("case7_study").gfv.vector))
+    assert np.argsort(expected).tolist() == np.argsort([gfv_at[b] for b in STUDY_BUSES]).tolist()
 
 
 def _reference_case_path():

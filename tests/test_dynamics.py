@@ -30,15 +30,18 @@ from gridgfv.cli import main
 from gridgfv.dynamics import (
     OMEGA_SYNC,
     _BLOCK,
-    _advance,
+    _apply,
     _injection_reduction,
+    _input_map,
+    _kernel,
     _resolve_node,
     _rk4_step_operators,
 )
 from gridgfv.reduction import kron_reduce
 
 from closed_form import closed_form_response
-from conftest import FIXTURE_NAMES, fixture_path, get_analysis, get_case
+from conftest import FIXTURE_NAMES, SYNTH120, fixture_path, get_analysis, get_case
+from references import bus_port_reduction
 
 
 def test_ou_zero_diffusion_is_constant():
@@ -390,6 +393,51 @@ def test_injection_ports_resolve_to_their_rows():
         assert _resolve_node(model, ("gen", k)) == case.n_bus + k
 
 
+def _port_bound(l_red, n_bus):
+    """How far two evaluations of the same port reduction of l_red, in
+    different operation orders, may differ: in the machines' Laplacian
+    (largest entry), in the gain vector (1-norm) and in its sum.
+
+    Each evaluation solves L_BB X = [L_BG, I] by LU with partial pivoting.
+    L_BB is a Laplacian block with diagonally dominant columns, so no row
+    is swapped and the growth factor is at most 2: the backward error is
+    within 2 gamma_3n |L_BB| (Higham, Thm 9.4), n = n_bus, and each column
+    x of X has a forward error of at most 6 n eps kappa_1(L_BB) ||x||_1.
+    The product with L_GB and the subtraction from L_GG add n eps
+    |L_GB| |X| + eps |L_GG|.  Two evaluations each carry this error, which
+    16 n eps kappa_1(L_BB) (||L_GB||_1 ||X||_1 + ||L_GG||_1) covers, and it
+    also bounds a computed gain vector's distance from its exact sum 1.
+    """
+    l_bb, l_gb = l_red[:n_bus, :n_bus], l_red[n_bus:, :n_bus]
+    x = np.linalg.solve(l_bb, np.concatenate([l_red[:n_bus, n_bus:], np.eye(n_bus)], axis=1))
+    scale = (np.linalg.norm(l_gb, 1) * np.linalg.norm(x, 1)
+             + np.linalg.norm(l_red[n_bus:, n_bus:], 1))
+    return 16 * n_bus * np.finfo(float).eps * np.linalg.cond(l_bb, 1) * scale
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES + [SYNTH120])
+def test_every_port_is_one_bordered_reduction(name):
+    # Every bus and machine port shares one machines' Laplacian, bit for
+    # bit; a machine port injects on its machine alone; a bus port's gains
+    # and the Laplacian are the four-block Kron reduction and the solve of
+    # the reference, and the gains sum to 1 (a Laplacian's columns sum to 0).
+    model = build_swing_model(get_analysis(name))
+    n_bus, n_gen = len(model.bus_ids), len(model.m)
+    ports = list(model.bus_ids) + [("gen", k) for k in range(n_gen)]
+    reductions = [_injection_reduction(model, _resolve_node(model, p)) for p in ports]
+    shared = reductions[0][0]
+    bound = _port_bound(model.l_red, n_bus)
+    for row, (l_red, w) in enumerate(reductions):
+        assert l_red.tobytes() == shared.tobytes(), ports[row]
+        if row >= n_bus:
+            assert w.tobytes() == np.eye(n_gen)[row - n_bus].tobytes(), ports[row]
+            continue
+        want_l, want_w = bus_port_reduction(model.l_red, n_bus, row)
+        assert np.max(np.abs(l_red - want_l)) <= bound, ports[row]
+        assert np.abs(w - want_w).sum() <= bound, ports[row]
+        assert abs(w.sum() - 1.0) <= bound, ports[row]
+
+
 @pytest.mark.parametrize("port", [99, ("bus", 99), ("gen", 3), ("gen", -1), ("node", 1),
                                   ("gen", 1.7), ("bus", 2.9), 3.0, True])
 def test_simulate_rejects_an_unknown_injection_port(port):
@@ -409,6 +457,30 @@ def test_simulate_rejects_a_non_finite_dp(bad):
     dp[50] = bad
     with pytest.raises(ValueError, match="dp must be finite"):
         simulate(model, 5, dp, 0.01)
+
+
+@pytest.mark.parametrize("dt", [np.nan, np.inf, 0.0, -0.01])
+def test_simulate_and_simulate_ou_reject_a_step_that_is_not_positive_and_finite(dt):
+    # Without the check, nan reads as an unstable model, -0.01 integrates
+    # backwards and 0 returns zeros.
+    model = build_swing_model(get_analysis("case9"))
+    with pytest.raises(ValueError, match="^dt must be positive and finite"):
+        simulate(model, 5, _wind_dp(100, 5), dt)
+    with pytest.raises(ValueError, match="^dt must be positive and finite"):
+        simulate_ou(OuParams(), dt, 100, 5)
+    assert model._propagators == {}
+
+
+def test_a_numpy_step_gives_the_bytes_of_a_python_float_step():
+    # Both are converted to one float: they share one stored propagator.
+    model = build_swing_model(get_analysis("case9"))
+    dp = _wind_dp(300, 5)
+    a, b = (simulate(model, 5, dp, dt) for dt in (0.01, np.float64(0.01)))
+    for name in ("t", "gen_freq", "bus_freq", "coi_freq", "injection"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+    assert len(model._propagators) == 1
+    assert (simulate_ou(OuParams(), 0.01, 300, 5).tobytes()
+            == simulate_ou(OuParams(), np.float64(0.01), 300, 5).tobytes())
 
 
 def test_simulate_unstable_step_reports_time():
@@ -556,12 +628,19 @@ def _random_swing_operators(ng, seed, dt=0.01):
     return _rk4_step_operators(a, g, dt)
 
 
+def _blocked(r, s0, s1, u, rows):
+    """The rows `rows` of the states of x_{k+1} = R x_k + s0 u_k + s1 u_{k+1}
+    from x_0 = 0, through _kernel's build and _apply."""
+    fill, table, power = _kernel(r, s0, s1, rows)
+    return _apply(fill, _input_map(table, rows), power, u)
+
+
 @pytest.mark.parametrize("rows", [slice(20, None), slice(0, 20), slice(7, 8), slice(0, 1)])
 def test_advance_rows_are_rows_of_the_whole_state(rows):
     r, s0, s1 = _random_swing_operators(20, 4)
     u = np.random.default_rng(8).standard_normal(9 * _BLOCK + 17)
-    whole = _advance(r, s0, s1, u, slice(None))
-    part = _advance(r, s0, s1, u, rows)
+    whole = _blocked(r, s0, s1, u, slice(None))
+    part = _blocked(r, s0, s1, u, rows)
     assert whole.shape == (40, len(u))
     assert part.shape == whole[rows].shape
     scale = np.abs(whole[rows]).max()

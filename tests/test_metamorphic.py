@@ -8,6 +8,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gridgfv import analyze_case, build_ybus
 
@@ -48,10 +50,17 @@ def _assert_same_analysis(got, want, perm):
     assert np.max(np.abs(got.gfv.vector - want.gfv.vector[perm])) <= gfv_tol
 
 
+# Hypothesis draws with a fixed seed and few examples: each test stays
+# deterministic and cheap.
+_DRAWS = settings(derandomize=True, deadline=None, max_examples=3)
+
+
 @pytest.mark.parametrize("name", FIXTURE_NAMES + [SYNTH120])
-def test_bus_permutation_permutes_the_outputs(name):
+@_DRAWS
+@given(data=st.data())
+def test_bus_permutation_permutes_the_outputs(name, data):
     case = get_case(name)
-    perm = np.random.default_rng(zlib.crc32(name.encode())).permutation(case.n_bus)
+    perm = np.array(data.draw(st.permutations(range(case.n_bus)), label="perm"))
     permuted = analyze_case(replace(case, buses=tuple(case.buses[i] for i in perm)))
     _assert_same_analysis(permuted, get_analysis(name), perm)
 
@@ -76,17 +85,21 @@ def test_generator_permutation_changes_nothing(name):
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES + [SYNTH120])
-def test_tripling_every_inertia_triples_h_and_divides_lambda2(name):
-    # H enters neither the operating point nor L.  The pencil (L, 3N) has
-    # the eigenvalues of (L, N) over 3 and the same eigenvectors, and its
-    # rounding is that of (L, N) scaled by 3 at most, so _bounds applies to
-    # h / 3 and 3 * lambda2_bar.
+@_DRAWS
+@given(c=st.floats(0.125, 8.0))
+@example(c=3.0)
+def test_tripling_every_inertia_triples_h_and_divides_lambda2(name, c):
+    # Any factor c, 3 among them.  H enters neither the operating point nor
+    # L.  The pencil (L, cN) has the eigenvalues of (L, N) over c and the
+    # same eigenvectors, and its rounding is that of (L, N) scaled by c, plus
+    # one rounding of each c H, so _bounds applies to h / c and
+    # c * lambda2_bar.
     case = get_case(name)
     scaled = analyze_case(replace(case, generators=tuple(
-        replace(g, h=3 * g.h) for g in case.generators)))
+        replace(g, h=c * g.h) for g in case.generators)))
     want = get_analysis(name)
     rel, lambda_tol, gfv_tol = _bounds(want)
     assert np.max(np.abs(scaled.laplacian - want.laplacian)) <= rel * np.abs(want.laplacian).max()
-    assert np.max(np.abs(scaled.inertia / 3 - want.inertia)) <= rel * want.inertia.max()
-    assert abs(3 * scaled.gfv.value - want.gfv.value) <= lambda_tol
+    assert np.max(np.abs(scaled.inertia / c - want.inertia)) <= rel * want.inertia.max()
+    assert abs(c * scaled.gfv.value - want.gfv.value) <= lambda_tol
     assert np.max(np.abs(scaled.gfv.vector - want.gfv.vector)) <= gfv_tol

@@ -1,7 +1,9 @@
 """IFD metric, aggregation, and the Monte Carlo driver."""
 
+import math
 import pickle
 import weakref
+from functools import lru_cache
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,12 +13,15 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from gridgfv import OuParams, RunConfig, ifd, montecarlo, run_monte_carlo, summarize
+from gridgfv.case_model import bus_ids
 from gridgfv.dynamics import Trajectory, TurbineParams, build_swing_model
 from gridgfv.errors import SimulationUnstableError
 from gridgfv.montecarlo import PlacementSamples, _histogram, _one_realization
 from gridgfv.pipeline import operating_point
 
-from conftest import get_case
+from conftest import FIXTURE_NAMES, get_case
+from references import (expected_ifd, ifd_variance_bound, impulse_responses,
+                        linearization_error, series_moments)
 
 
 def fake_trajectory(bus_freq):
@@ -207,6 +212,67 @@ def test_placement_order_changes_no_bus_statistics():
         a, b = ordered.placements[bus], rotated.placements[bus]
         assert_same_stats(a, b)
         assert a.ifd_quartiles == b.ifd_quartiles
+
+
+# A wind-speed std s = b / sqrt(2 alpha) of 0.01 m/s: the rated speed lies
+# 100 stds above the mean, so the turbine's clamp does not act, and the part
+# of the cubic law beyond its linearization stays small (linearization_error).
+# A correlation time of 0.1 s and a damping of 100 pu make each 20 s
+# realization hold many independent stretches of frequency.
+ORACLE_RUN = RunConfig(n_realizations=100, horizon=20.0, dt=0.02, damping=100.0, seed=11,
+                       ou=OuParams(mu=14.0, alpha=10.0, b=0.01 * math.sqrt(20.0)),
+                       turbine=TurbineParams(rated_power=1.0, v_rated=15.0, v_ref=14.0))
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_the_statistics_agree_with_the_second_moment_oracle(name):
+    # The linearized model's statistics at every bus, from two simulate
+    # calls and no sampling (tests/references.py), against a seeded run.
+    # Each bound is z = 5 standard errors of the N realizations' means, from
+    # the exact variances of one realization's statistics; the correlation
+    # time of the response (the OU's 1 / alpha and the swing model's) sets
+    # these.  Plus z times the RMS the linearization leaves out.
+    case, cfg, z = get_case(name), ORACLE_RUN, 5.0
+    n, n_t = cfg.n_realizations, cfg.n_steps + 1
+    summary = run_monte_carlo(case, bus_ids(case), cfg, workers=2)
+    model = build_swing_model(operating_point(case), cfg.damping)
+    for row, bus in enumerate(bus_ids(case)):
+        f, g = impulse_responses(model, bus, cfg)
+        stats = summary.placements[bus]
+        # E|y| = sqrt(2/pi) sd(y) per sample; Var[IFD] from ifd_variance_bound.
+        tol = (z * math.sqrt(ifd_variance_bound(f) / n)
+               + z * n_t * linearization_error(g.bus_freq, cfg).sum())
+        assert abs(stats.ifd_samples.mean() - expected_ifd(f)) <= tol, bus
+        # The pooled std: mean y^2 and the mean y of the pooled samples
+        # deviate by z standard errors at most, and |s - s_lin| is at most
+        # the pooled RMS of the left-out part.
+        for got, f_k, g_k in ((stats.coi_std, f.coi_freq, g.coi_freq),
+                              (stats.poi_std, f.bus_freq[row], g.bus_freq[row])):
+            m2, var_q, var_mean = series_moments(f_k)
+            tol = ((z * math.sqrt(var_q / n) + z * z * var_mean / n) / math.sqrt(m2)
+                   + z * linearization_error(g_k, cfg))
+            assert abs(got - math.sqrt(m2)) <= tol, bus
+
+
+_SHORT_RUN = RunConfig(n_realizations=2, horizon=0.5, seed=3)
+
+
+@lru_cache(maxsize=None)
+def _alone(bus):
+    return run_monte_carlo(get_case("case7_study"), (bus,), _SHORT_RUN, workers=1).placements[bus]
+
+
+@settings(derandomize=True, deadline=None, max_examples=10)
+@given(buses=st.lists(st.sampled_from(bus_ids(get_case("case7_study"))), min_size=1,
+                      unique=True))
+def test_every_bus_of_a_drawn_placement_gets_its_statistics_alone(buses):
+    # Common random numbers: whatever placement buses run with it, and in
+    # whatever order, a bus's statistics are the bytes of that bus alone.
+    summary = run_monte_carlo(get_case("case7_study"), buses, _SHORT_RUN, workers=1)
+    assert list(summary.placements) == buses
+    for bus in buses:
+        assert_same_stats(summary.placements[bus], _alone(bus))
+        assert summary.placements[bus].ifd_quartiles == _alone(bus).ifd_quartiles
 
 
 def test_a_realization_returns_one_scalar_per_bus():

@@ -18,7 +18,7 @@ from gridgfv import (
     kron_reduce,
     parse_case,
 )
-from gridgfv import reduction
+from gridgfv import dynamics, reduction
 from gridgfv.case_model import bus_positions
 from gridgfv.dynamics import _injection_reduction
 
@@ -118,15 +118,25 @@ def test_kron_ignores_the_order_and_repeats_of_keep():
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
-def test_kron_equals_the_four_block_formula_bit_for_bit(name):
-    # At the kept rows of nodal_inertia's per-bus reductions and of
-    # _injection_reduction's bus and internal-node ports.
+def test_kron_equals_the_four_block_formula_bit_for_bit(name, monkeypatch):
+    # At the kept rows of nodal_inertia's per-bus reductions ({bus j} and the
+    # internal nodes) and at the internal nodes alone, on the augmented
+    # admittance and the swing Laplacian; and at _injection_reduction's own
+    # inputs: the swing Laplacian bordered with each port's unit column, bus
+    # or internal node, kept at the internal nodes and the border.
     analysis = get_analysis(name)
     n = analysis.case.n_bus
     g_rows = list(range(n, n + analysis.case.n_gen))
-    for y in (analysis.aug, build_swing_model(analysis).l_red):
-        for keep in [[j] + g_rows for j in range(n)] + [g_rows]:
-            assert np.array_equal(kron_reduce(y, keep), four_block_kron(y, keep))
+    model = build_swing_model(analysis)
+    inputs = [(y, keep) for y in (analysis.aug, model.l_red)
+              for keep in [[j] + g_rows for j in range(n)] + [g_rows]]
+    monkeypatch.setattr(dynamics, "kron_reduce",
+                        lambda y, keep: inputs.append((y, keep)) or kron_reduce(y, keep))
+    for row in range(len(model.l_red)):
+        _injection_reduction(model, row)
+    assert len(inputs) == 2 * (n + 1) + len(model.l_red)
+    for y, keep in inputs:
+        assert np.array_equal(kron_reduce(y, keep), four_block_kron(y, keep))
 
 
 def test_kron_chain_series_combination():
