@@ -26,7 +26,7 @@ import numpy as np
 
 from . import case_model, montecarlo
 from .case_model import bus_ids, load_case, load_validated_case, validate_case
-from .csvio import format_cell, read_table, write_table
+from .csvio import read_table, render_table, write_table
 from .dynamics import build_swing_model, simulate, simulate_ou, wind_to_power
 from .errors import CaseError, GridGfvError, NumericalError
 from .montecarlo import RunConfig
@@ -72,9 +72,9 @@ def _checked(section: str, key: str, value, name: str):
         raise _UsageError(f"{name} {exc}, got {value!r}") from None
 
 
-def _overlay(run: RunConfig, values: dict) -> RunConfig:
-    """run with values, (section, key) -> value, set over it."""
-    parts = {"ou": {}, "turbine": {}, "": {}}
+def _overlay(values: dict) -> RunConfig:
+    """RunConfig() with values, (section, key) -> value, set over it."""
+    run, parts = RunConfig(), {"ou": {}, "turbine": {}, "": {}}
     for (section, key), value in values.items():
         parts.get(section, parts[""])[key] = value
     try:
@@ -84,10 +84,10 @@ def _overlay(run: RunConfig, values: dict) -> RunConfig:
         raise _UsageError(str(exc)) from None
 
 
-def _load_run_config(path) -> RunConfig:
-    """RunConfig() with a --config file's values set over it.  Unknown keys,
-    sections that are not objects and values that do not fit their
-    parameter's type are usage errors."""
+def _config_values(path) -> dict:
+    """The run parameters of the --config file at path, (section, key) ->
+    value.  Unknown keys, sections that are not objects and values that do
+    not fit their parameter's type are usage errors."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
@@ -112,28 +112,29 @@ def _load_run_config(path) -> RunConfig:
         if (section, key) not in _RUN_PARAMETERS.values():
             raise _UsageError(f"config {path}: unknown key {where!r}")
         values[section, key] = _checked(section, key, value, f"config {path}: {where}")
-    return _overlay(RunConfig(), values)
+    return values
 
 
-def _merge(run: RunConfig, args) -> RunConfig:
-    """run with the run-parameter flags given on the command line set over it."""
-    values = {}
+def _load_run_config(path, flags=None) -> RunConfig:
+    """RunConfig() with the --config file's values at path (none when path is
+    None), then the run-parameter flags set in the namespace flags, over it
+    in one pass: the range rules judge only the merged values.  A flag value
+    that does not fit its parameter's type is a usage error."""
+    values = _config_values(path) if path else {}
     for flag, target in _RUN_PARAMETERS.items():
-        value = getattr(args, flag[2:].replace("-", "_"), None)
+        value = getattr(flags, flag[2:].replace("-", "_"), None)
         if value is not None:
             values[target] = _checked(*target, value, flag)
-    return _overlay(run, values)
+    return _overlay(values)
 
 
 def _emit(args, header, rows, comment=None):
+    """Write a command's table, rendered whole by csvio, to --out (mirrored
+    by --json) or to stdout; a non-finite cell leaves both untouched."""
     if args.out:
         write_table(args.out, header, rows, comment=comment, json_mirror=args.json)
     else:
-        if comment is not None:
-            print(f"# {comment}")
-        print(",".join(header))
-        for row in rows:
-            print(",".join(format_cell(v) for v in row))
+        sys.stdout.write(render_table(header, rows, comment))
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +279,7 @@ def _cmd_report(args, run: RunConfig) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Parser / dispatch
+# Parser / entry point
 # ---------------------------------------------------------------------------
 
 
@@ -378,28 +379,20 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
-def _run(argv) -> int:
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
-    cmd = _COMMANDS[args.command]
-    if cmd.table and args.json and not args.out:
-        raise _UsageError("--json requires --out (it mirrors a CSV file)")
-    config = getattr(args, "config", None)
-    run = _load_run_config(config) if config else RunConfig()
-    run = _merge(run, args)
-    with np.errstate(all="ignore"):  # outputs are checked for finiteness
-        return cmd.handler(args, run)
-
-
-def dispatch(argv) -> int:
-    return report_failures(lambda: _run(argv))
-
-
-def report_failures(action: Callable[[], int]) -> int:
-    """action()'s exit code, or that of its failure, reported as one stderr
-    line: 1 for usage, memory and file-system errors and a Monte Carlo worker
-    that died, 2 for bad data, 3 for a numerical failure."""
+def main(argv=None) -> int:
+    """Run the grid-gfv command in argv (default: sys.argv[1:]) and return its
+    exit code.  A failure is reported as one stderr line: 1 for usage,
+    memory and file-system errors and a Monte Carlo worker that died, 2 for
+    bad data, 3 for a numerical failure."""
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        return action()
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
+        cmd = _COMMANDS[args.command]
+        if cmd.table and args.json and not args.out:
+            raise _UsageError("--json requires --out (it mirrors a CSV file)")
+        run = _load_run_config(getattr(args, "config", None), args)
+        with np.errstate(all="ignore"):  # outputs are checked for finiteness
+            return cmd.handler(args, run)
     except _UsageError as exc:
         return _fail(str(exc), 1)
     except MemoryError as exc:  # e.g. a horizon of more steps than fit in memory
@@ -416,10 +409,6 @@ def report_failures(action: Callable[[], int]) -> int:
         return _fail(f"numerical failure: {exc}", 3)
     except GridGfvError as exc:  # CaseError among them
         return _fail(f"error: {exc}", 2)
-
-
-def main(argv=None) -> int:
-    return dispatch(sys.argv[1:] if argv is None else argv)
 
 
 if __name__ == "__main__":

@@ -1,9 +1,9 @@
 """CSV output with a finite-value guard and an optional JSON mirror.
 
-All CLI outputs funnel through write_table, so a NaN or infinity anywhere in
-a result is caught at the boundary instead of landing in a file.  Floats are
-rendered with repr() (shortest round-trip form) which keeps repeated runs
-byte-identical.
+Every CLI table, to stdout or to a file, is rendered by render_table, so a
+NaN or infinity anywhere in a result is caught at the boundary, before a
+byte of the table is written.  Floats are rendered with repr() (shortest
+round-trip form) which keeps repeated runs byte-identical.
 """
 
 from __future__ import annotations
@@ -16,13 +16,20 @@ from .errors import UnusableResultError
 
 
 def format_cell(value) -> str:
-    if isinstance(value, bool):
-        return "1" if value else "0"
     if isinstance(value, float):
         if not math.isfinite(value):
             raise UnusableResultError(f"non-finite value {value!r} in CSV output")
         return repr(value)
     return str(value)
+
+
+def render_table(header: list[str], rows: list[list], comment: str | None = None) -> str:
+    """The RFC-4180-style CSV text of a table: comment, when given, as a
+    '# ...' line, the header row, then every row with each cell formatted.
+    Nothing is returned unless every cell is finite."""
+    lines = [f"# {comment}"] * (comment is not None) + [",".join(header)]
+    lines += [",".join(map(format_cell, row)) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def write_table(
@@ -32,22 +39,18 @@ def write_table(
     comment: str | None = None,
     json_mirror: bool = False,
 ):
-    """Write an RFC-4180-style CSV with a header row.
+    """Write render_table's CSV text of a table to path.
 
-    comment, when given, is emitted first as a '# ...' line.  With
-    json_mirror the same table is also written next to the CSV as
-    {stem}.json with keys columns/rows (and comment when present).
+    With json_mirror the same table is also written next to the CSV as
+    {stem}.json with keys columns/rows (and comment when present), its rows
+    the CSV's own formatted cells.
     """
     path = Path(path)
-    formatted = [[format_cell(v) for v in row] for row in rows]
-    lines = []
-    if comment is not None:
-        lines.append(f"# {comment}")
-    lines.append(",".join(header))
-    lines.extend(",".join(row) for row in formatted)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    text = render_table(header, rows, comment)
+    path.write_text(text, encoding="utf-8")
     if json_mirror:
-        doc = {"columns": header, "rows": formatted}
+        body = text.splitlines()[1 + (comment is not None):]
+        doc = {"columns": header, "rows": [line.split(",") for line in body]}
         if comment is not None:
             doc["comment"] = comment
         path.with_suffix(".json").write_text(

@@ -24,6 +24,7 @@ from scipy.stats import spearmanr
 from gridgfv import OuParams, TurbineParams, cli, montecarlo, powerflow
 from gridgfv.cli import main
 from gridgfv.csvio import format_cell, read_table, write_table
+from gridgfv.errors import SimulationUnstableError
 
 from conftest import FIXTURE_NAMES, fixture_path
 
@@ -291,6 +292,23 @@ def test_csv_writer_rejects_non_finite(tmp_path):
         write_table(tmp_path / "x.csv", ["a"], [[math.inf]])
 
 
+@pytest.mark.parametrize("out", [False, True], ids=["stdout", "out"])
+def test_a_non_finite_cell_writes_no_table(tmp_path, capsys, monkeypatch, out):
+    analyze = cli.analyze_case
+
+    def nan_in_row_4(*args, **kwargs):
+        analysis = analyze(*args, **kwargs)
+        analysis.inertia[3] = math.nan
+        return analysis
+
+    monkeypatch.setattr(cli, "analyze_case", nan_in_row_4)
+    path = tmp_path / "h.csv"
+    assert main(["inertia", CASE9] + ["--out", str(path)] * out) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and not path.exists()
+    assert captured.err == "numerical failure: non-finite value nan in CSV output\n"
+
+
 def test_csv_floats_round_trip_exactly(tmp_path):
     value = 0.1234567890123456789
     path = tmp_path / "x.csv"
@@ -422,9 +440,13 @@ def _set(doc, path, value):
     (("branches", 0), "1-4", "branches[0]: entry must be an object"),
     (("generators",), {"g": {"bus": 1, "h": 5.0, "xd_p": 0.1}},
      "section 'generators' must be an array"),
+    (("branches", 0, "to_bus"), 1, "branches[0]: from_bus and to_bus are both 1"),
+    (("generators", 0, "mva_base"), 0,
+     "generators[0]: mva_base must be positive, got 0.0"),
 ], ids=["bus-entry-number", "buses-number", "from_bus-list", "generator-bus-list",
         "p_load-huge", "base_mva-bool", "from_bus-bool", "generator-bus-float",
-        "status-5", "branch-entry-string", "generators-object"])
+        "status-5", "branch-entry-string", "generators-object", "self-loop",
+        "mva_base-0"])
 def test_malformed_case_is_a_one_line_data_error(tmp_path, capsys, command, path,
                                                  value, message):
     doc = json.loads(Path(CASE9).read_text())
@@ -434,6 +456,51 @@ def test_malformed_case_is_a_one_line_data_error(tmp_path, capsys, command, path
     assert main([command, str(bad)]) == 2
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1 and message in err
+
+
+@pytest.mark.parametrize("path, value, violation", [
+    (("buses", 1, "v_set"), 0, "bus 2: invalid-v-set (0.0)"),
+    (("branches", 0, "x"), 0, "branch 1-4[0]: zero-reactance (0.0)"),
+    (("generators",), [], "case: no-generators"),
+    (("generators", 0, "h"), 0, "generator[0] at bus 1: non-positive-inertia (0.0)"),
+    (("generators", 0, "xd_p"), -0.1,
+     "generator[0] at bus 1: non-positive-transient-reactance (-0.1)"),
+], ids=["invalid-v-set", "zero-reactance", "no-generators", "non-positive-inertia",
+        "non-positive-transient-reactance"])
+def test_each_case_rule_is_a_data_error(tmp_path, capsys, path, value, violation):
+    doc = json.loads(Path(CASE9).read_text())
+    _set(doc, path, value)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["validate", str(bad)]) == 2
+    assert capsys.readouterr().out == violation + "\n"
+    assert main(["gfv", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: case {bad} fails validation: {violation}\n"
+
+
+def test_a_one_bus_case_is_a_one_line_data_error(tmp_path, capsys):
+    doc = json.loads(Path(CASE9).read_text())
+    doc.update(buses=doc["buses"][:1], branches=[], generators=doc["generators"][:1])
+    one = tmp_path / "one.json"
+    one.write_text(json.dumps(doc))
+    assert main(["gfv", str(one)]) == 2
+    assert capsys.readouterr().err == "error: Fiedler analysis needs at least two buses\n"
+
+
+@pytest.mark.parametrize("command", ["pf", "laplacian", "gfv"])
+def test_an_out_of_service_branch_changes_no_output(tmp_path, capsys, command):
+    # A parallel copy of branch 1-4 would halve its impedance if it were in
+    # service.
+    doc = json.loads(Path(CASE9).read_text())
+    doc["branches"].append({**doc["branches"][0], "status": 0})
+    with_spare = tmp_path / "spare.json"
+    with_spare.write_text(json.dumps(doc))
+    assert main([command, CASE9]) == 0
+    expected = capsys.readouterr().out
+    assert main([command, str(with_spare)]) == 0
+    assert capsys.readouterr().out == expected
 
 
 def _paths(doc, path=()):
@@ -490,6 +557,31 @@ def test_config_file_horizon_reaches_simulate(tmp_path):
     assert len(read_table(out)[1]) == 51
 
 
+@pytest.mark.parametrize("config, flags, message", [
+    ({"mc": {"dt": 0}}, ["--dt", "0.0001", "--t", "0.01"],
+     "horizon must cover at least one step of dt and finitely many, "
+     "got horizon 200.0 and dt 0.0"),
+    ({"mc": {"horizon": 0.001}}, ["--dt", "0.0001", "--t", "0.01"],
+     "horizon must cover at least one step of dt and finitely many, "
+     "got horizon 0.001 and dt 0.01"),
+    ({"ou": {"alpha": 0}}, ["--ou-alpha", "0.1", "--dt", "0.0001", "--t", "0.01"],
+     "alpha must be positive, got 0.0"),
+], ids=["dt-0", "horizon-below-one-step", "alpha-0"])
+def test_flags_override_an_out_of_range_config_value(tmp_path, capsys, config, flags,
+                                                      message):
+    # The range rules judge the merged run parameters, not the file's alone.
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(config))
+    argv = ["simulate", CASE9, "--bus", "5"]
+    by_flags, by_both = tmp_path / "flags.csv", tmp_path / "both.csv"
+    assert main(argv + flags + ["--out", str(by_flags)]) == 0
+    assert main(argv + flags + ["--config", str(cfg), "--out", str(by_both)]) == 0
+    assert by_both.read_bytes() == by_flags.read_bytes()
+    # A file value that no flag overrides is still out of range.
+    assert main(argv + ["--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == message + "\n"
+
+
 @pytest.mark.parametrize("argv, config, message", [
     (["simulate", STUDY, "--bus", "3", "--t", "1", "--ou-mu", "nan"], None,
      "--ou-mu must be finite, got nan\n"),
@@ -528,6 +620,37 @@ def test_mc_failure_is_a_one_line_numerical_failure(tmp_path, capsys, monkeypatc
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
     assert err.startswith(f"numerical failure: {message}")
+
+
+def test_partial_mc_run_names_each_failure_then_warns(tmp_path, capsys, monkeypatch):
+    # A run serially simulates each realization at bus 3, then at bus 5.
+    monkeypatch.setenv("GRID_GFV_THREADS", "1")
+    simulate, calls = montecarlo.simulate, []
+    failing = {(1, 3), (2, 5), (3, 5)}  # (realization, bus)
+
+    def flaky(model, bus, dp, dt):
+        calls.append(bus)
+        if ((len(calls) - 1) // 2, bus) in failing:
+            raise SimulationUnstableError("non-finite state (injected)")
+        return simulate(model, bus, dp, dt)
+
+    monkeypatch.setattr(montecarlo, "simulate", flaky)
+    out_dir = tmp_path / "mc"
+    assert main(["mc", STUDY, "--buses", "5,3", "--n", "4", "--t", "0.5",
+                 "--out-dir", str(out_dir)]) == 0
+    assert calls == [3, 5] * 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "bus 3: realization 1: non-finite state (injected)\n"
+        "bus 5: realization 2: non-finite state (injected)\n"
+        "bus 5: realization 3: non-finite state (injected)\n"
+        "warning: summary is partial (some realizations failed)\n")
+    summary = out_dir / "summary.csv"
+    assert summary.read_text().splitlines()[0].endswith(" n_realizations=4 partial=True")
+    header, rows = read_table(summary)
+    n_ok = header.index("n_ok")
+    assert [(row[0], row[n_ok]) for row in rows] == [("3", "3"), ("5", "2")]
 
 
 def test_unusable_out_dir_is_reported_before_the_study(tmp_path, capsys, monkeypatch):
@@ -651,9 +774,13 @@ def test_any_run_parameter_vector_ends_in_a_documented_exit(tmp_path_factory, ve
     # A bus the case does not have is a data error.
     (["mc", STUDY, "--buses", "99", "--n", "1", "--t", "0.05", "--out-dir", "{tmp}"], 2,
      "error: placement buses not in case: [99]\n"),
+    (["mc", STUDY, "--buses", "3,x", "--out-dir", "{tmp}"], 1,
+     "--buses must be a comma-separated id list, got '3,x'\n"),
+    (["mc", STUDY, "--buses", ",", "--out-dir", "{tmp}"], 1,
+     "--buses must name at least one bus\n"),
 ], ids=["foreign-flag", "missing-buses", "bad-int", "unknown-command", "no-command",
         "flag-prefix", "mc-out-prefix", "mc-bus-prefix", "newline-in-argument",
-        "newline-in-path", "mc-unknown-bus"])
+        "newline-in-path", "mc-unknown-bus", "mc-buses-not-ids", "mc-buses-empty"])
 def test_argument_error_is_one_line(tmp_path, capsys, argv, code, message):
     assert main([arg.format(tmp=tmp_path) for arg in argv]) == code
     assert capsys.readouterr().err == message
