@@ -40,7 +40,7 @@ from .errors import (
     SingularMatrixError,
     StabilityRegionError,
 )
-from .montecarlo import McSummary, RunConfig, ifd, run_monte_carlo, summarize
+from .montecarlo import RunConfig, ifd, run_monte_carlo, summarize
 from .pipeline import CaseAnalysis, OperatingPoint, analyze_case, operating_point
 from .powerflow import (
     InternalEmfs,

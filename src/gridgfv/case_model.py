@@ -304,14 +304,17 @@ def connected_components(case: NetworkCase) -> list[list[int]]:
 
 
 def validate_case(case: NetworkCase) -> list[Violation]:
-    """The invariants of a parsed case that parse_case does not check: one
-    slack bus, v_set, h and xd_p positive, x nonzero, machines on slack or pv
-    buses and a connected network.  Returns an empty list iff the case is
-    usable for analysis.  Never raises: violations are returned as data."""
+    """The invariants of a parsed case that parse_case does not check: at
+    least two buses, one slack bus, v_set, h and xd_p positive, x nonzero,
+    machines on slack or pv buses and a connected network.  Returns an empty
+    list iff the case is usable for analysis.  Never raises: violations are
+    returned as data."""
     violations = [
         Violation(f"bus {bus.id}", "invalid-v-set", str(bus.v_set))
         for bus in case.buses if bus.kind in ("slack", "pv") and not bus.v_set > 0
     ]
+    if case.n_bus < 2:
+        violations.append(Violation("case", "too-few-buses", str(case.n_bus)))
 
     slack_ids = [b.id for b in case.buses if b.kind == "slack"]
     if not slack_ids:

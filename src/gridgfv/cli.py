@@ -190,13 +190,13 @@ def _cmd_mc(args, run: RunConfig) -> int:
         workers = montecarlo.resolve_workers(None, run.n_realizations)
     except ValueError as exc:  # GRID_GFV_THREADS is not an integer
         raise _UsageError(str(exc)) from None
-    case = load_validated_case(args.case)
     try:
         buses = [int(tok) for tok in args.buses.split(",") if tok]
     except ValueError:
         raise _UsageError(f"--buses must be a comma-separated id list, got {args.buses!r}")
     if not buses:
         raise _UsageError("--buses must name at least one bus")
+    case = load_validated_case(args.case)
     # Keep outputs in case bus order so gfv and mc/report orderings compose.
     rows = montecarlo.placement_rows(case, buses)
     buses = sorted(rows, key=rows.get)
@@ -204,11 +204,12 @@ def _cmd_mc(args, run: RunConfig) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     analysis = analyze_case(case, tol=run.tol, max_iter=run.max_iter)
-    summary = montecarlo.run_monte_carlo(case, buses, run, workers)
+    placements = montecarlo.run_monte_carlo(case, buses, run, workers)
+    partial = any(stats.failures for stats in placements.values())
 
     gfv = analysis.gfv.vector  # rows in case bus order
     summary_rows = []
-    for bus, stats in summary.placements.items():
+    for bus, stats in placements.items():
         bus_dir = out_dir / f"bus_{bus}"
         bus_dir.mkdir(exist_ok=True)
         write_table(bus_dir / "coi_hist.csv", ["bin_low", "bin_high", "count"],
@@ -229,12 +230,12 @@ def _cmd_mc(args, run: RunConfig) -> int:
          "whisker_high", "coi_std", "poi_std", "n_ok"],
         summary_rows,
         comment=(f"f0_pu=1.0 frequency_values=deviation_pu "
-                 f"seed={run.seed} n_realizations={summary.n_realizations} "
-                 f"partial={summary.partial}"),
+                 f"seed={run.seed} n_realizations={run.n_realizations} "
+                 f"partial={partial}"),
         json_mirror=args.json,
     )
-    if summary.partial:
-        for bus, stats in summary.placements.items():
+    if partial:
+        for bus, stats in placements.items():
             for failure in stats.failures:
                 print(f"bus {bus}: {failure}", file=sys.stderr)
         print("warning: summary is partial (some realizations failed)",

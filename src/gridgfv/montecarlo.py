@@ -120,13 +120,6 @@ class PlacementStats:
     failures: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class McSummary:
-    placements: dict[int, PlacementStats]  # in placement order
-    n_realizations: int
-    partial: bool
-
-
 def ifd(traj: Trajectory) -> float:
     """Integral frequency deviation: sum over buses and samples of the
     absolute gap between bus frequency and nominal.  The trajectory stores
@@ -149,40 +142,29 @@ def _box_stats(values: np.ndarray) -> BoxStats:
                     whisker_high=min(q3 + 1.5 * iqr, float(values.max())))
 
 
-def summarize(samples: dict[int, PlacementSamples], bins: int = RunConfig.bins) -> McSummary:
-    """Aggregate raw collections, in placement order, into histograms and
-    boxplot quartiles.
+def summarize(bus: int, group: PlacementSamples, bins: int = RunConfig.bins) -> PlacementStats:
+    """The statistics of placement bus from its raw collections, group:
+    histograms, boxplot quartiles and pooled standard deviations.  A bus with
+    no successful realization is an UnusableResultError that names it.
 
     Histograms are equal-width over the pooled min/max per metric (a single
     degenerate bin when every sample coincides); whiskers sit at 1.5 IQR
     clamped to the data range, with all samples retained in ifd_samples.
-    n_realizations counts one bus's successes and failures.
     """
-    if not samples:
-        raise ValueError("no realizations to summarize")
-    placements = {}
-    for bus, group in samples.items():
-        if not group.ifd_values:
-            first = f" ({group.failures[0]})" if group.failures else ""
-            raise UnusableResultError(
-                f"placement bus {bus} has no successful realizations{first}")
-        coi_pool = group.coi.reshape(-1)
-        poi_pool = group.poi.reshape(-1)
-        ifd_arr = np.asarray(group.ifd_values)
-        placements[bus] = PlacementStats(
-            coi_histogram=_histogram(coi_pool, bins),
-            poi_histogram=_histogram(poi_pool, bins),
-            ifd_samples=ifd_arr,
-            ifd_quartiles=_box_stats(ifd_arr),
-            coi_std=float(coi_pool.std()),
-            poi_std=float(poi_pool.std()),
-            failures=group.failures,
-        )
-    groups = samples.values()
-    return McSummary(
-        placements=placements,
-        n_realizations=max(len(g.ifd_values) + len(g.failures) for g in groups),
-        partial=any(g.failures for g in groups),
+    if not group.ifd_values:
+        first = f" ({group.failures[0]})" if group.failures else ""
+        raise UnusableResultError(f"placement bus {bus} has no successful realizations{first}")
+    coi_pool = group.coi.reshape(-1)
+    poi_pool = group.poi.reshape(-1)
+    ifd_arr = np.asarray(group.ifd_values)
+    return PlacementStats(
+        coi_histogram=_histogram(coi_pool, bins),
+        poi_histogram=_histogram(poi_pool, bins),
+        ifd_samples=ifd_arr,
+        ifd_quartiles=_box_stats(ifd_arr),
+        coi_std=float(coi_pool.std()),
+        poi_std=float(poi_pool.std()),
+        failures=group.failures,
     )
 
 
@@ -244,9 +226,10 @@ def placement_rows(case: NetworkCase, buses) -> dict[int, int]:
 
 def run_monte_carlo(
     case: NetworkCase, buses, cfg: RunConfig = RunConfig(), workers: int | None = None
-) -> McSummary:
-    """Run the placement study of a validated case at buses and aggregate
-    the statistics.
+) -> dict[int, PlacementStats]:
+    """Run the placement study of a validated case at buses: each bus's
+    statistics, in placement order.  A bus none of whose realizations
+    succeeded is an UnusableResultError.
 
     workers=None honors GRID_GFV_THREADS, else uses all available cores.
     """
@@ -275,12 +258,12 @@ def run_monte_carlo(
                                  initializer=_attach, initargs=(realize,)) as pool:
             results = list(pool.map(_attached, range(cfg.n_realizations), chunksize=chunk))
 
-    collected = {}
+    placements = {}
     for bus, kept, per_bus in zip(rows, series, zip(*results)):
         ok = [not isinstance(r, str) for r in per_bus]
         kept = kept if all(ok) else kept[:, ok]  # a view unless some failed
-        collected[bus] = PlacementSamples(
+        placements[bus] = summarize(bus, PlacementSamples(
             ifd_values=tuple(r for r in per_bus if not isinstance(r, str)),
             coi=kept[0], poi=kept[1],
-            failures=tuple(r for r in per_bus if isinstance(r, str)))
-    return summarize(collected, bins=cfg.bins)
+            failures=tuple(r for r in per_bus if isinstance(r, str))), bins=cfg.bins)
+    return placements

@@ -20,11 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .case_model import NetworkCase
-from .errors import (
-    DisconnectedNetworkError,
-    GridGfvError,
-    StabilityRegionError,
-)
+from .errors import DisconnectedNetworkError, GridGfvError, NumericalError, StabilityRegionError
 from .powerflow import InternalEmfs, PowerFlowSolution
 from .reduction import kron_reduce
 
@@ -151,7 +147,8 @@ def nodal_inertia(
               / sum_i H_i^{-1} D_ji B_ij E_i cos(d_i0 - t_j0)
 
     which collapses to h = H for a single-machine system.  A bus whose h is
-    not positive is an error: the pencil (L, diag(h)) needs h > 0.
+    undefined or not positive is a NumericalError: the pencil (L, diag(h))
+    needs h > 0.
     """
     n = case.n_bus
     g_rows = list(range(n, n + case.n_gen))
@@ -164,14 +161,14 @@ def nodal_inertia(
     zero = np.abs(denom) < 1e-12
     if zero.any():
         j = int(np.argmax(zero))
-        raise GridGfvError(
+        raise NumericalError(
             f"nodal inertia undefined at bus {case.buses[j].id}: denominator "
             f"{denom[j]:.3e} (participation/angle cancellation)"
         )
     h_out = np.sum(terms, axis=1) / denom
     if not _positive(h_out):
         bad = [case.buses[i].id for i in np.nonzero(~(h_out > 0))[0]]
-        raise GridGfvError(f"non-positive nodal inertia at buses {bad}")
+        raise NumericalError(f"non-positive nodal inertia at buses {bad}")
     return h_out
 
 

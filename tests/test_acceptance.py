@@ -198,7 +198,7 @@ def test_08_placement_ranking_reproduction():
         gfv_at = dict(zip(bus_ids(case), analysis.gfv.vector))
         gfv_values = [gfv_at[b] for b in STUDY_BUSES]
         medians = [
-            summary.placements[b].ifd_quartiles.median for b in STUDY_BUSES
+            summary[b].ifd_quartiles.median for b in STUDY_BUSES
         ]
         rho = spearmanr(gfv_values, medians).statistic
         assert rho > 0.0

@@ -458,6 +458,20 @@ def test_malformed_case_is_a_one_line_data_error(tmp_path, capsys, command, path
     assert len(err.strip().splitlines()) == 1 and message in err
 
 
+@pytest.mark.parametrize("command", ["validate", "gfv"])
+@pytest.mark.parametrize("content, message", [
+    (b"[" * 100_000, "error: invalid JSON: nested too deeply\n"),
+    (b'{"base_mva": "\xff"}', "error: case file is not UTF-8 text: 'utf-8' codec can't "
+     "decode byte 0xff in position 14: invalid start byte\n"),
+], ids=["nested-too-deeply", "not-utf8"])
+def test_an_unreadable_case_file_is_a_one_line_data_error(tmp_path, capsys, command,
+                                                          content, message):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    assert main([command, str(bad)]) == 2
+    assert capsys.readouterr().err == message
+
+
 @pytest.mark.parametrize("path, value, violation", [
     (("buses", 1, "v_set"), 0, "bus 2: invalid-v-set (0.0)"),
     (("branches", 0, "x"), 0, "branch 1-4[0]: zero-reactance (0.0)"),
@@ -480,13 +494,57 @@ def test_each_case_rule_is_a_data_error(tmp_path, capsys, path, value, violation
     assert captured.err == f"error: case {bad} fails validation: {violation}\n"
 
 
-def test_a_one_bus_case_is_a_one_line_data_error(tmp_path, capsys):
+def _one_bus_case(tmp_path) -> Path:
+    """case9 cut to bus 1 and its machine."""
     doc = json.loads(Path(CASE9).read_text())
     doc.update(buses=doc["buses"][:1], branches=[], generators=doc["generators"][:1])
     one = tmp_path / "one.json"
     one.write_text(json.dumps(doc))
+    return one
+
+
+def test_a_one_bus_case_is_a_one_line_data_error(tmp_path, capsys):
+    one = _one_bus_case(tmp_path)
     assert main(["gfv", str(one)]) == 2
-    assert capsys.readouterr().err == "error: Fiedler analysis needs at least two buses\n"
+    assert capsys.readouterr().err == (
+        f"error: case {one} fails validation: case: too-few-buses (1)\n")
+
+
+def test_a_one_bus_case_fails_validate(tmp_path, capsys):
+    # validate_case's empty list means the case is usable for analysis, and
+    # the analysis needs two buses.
+    one = _one_bus_case(tmp_path)
+    assert main(["validate", str(one)]) == 2
+    assert capsys.readouterr().out == "case: too-few-buses (1)\n"
+    assert main(["pf", str(one)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: case {one} fails validation: case: too-few-buses (1)\n")
+
+
+def test_non_positive_nodal_inertia_of_a_valid_case_is_a_numerical_failure(tmp_path,
+                                                                           capsys):
+    # A valid case on which the computation fails: exit 3, not a data error.
+    doc = json.loads(fixture_path("case4_ring").read_text())
+    doc["buses"][1]["v_set"] = 1e9
+    ring = tmp_path / "ring.json"
+    ring.write_text(json.dumps(doc))
+    assert main(["validate", str(ring)]) == 0
+    assert main(["gfv", str(ring)]) == 3
+    assert capsys.readouterr().err == (
+        "numerical failure: non-positive nodal inertia at buses [1, 3, 4]\n")
+
+
+@pytest.mark.parametrize("buses, message", [
+    (",", "--buses must name at least one bus"),
+    ("3,x", "--buses must be a comma-separated id list, got '3,x'"),
+], ids=["empty", "not-ids"])
+def test_mc_reports_bad_buses_before_reading_the_case(tmp_path, capsys, buses, message):
+    doc = json.loads(Path(CASE9).read_text())
+    doc["branches"][0]["x"] = 0
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["mc", str(bad), "--buses", buses, "--out-dir", str(tmp_path / "mc")]) == 1
+    assert capsys.readouterr().err == message + "\n"
 
 
 @pytest.mark.parametrize("command", ["pf", "laplacian", "gfv"])
@@ -528,24 +586,45 @@ _ANY_JSON = st.recursive(
 )
 
 
-@given(slot=st.sampled_from(_SLOTS), value=_ANY_JSON)
+# The slot of every branch and generator of each case, for deletion.
+_ENTRIES = [(name, (section, k)) for name, text in _DOCS.items()
+            for section in ("branches", "generators")
+            for k in range(len(json.loads(text)[section]))]
+_DELETED = object()  # in place of a value: the entry at the slot is deleted
+
+
+def _run(argv):
+    """main(argv)'s exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@given(mutation=st.tuples(st.sampled_from(_SLOTS), _ANY_JSON)
+       | st.tuples(st.sampled_from(_ENTRIES), st.just(_DELETED)))
 @settings(max_examples=300, deadline=None)
-def test_validate_survives_any_json_value_in_a_case(tmp_path_factory, slot, value):
-    name, path = slot
+def test_validate_survives_any_json_value_in_a_case(tmp_path_factory, mutation):
+    # validate's verdict is gfv's: a case it passes is analyzed or fails
+    # numerically (exit 3), and one it rejects is a data error for gfv too.
+    (name, path), value = mutation
     doc = json.loads(_DOCS[name])
-    if path:
+    if value is _DELETED:
+        del doc[path[0]][path[1]]
+    elif path:
         _set(doc, path, value)
     else:
         doc = value
     case = tmp_path_factory.getbasetemp() / "mutated.json"
     case.write_text(json.dumps(doc))
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = main(["validate", str(case)])
+    code, out, err = _run(["validate", str(case)])
     assert code in (0, 2)
-    assert "Traceback" not in err.getvalue()
-    if code == 2 and not out.getvalue():  # a case file that does not parse
-        assert len(err.getvalue().strip().splitlines()) == 1
+    assert "Traceback" not in err
+    if code == 2 and not out:  # a case file that does not parse
+        assert len(err.strip().splitlines()) == 1
+    gfv_code, _, gfv_err = _run(["gfv", str(case)])
+    assert gfv_code in ((0, 3) if code == 0 else (2,)), gfv_err
+    assert len(gfv_err.splitlines()) == (gfv_code != 0)
 
 
 def test_config_file_horizon_reaches_simulate(tmp_path):
@@ -695,6 +774,13 @@ def test_malformed_summary_is_a_one_line_data_error(tmp_path, capsys, content, r
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith(f"error: {summary}: {reason}")
+
+
+def test_a_summary_without_a_ranking_column_is_a_one_line_data_error(tmp_path, capsys):
+    summary = tmp_path / "summary.csv"
+    summary.write_text("bus_id,gfv,median_ifd,ifd_iqr,coi_std\n3,1,1,1,1\n")
+    assert main(["report", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: {summary} lacks columns ['poi_std']\n"
 
 
 # Run-parameter flags, with the values to draw for each.  The horizon, step and

@@ -448,6 +448,13 @@ def test_simulate_rejects_an_unknown_injection_port(port):
         simulate(model, port, np.zeros(10), 0.01)
 
 
+@pytest.mark.parametrize("dp", [np.zeros(0), np.zeros((2, 10))], ids=["empty", "2-d"])
+def test_simulate_rejects_a_dp_that_is_not_a_non_empty_series(dp):
+    model = build_swing_model(get_analysis("case9"))
+    with pytest.raises(ValueError, match="dp must be a non-empty 1-d series"):
+        simulate(model, 5, dp, 0.01)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_simulate_rejects_a_non_finite_dp(bad):
     # Not an unstable model: the block kernel would spread NaN * 0 over the

@@ -74,8 +74,7 @@ def _samples(ifd_values, series):
 
 
 def test_summarize_single_sample_degenerate():
-    s = summarize({1: _samples([2.5], [np.zeros(4)])}, bins=10)
-    stats = s.placements[1]
+    stats = summarize(1, _samples([2.5], [np.zeros(4)]), bins=10)
     q = stats.ifd_quartiles
     assert q.q1 == q.median == q.q3 == 2.5
     assert q.whisker_low == q.whisker_high == 2.5
@@ -85,9 +84,9 @@ def test_summarize_single_sample_degenerate():
 
 def test_summarize_five_point_quartiles():
     s = summarize(
-        {1: _samples([1.0, 2.0, 3.0, 4.0, 5.0], [np.zeros(2)] * 5)}, bins=4
+        1, _samples([1.0, 2.0, 3.0, 4.0, 5.0], [np.zeros(2)] * 5), bins=4
     )
-    q = s.placements[1].ifd_quartiles
+    q = s.ifd_quartiles
     assert (q.q1, q.median, q.q3) == (2.0, 3.0, 4.0)
     assert q.whisker_low == 1.0  # clamped to the data range
     assert q.whisker_high == 5.0
@@ -96,8 +95,8 @@ def test_summarize_five_point_quartiles():
 def test_summarize_normal_quantiles():
     rng = np.random.default_rng(11)
     values = rng.standard_normal(10**4)
-    s = summarize({1: _samples(values.tolist(), [values])}, bins=50)
-    q = s.placements[1].ifd_quartiles
+    s = summarize(1, _samples(values.tolist(), [values]), bins=50)
+    q = s.ifd_quartiles
     assert abs(q.median) < 0.05
     iqr = q.q3 - q.q1
     assert abs(iqr - 1.349) < 0.05 * 1.349
@@ -123,10 +122,10 @@ def test_single_deterministic_realization():
         seed=5,
     )
     summary = run_monte_carlo(case, (3,), cfg, workers=1)
-    stats = summary.placements[3]
+    stats = summary[3]
     assert stats.ifd_samples.tolist() == [0.0]
     assert list(stats.coi_histogram.counts) == [201]
-    assert not summary.partial
+    assert not stats.failures
 
 
 def test_identical_seed_identical_summary():
@@ -136,11 +135,11 @@ def test_identical_seed_identical_summary():
     b = run_monte_carlo(case, (3, 5), cfg, workers=1)
     for bus in (3, 5):
         assert np.array_equal(
-            a.placements[bus].ifd_samples, b.placements[bus].ifd_samples
+            a[bus].ifd_samples, b[bus].ifd_samples
         )
         assert np.array_equal(
-            a.placements[bus].coi_histogram.counts,
-            b.placements[bus].coi_histogram.counts,
+            a[bus].coi_histogram.counts,
+            b[bus].coi_histogram.counts,
         )
 
 
@@ -151,13 +150,13 @@ def test_worker_count_does_not_change_results():
     pooled = run_monte_carlo(case, (3, 7), cfg, workers=3)
     for bus in (3, 7):
         assert np.array_equal(
-            serial.placements[bus].ifd_samples, pooled.placements[bus].ifd_samples
+            serial[bus].ifd_samples, pooled[bus].ifd_samples
         )
         assert np.array_equal(
-            serial.placements[bus].poi_histogram.counts,
-            pooled.placements[bus].poi_histogram.counts,
+            serial[bus].poi_histogram.counts,
+            pooled[bus].poi_histogram.counts,
         )
-        assert_same_stats(serial.placements[bus], pooled.placements[bus])
+        assert_same_stats(serial[bus], pooled[bus])
 
 
 def assert_same_stats(a, b):
@@ -184,13 +183,15 @@ def test_partial_runs_agree_across_worker_counts(monkeypatch):
     cfg = RunConfig(n_realizations=8, horizon=1.0, dt=0.01, seed=29)
     serial = run_monte_carlo(case, (3, 7), cfg, workers=1)
     pooled = run_monte_carlo(case, (3, 7), cfg, workers=2)
-    assert serial.partial and pooled.partial
-    assert serial.n_realizations == pooled.n_realizations == 8
-    failed = {bus: {f.split(":")[0] for f in serial.placements[bus].failures}
+    assert any(s.failures for s in serial.values())
+    assert any(s.failures for s in pooled.values())
+    for stats in (*serial.values(), *pooled.values()):
+        assert len(stats.ifd_samples) + len(stats.failures) == 8
+    failed = {bus: {f.split(":")[0] for f in serial[bus].failures}
               for bus in (3, 7)}
     assert failed[3] != failed[7]  # some realization fails at one bus only
     for bus in (3, 7):
-        a, b = serial.placements[bus], pooled.placements[bus]
+        a, b = serial[bus], pooled[bus]
         assert 0 < len(a.failures) < 8
         assert_same_stats(a, b)
         n_ok = len(a.ifd_samples)
@@ -207,9 +208,9 @@ def test_placement_order_changes_no_bus_statistics():
     cfg = RunConfig(n_realizations=6, horizon=5.0, seed=3)
     ordered = run_monte_carlo(case, (3, 5, 7), cfg, workers=2)
     rotated = run_monte_carlo(case, (7, 3, 5), cfg, workers=2)
-    assert list(rotated.placements) == [7, 3, 5]
+    assert list(rotated) == [7, 3, 5]
     for bus in (3, 5, 7):
-        a, b = ordered.placements[bus], rotated.placements[bus]
+        a, b = ordered[bus], rotated[bus]
         assert_same_stats(a, b)
         assert a.ifd_quartiles == b.ifd_quartiles
 
@@ -238,7 +239,7 @@ def test_the_statistics_agree_with_the_second_moment_oracle(name):
     model = build_swing_model(operating_point(case), cfg.damping)
     for row, bus in enumerate(bus_ids(case)):
         f, g = impulse_responses(model, bus, cfg)
-        stats = summary.placements[bus]
+        stats = summary[bus]
         # E|y| = sqrt(2/pi) sd(y) per sample; Var[IFD] from ifd_variance_bound.
         tol = (z * math.sqrt(ifd_variance_bound(f) / n)
                + z * n_t * linearization_error(g.bus_freq, cfg).sum())
@@ -259,7 +260,7 @@ _SHORT_RUN = RunConfig(n_realizations=2, horizon=0.5, seed=3)
 
 @lru_cache(maxsize=None)
 def _alone(bus):
-    return run_monte_carlo(get_case("case7_study"), (bus,), _SHORT_RUN, workers=1).placements[bus]
+    return run_monte_carlo(get_case("case7_study"), (bus,), _SHORT_RUN, workers=1)[bus]
 
 
 @settings(derandomize=True, deadline=None, max_examples=10)
@@ -269,10 +270,10 @@ def test_every_bus_of_a_drawn_placement_gets_its_statistics_alone(buses):
     # Common random numbers: whatever placement buses run with it, and in
     # whatever order, a bus's statistics are the bytes of that bus alone.
     summary = run_monte_carlo(get_case("case7_study"), buses, _SHORT_RUN, workers=1)
-    assert list(summary.placements) == buses
+    assert list(summary) == buses
     for bus in buses:
-        assert_same_stats(summary.placements[bus], _alone(bus))
-        assert summary.placements[bus].ifd_quartiles == _alone(bus).ifd_quartiles
+        assert_same_stats(summary[bus], _alone(bus))
+        assert summary[bus].ifd_quartiles == _alone(bus).ifd_quartiles
 
 
 def test_a_realization_returns_one_scalar_per_bus():
@@ -311,7 +312,7 @@ def test_symmetric_placements_equivalent():
     case = get_case("case4_sym")
     cfg = RunConfig(n_realizations=10, horizon=5.0, dt=0.01, seed=31)
     s = run_monte_carlo(case, (2, 4), cfg, workers=1)
-    a, b = s.placements[2], s.placements[4]
+    a, b = s[2], s[4]
     assert np.allclose(a.ifd_samples, b.ifd_samples, rtol=1e-9)
     assert a.ifd_quartiles.median == pytest.approx(b.ifd_quartiles.median, rel=1e-9)
     assert a.poi_std == pytest.approx(b.poi_std, rel=1e-9)
@@ -329,8 +330,8 @@ def test_diffusion_scaling_raises_ifd():
     )
     for bus in (3, 5):
         assert (
-            large.placements[bus].ifd_quartiles.median
-            > small.placements[bus].ifd_quartiles.median
+            large[bus].ifd_quartiles.median
+            > small[bus].ifd_quartiles.median
         )
 
 
@@ -340,14 +341,19 @@ def test_histogram_counts_pool_all_samples():
     cfg = RunConfig(n_realizations=n, horizon=horizon, dt=dt, seed=13)
     s = run_monte_carlo(case, (5,), cfg, workers=1)
     samples_per_run = int(round(horizon / dt)) + 1
-    assert s.placements[5].coi_histogram.counts.sum() == n * samples_per_run
-    assert s.placements[5].poi_histogram.counts.sum() == n * samples_per_run
+    assert s[5].coi_histogram.counts.sum() == n * samples_per_run
+    assert s[5].poi_histogram.counts.sum() == n * samples_per_run
 
 
 def test_unknown_placement_bus_rejected():
     case = get_case("case7_study")
     with pytest.raises(Exception, match="placement buses"):
         run_monte_carlo(case, (99,), RunConfig(n_realizations=1))
+
+
+def test_a_study_without_placement_buses_is_refused():
+    with pytest.raises(ValueError, match="at least one placement bus is required"):
+        run_monte_carlo(get_case("case7_study"), (), RunConfig(n_realizations=1))
 
 
 @pytest.mark.parametrize("horizon, dt", [(0.001, 0.01), (0.005, 0.01), (1e300, 1e-10),
@@ -366,11 +372,6 @@ def test_failed_realizations_mark_summary_partial():
         run_monte_carlo(case, (3,), cfg, workers=1)
 
 
-def test_summarize_rejects_empty_input():
-    with pytest.raises(ValueError, match="no realizations"):
-        summarize({})
-
-
 def test_recorded_failures_mark_summary_partial():
     group = PlacementSamples(
         ifd_values=(1.0, 2.0),
@@ -378,9 +379,8 @@ def test_recorded_failures_mark_summary_partial():
         poi=np.zeros((2, 3)),
         failures=("realization 2: non-finite state",),
     )
-    s = summarize({1: group}, bins=4)
-    assert s.partial
-    assert s.placements[1].failures == ("realization 2: non-finite state",)
+    s = summarize(1, group, bins=4)
+    assert s.failures == ("realization 2: non-finite state",)
 
 
 def test_kept_poi_series_share_no_memory_with_trajectories(monkeypatch):
@@ -393,9 +393,9 @@ def test_kept_poi_series_share_no_memory_with_trajectories(monkeypatch):
         trajectories.append(simulate(*args))
         return trajectories[-1]
 
-    def recording_summarize(samples, **kwargs):
-        kept.extend(series for group in samples.values() for series in group.poi)
-        return summarize_(samples, **kwargs)
+    def recording_summarize(bus, group, **kwargs):
+        kept.extend(group.poi)
+        return summarize_(bus, group, **kwargs)
 
     monkeypatch.setattr(montecarlo, "simulate", recording_simulate)
     monkeypatch.setattr(montecarlo, "summarize", recording_summarize)

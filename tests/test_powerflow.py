@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from gridgfv import (
+    CaseError,
     ConvergenceError,
+    SingularMatrixError,
     build_ybus,
     internal_emfs,
     parse_case,
@@ -162,6 +164,25 @@ def test_nonconvergence_reports_mismatch():
     with pytest.raises(ConvergenceError) as err:
         solve_powerflow(hopeless, max_iter=15)
     assert err.value.mismatch is None or err.value.mismatch > 1e-8
+
+
+def _first_pv_bus(case, **changes):
+    """case, unvalidated, with changes made to its first pv bus."""
+    k = next(k for k, bus in enumerate(case.buses) if bus.kind == "pv")
+    return replace(case, buses=case.buses[:k] + (replace(case.buses[k], **changes),)
+                   + case.buses[k + 1:])
+
+
+def test_two_slack_buses_are_a_case_error():
+    with pytest.raises(CaseError, match="exactly one slack bus, found 2"):
+        solve_powerflow(_first_pv_bus(get_case("case9"), kind="slack"))
+
+
+def test_a_zero_voltage_setpoint_makes_the_jacobian_singular():
+    # Every derivative at a bus held at vm = 0 vanishes.
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(SingularMatrixError, match="Jacobian singular at iteration 0"):
+        solve_powerflow(_first_pv_bus(get_case("case9"), v_set=0.0))
 
 
 def test_emf_zero_reactance_degenerates_to_terminal():

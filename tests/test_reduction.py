@@ -210,6 +210,14 @@ def test_kron_singular_block_rejected():
         kron_reduce(y, [0, 1])
 
 
+def test_kron_rejects_a_nan_in_the_eliminated_block():
+    # The LU factorization goes through; its result is not finite.
+    y = 2.0 * np.eye(4) - 0.5
+    y[2, 3] = np.nan
+    with pytest.raises(SingularMatrixError):
+        kron_reduce(y, [0, 1])
+
+
 def test_participation_single_source():
     case = single_bus_single_gen()
     aug = augment_internal_nodes(build_ybus(case), case)

@@ -10,7 +10,7 @@ import pytest
 
 from gridgfv import (
     DisconnectedNetworkError,
-    GridGfvError,
+    NumericalError,
     StabilityRegionError,
     analyze_case,
     augment_internal_nodes,
@@ -297,7 +297,7 @@ def test_nodal_inertia_names_the_buses_of_non_positive_inertia():
     flipped[[2, 4]] *= -1.0
     bad = [analysis.case.buses[2].id, analysis.case.buses[4].id]
     message = rf"^non-positive nodal inertia at buses \[{bad[0]}, {bad[1]}\]$"
-    with pytest.raises(GridGfvError, match=message):
+    with pytest.raises(NumericalError, match=message):
         nodal_inertia(analysis.case, analysis.solution, analysis.emfs, flipped,
                       analysis.aug)
 
@@ -323,7 +323,7 @@ def test_nodal_inertia_names_the_first_bus_of_zero_denominator():
     zeroed[[6, 3]] = 0.0
     bus = analysis.case.buses[3].id
     message = rf"^nodal inertia undefined at bus {bus}: denominator 0\.000e\+00 "
-    with pytest.raises(GridGfvError, match=message):
+    with pytest.raises(NumericalError, match=message):
         nodal_inertia(analysis.case, analysis.solution, analysis.emfs, zeroed,
                       analysis.aug)
 
