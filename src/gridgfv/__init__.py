@@ -7,6 +7,11 @@ problem whose second mode scores every bus's frequency strength.  A Monte
 Carlo driver validates the ranking under stochastic wind feed-in.
 """
 
+import os
+# One BLAS thread unless the caller chose: mc's workers are processes already.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 from .case_model import (
     Branch,
     Bus,

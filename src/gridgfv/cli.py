@@ -265,7 +265,7 @@ def _cmd_report(args, run: RunConfig) -> int:
         col = {name: i for i, name in enumerate(header)}
         missing = [name for name in needed if name not in col]
         if missing:
-            raise CaseError(f"{summary_path} lacks columns {missing}")
+            raise ValueError(f"lacks columns {missing}")
         out_rows = [
             [int(row[col["bus_id"]])] + [float(row[col[name]]) for name in needed[1:]]
             for row in rows

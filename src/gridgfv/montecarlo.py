@@ -7,6 +7,9 @@ draws and adding a placement bus never perturbs the others).  Results are
 deterministic for a given base seed regardless of how many workers run the
 realizations.
 
+The study runs bus by bus: the first bus draws the power series that later
+buses replay, and each bus's COI and POI series fill one of two slots, which
+the parent summarizes while the workers simulate the next bus.
 A run simulates on one swing model, which keeps each placement bus's RK4
 propagator after its first realization (in each worker), so later
 realizations only reduce the network to the bus and apply it; the results
@@ -24,6 +27,7 @@ import mmap
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
 
@@ -168,27 +172,31 @@ def summarize(bus: int, group: PlacementSamples, bins: int = RunConfig.bins) -> 
     )
 
 
-def _one_realization(cfg: RunConfig, model: SwingModel, rows: dict[int, int],
-                     series: np.ndarray, realization: int) -> list:
-    """One wind path replayed at every placement bus, rows mapping each to
-    its row of bus_freq: per bus, the IFD or the failure message.  The k-th
-    bus's COI and POI series go to series[k, :, realization]."""
-    # The seed is shared across placement buses: common random numbers.
-    wind = simulate_ou(cfg.ou, cfg.dt, cfg.n_steps, (cfg.seed, realization))
-    dp = wind_to_power(wind, cfg.turbine)
+def _one_span(cfg: RunConfig, model: SwingModel, placements: tuple, slots: np.ndarray,
+              wind: np.ndarray | None, k: int, span: range) -> list:
+    """Bus k of placements, (bus, row of bus_freq) pairs, at each realization r
+    of span: the IFD or failure message per r, the COI and POI series to
+    slots[k % len(slots), :, r].  Bus 0 draws each power series, to wind[r]
+    unless wind is None, and the later buses replay it from there."""
+    bus, row = placements[k]
     results = []
-    for k, (bus, row) in enumerate(rows.items()):
+    for r in span:
+        # The seed is shared across placement buses: common random numbers.
+        dp = wind[r] if k else wind_to_power(
+            simulate_ou(cfg.ou, cfg.dt, cfg.n_steps, (cfg.seed, r)), cfg.turbine)
+        if k == 0 and wind is not None:
+            wind[r] = dp
         try:
             traj = simulate(model, bus, dp, cfg.dt)
         except GridGfvError as exc:
-            results.append(f"realization {realization}: {exc}")
+            results.append(f"realization {r}: {exc}")
             continue
-        series[k, :, realization] = traj.coi_freq, traj.bus_freq[row]
+        slots[k % len(slots), :, r] = traj.coi_freq, traj.bus_freq[row]
         results.append(ifd(traj))
     return results
 
 
-_realize = None  # in a forked pool worker, the run's realize, set by _attach
+_realize = None  # in a forked pool worker, the run's _one_span, set by _attach
 
 
 def _attach(realize):
@@ -196,8 +204,8 @@ def _attach(realize):
     _realize = realize
 
 
-def _attached(realization: int) -> list:
-    return _realize(realization)
+def _attached(k: int, span: range) -> list:
+    return _realize(k, span)
 
 
 def resolve_workers(workers: int | None, n_tasks: int) -> int:
@@ -227,9 +235,10 @@ def placement_rows(case: NetworkCase, buses) -> dict[int, int]:
 def run_monte_carlo(
     case: NetworkCase, buses, cfg: RunConfig = RunConfig(), workers: int | None = None
 ) -> dict[int, PlacementStats]:
-    """Run the placement study of a validated case at buses: each bus's
-    statistics, in placement order.  A bus none of whose realizations
-    succeeded is an UnusableResultError.
+    """Run the placement study of a validated case at buses, one bus after
+    another: each bus's statistics, in placement order.  A bus none of whose
+    realizations succeeded is an UnusableResultError.  The series mapping
+    holds 8 n (n_steps + 1) bytes 2, 3 or 5 times, for 1, 2 or more buses.
 
     workers=None honors GRID_GFV_THREADS, else uses all available cores.
     """
@@ -238,32 +247,45 @@ def run_monte_carlo(
         raise MemoryError(f"Unable to allocate a histogram of {cfg.bins} bins")
     op = operating_point(case, tol=cfg.tol, max_iter=cfg.max_iter)
     model = build_swing_model(op, cfg.damping)
-    # The kept COI/POI series, zeroed, in an anonymous shared mapping that
-    # forked workers write into; it is unmapped with the last view of it.
-    shape = (len(rows), 2, cfg.n_realizations, cfg.n_steps + 1)
+    # The slots, then the wind, in an anonymous shared mapping that forked
+    # workers write into; it is unmapped with the last view of it.  Bus k +
+    # n_slots starts once bus k is summarized, bus 1 once bus 0 drew the wind.
+    n, n_buses = cfg.n_realizations, len(rows)
+    n_slots = 2 if n_buses >= 3 else 1
+    shape = (2 * n_slots + (n_buses >= 2), n, cfg.n_steps + 1)
     try:
         series = np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape))).reshape(shape)
     except (OSError, OverflowError) as exc:  # OverflowError: past any ssize_t
         if getattr(exc, "errno", errno.ENOMEM) != errno.ENOMEM:
             raise
         raise MemoryError(f"Unable to map the COI/POI series of shape {shape}") from None
-    realize = partial(_one_realization, cfg, model, rows, series)
-    n_workers = resolve_workers(workers, cfg.n_realizations)
-    if n_workers == 1 or "fork" not in multiprocessing.get_all_start_methods():
-        results = [realize(r) for r in range(cfg.n_realizations)]
-    else:
-        # Forked workers inherit realize, the series mapping with it, unpickled.
-        chunk = max(1, cfg.n_realizations // (4 * n_workers))
-        with ProcessPoolExecutor(n_workers, multiprocessing.get_context("fork"),
-                                 initializer=_attach, initargs=(realize,)) as pool:
-            results = list(pool.map(_attached, range(cfg.n_realizations), chunksize=chunk))
+    slots = series[:2 * n_slots].reshape(n_slots, 2, *shape[1:])
+    realize = partial(_one_span, cfg, model, tuple(rows.items()), slots,
+                      series[-1] if n_buses >= 2 else None)
+    n_workers = resolve_workers(workers, n)
+    spans = [range(n * i // n_workers, n * (i + 1) // n_workers) for i in range(n_workers)]
+    serial = n_workers == 1 or "fork" not in multiprocessing.get_all_start_methods()
+    placements, pending = {}, []  # pending: per started bus, the calls for its results
+    # Forked workers inherit realize, the series mapping with it, unpickled.
+    with (nullcontext() if serial else ProcessPoolExecutor(
+            n_workers, multiprocessing.get_context("fork"),
+            initializer=_attach, initargs=(realize,))) as pool:
+        def start(j):
+            if j < n_buses:
+                pending.append([partial(realize, j, span) if serial else
+                                pool.submit(_attached, j, span).result for span in spans])
 
-    placements = {}
-    for bus, kept, per_bus in zip(rows, series, zip(*results)):
-        ok = [not isinstance(r, str) for r in per_bus]
-        kept = kept if all(ok) else kept[:, ok]  # a view unless some failed
-        placements[bus] = summarize(bus, PlacementSamples(
-            ifd_values=tuple(r for r in per_bus if not isinstance(r, str)),
-            coi=kept[0], poi=kept[1],
-            failures=tuple(r for r in per_bus if isinstance(r, str))), bins=cfg.bins)
+        start(0)
+        for k, bus in enumerate(rows):
+            per_bus = [r for result in pending.pop(0) for r in result()]
+            if k == 0 and n_slots == 2:
+                start(1)
+            ok = [not isinstance(r, str) for r in per_bus]
+            kept = slots[k % n_slots]
+            kept = kept if all(ok) else kept[:, ok]  # a view unless some failed
+            placements[bus] = summarize(bus, PlacementSamples(
+                ifd_values=tuple(r for r in per_bus if not isinstance(r, str)),
+                coi=kept[0], poi=kept[1],
+                failures=tuple(r for r in per_bus if isinstance(r, str))), bins=cfg.bins)
+            start(k + n_slots)
     return placements

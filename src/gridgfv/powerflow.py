@@ -72,7 +72,7 @@ def _ds_dv(ybus, v, ibus, vm):
     and of dS/d|V| it is v_r conj(Y_rc v_c / vm_c) + conj(i_r) v_r / vm_r
     [r = c]: broadcast products and a diagonal, O(n^2).
     """
-    vnorm = v / vm
+    vnorm = np.divide(v, vm, out=np.zeros_like(v), where=vm != 0)  # a zero v: a zero row
     diag = np.diag_indices_from(ybus)
     ds_dva = -np.conj(ybus * v)
     ds_dva[diag] += np.conj(ibus)

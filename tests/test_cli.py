@@ -241,14 +241,14 @@ def test_other_placement_buses_never_perturb_a_bus(tmp_path, monkeypatch):
 
 def test_a_worker_that_dies_is_a_one_line_usage_error(tmp_path, capsys, monkeypatch):
     # As under the OOM killer: the worker process ends without a word.
-    realize = montecarlo._one_realization
+    realize = montecarlo._one_span
 
-    def dies_at_three(cfg, model, rows, series, realization):
-        if realization == 3:
+    def dies_at_three(cfg, model, placements, slots, wind, k, span):
+        if 3 in span:
             os._exit(9)
-        return realize(cfg, model, rows, series, realization)
+        return realize(cfg, model, placements, slots, wind, k, span)
 
-    monkeypatch.setattr(montecarlo, "_one_realization", dies_at_three)
+    monkeypatch.setattr(montecarlo, "_one_span", dies_at_three)
     monkeypatch.setenv("GRID_GFV_THREADS", "2")
     assert main(["mc", STUDY, "--buses", "3", "--n", "4", "--t", "0.5",
                  "--out-dir", str(tmp_path / "mc")]) == 1
@@ -702,14 +702,14 @@ def test_mc_failure_is_a_one_line_numerical_failure(tmp_path, capsys, monkeypatc
 
 
 def test_partial_mc_run_names_each_failure_then_warns(tmp_path, capsys, monkeypatch):
-    # A run serially simulates each realization at bus 3, then at bus 5.
+    # A run serially simulates every realization at bus 3, then at bus 5.
     monkeypatch.setenv("GRID_GFV_THREADS", "1")
     simulate, calls = montecarlo.simulate, []
     failing = {(1, 3), (2, 5), (3, 5)}  # (realization, bus)
 
     def flaky(model, bus, dp, dt):
         calls.append(bus)
-        if ((len(calls) - 1) // 2, bus) in failing:
+        if ((len(calls) - 1) % 4, bus) in failing:
             raise SimulationUnstableError("non-finite state (injected)")
         return simulate(model, bus, dp, dt)
 
@@ -717,7 +717,7 @@ def test_partial_mc_run_names_each_failure_then_warns(tmp_path, capsys, monkeypa
     out_dir = tmp_path / "mc"
     assert main(["mc", STUDY, "--buses", "5,3", "--n", "4", "--t", "0.5",
                  "--out-dir", str(out_dir)]) == 0
-    assert calls == [3, 5] * 4
+    assert calls == [3] * 4 + [5] * 4
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
@@ -765,7 +765,8 @@ def test_bad_worker_count_is_a_one_line_usage_error_before_the_analysis(
     (b"\xff\xfe", "'utf-8' codec can't decode byte 0xff"),
     (b"bus_id,gfv,median_ifd,ifd_iqr,coi_std,poi_std\n3,nan,1,1,1,1\n",
      "a value is not a finite number"),
-], ids=["not-a-number", "short-row", "empty", "not-utf8", "nan"])
+    (b"bus_id,gfv,median_ifd,ifd_iqr,coi_std\n3,1,1,1,1\n", "lacks columns ['poi_std']"),
+], ids=["not-a-number", "short-row", "empty", "not-utf8", "nan", "no-ranking-column"])
 def test_malformed_summary_is_a_one_line_data_error(tmp_path, capsys, content, reason):
     summary = tmp_path / "summary.csv"
     summary.write_bytes(content)
@@ -774,13 +775,6 @@ def test_malformed_summary_is_a_one_line_data_error(tmp_path, capsys, content, r
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith(f"error: {summary}: {reason}")
-
-
-def test_a_summary_without_a_ranking_column_is_a_one_line_data_error(tmp_path, capsys):
-    summary = tmp_path / "summary.csv"
-    summary.write_text("bus_id,gfv,median_ifd,ifd_iqr,coi_std\n3,1,1,1,1\n")
-    assert main(["report", str(tmp_path)]) == 2
-    assert capsys.readouterr().err == f"error: {summary} lacks columns ['poi_std']\n"
 
 
 # Run-parameter flags, with the values to draw for each.  The horizon, step and
@@ -1069,3 +1063,32 @@ def test_no_scipy_module_is_loaded_by_import_gfv_or_mc(tmp_path):
         capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+# Records OPENBLAS_NUM_THREADS when numpy is first looked up, then imports
+# the package alone.
+_FIRST_NUMPY_IMPORT = """
+import os, sys
+seen = []
+
+class Recorder:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not seen:
+            seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+
+sys.meta_path.insert(0, Recorder())
+import gridgfv
+print(seen)
+"""
+
+
+@pytest.mark.parametrize("caller, seen", [(None, "1"), ("3", "3")])
+def test_blas_is_pinned_before_numpy_loads_unless_the_caller_set_it(caller, seen):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(Path(__file__).parents[1] / "src")
+    if caller is not None:
+        env["OPENBLAS_NUM_THREADS"] = caller
+    done = subprocess.run([sys.executable, "-c", _FIRST_NUMPY_IMPORT], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == f"[{seen!r}]\n"

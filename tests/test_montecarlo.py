@@ -16,7 +16,7 @@ from gridgfv import OuParams, RunConfig, ifd, montecarlo, run_monte_carlo, summa
 from gridgfv.case_model import bus_ids
 from gridgfv.dynamics import Trajectory, TurbineParams, build_swing_model
 from gridgfv.errors import SimulationUnstableError
-from gridgfv.montecarlo import PlacementSamples, _histogram, _one_realization
+from gridgfv.montecarlo import PlacementSamples, _histogram, _one_span
 from gridgfv.pipeline import operating_point
 
 from conftest import FIXTURE_NAMES, get_case
@@ -167,10 +167,12 @@ def assert_same_stats(a, b):
     assert (a.coi_std, a.poi_std, a.failures) == (b.coi_std, b.poi_std, b.failures)
 
 
-def test_partial_runs_agree_across_worker_counts(monkeypatch):
+@pytest.mark.parametrize("buses", [(3,), (3, 7), (3, 5, 7)])
+def test_partial_runs_agree_across_worker_counts(monkeypatch, buses):
     # The failing (realization, bus) pairs are picked from the wind data, not
     # from call order, so forked workers, which inherit the patch, fail the
-    # same ones as the serial run.
+    # same ones as the serial run.  One, two and three buses run with one
+    # slot and no kept wind, one slot and the wind, and two slots.
     simulate = montecarlo.simulate
 
     def flaky(model, bus, dp, dt):
@@ -181,16 +183,17 @@ def test_partial_runs_agree_across_worker_counts(monkeypatch):
     monkeypatch.setattr(montecarlo, "simulate", flaky)
     case = get_case("case7_study")
     cfg = RunConfig(n_realizations=8, horizon=1.0, dt=0.01, seed=29)
-    serial = run_monte_carlo(case, (3, 7), cfg, workers=1)
-    pooled = run_monte_carlo(case, (3, 7), cfg, workers=2)
+    serial = run_monte_carlo(case, buses, cfg, workers=1)
+    pooled = run_monte_carlo(case, buses, cfg, workers=2)
     assert any(s.failures for s in serial.values())
     assert any(s.failures for s in pooled.values())
     for stats in (*serial.values(), *pooled.values()):
         assert len(stats.ifd_samples) + len(stats.failures) == 8
     failed = {bus: {f.split(":")[0] for f in serial[bus].failures}
-              for bus in (3, 7)}
-    assert failed[3] != failed[7]  # some realization fails at one bus only
-    for bus in (3, 7):
+              for bus in buses}
+    if 7 in buses:
+        assert failed[3] != failed[7]  # some realization fails at one bus only
+    for bus in buses:
         a, b = serial[bus], pooled[bus]
         assert 0 < len(a.failures) < 8
         assert_same_stats(a, b)
@@ -276,33 +279,57 @@ def test_every_bus_of_a_drawn_placement_gets_its_statistics_alone(buses):
         assert summary[bus].ifd_quartiles == _alone(bus).ifd_quartiles
 
 
-def test_a_realization_returns_one_scalar_per_bus():
-    # What a pool worker sends back: an IFD or a failure message per bus; the
-    # series stay in the shared array.
+def test_a_task_returns_one_scalar_per_realization():
+    # What a pool worker sends back for one bus and a span of realizations:
+    # an IFD or a failure message per realization; the series stay in the
+    # shared slots.  The first bus draws the wind that the later ones replay.
     cfg = RunConfig(horizon=50.0, dt=0.01, seed=3)
     model = build_swing_model(operating_point(get_case("case7_study")), cfg.damping)
-    rows = montecarlo.placement_rows(get_case("case7_study"), (3, 4, 5, 7))
-    series = np.zeros((len(rows), 2, 1, cfg.n_steps + 1))
-    results = _one_realization(cfg, model, rows, series, 0)
-    assert [type(r) for r in results] == [float] * 4
-    assert len(pickle.dumps(results)) < 1024
-    assert np.all(series[:, :, 0, 1:] != 0.0)  # every series was written
+    placements = tuple(montecarlo.placement_rows(get_case("case7_study"), (3, 4, 5)).items())
+    slots = np.zeros((2, 2, 3, cfg.n_steps + 1))
+    wind = np.zeros((3, cfg.n_steps + 1))
+    for k in range(3):
+        results = _one_span(cfg, model, placements, slots, wind, k, range(1, 3))
+        assert [type(r) for r in results] == [float] * 2
+        assert len(pickle.dumps(results)) < 1024
+        assert np.all(slots[k % 2, :, 1:, 1:] != 0.0)  # every series was written
+        assert np.all(slots[k % 2, :, 0] == 0.0)  # and no other realization's
+    # The wind starts at the reference speed, where the power deviation is 0.
+    assert np.all(wind[1:, 1:] != 0.0) and np.all(wind[0] == 0.0)
 
 
-def test_the_series_mapping_is_released_before_the_run_returns(monkeypatch):
-    mappings = []
+@pytest.fixture
+def mappings(monkeypatch):
+    """Every mapping montecarlo makes, in order."""
+    made = []
     real = montecarlo.mmap.mmap
 
     def recording_mmap(*args):
-        mappings.append(real(*args))
-        return mappings[-1]
+        made.append(real(*args))
+        return made[-1]
 
     monkeypatch.setattr(montecarlo, "mmap", SimpleNamespace(mmap=recording_mmap))
+    return made
+
+
+def test_the_series_mapping_is_released_before_the_run_returns(mappings):
     cfg = RunConfig(n_realizations=4, horizon=0.5, dt=0.01, seed=4)
     for workers in (1, 2):
         run_monte_carlo(get_case("case7_study"), (3, 5), cfg, workers=workers)
         released = weakref.ref(mappings.pop())
         assert released() is None
+
+
+@pytest.mark.parametrize("n_buses, blocks", [(1, 2), (2, 3), (3, 5), (5, 5)])
+def test_the_series_mapping_holds_two_buses_at_most(mappings, n_buses, blocks):
+    # Blocks of n * (n_steps + 1) float64s: the COI and POI series of one bus,
+    # or of two from three buses on, plus the wind power series that the
+    # first bus draws when another bus replays it.
+    cfg = RunConfig(n_realizations=4, horizon=0.5, dt=0.01, seed=4)
+    block = 8 * cfg.n_realizations * (cfg.n_steps + 1)
+    run_monte_carlo(get_case("case7_study"), (3, 4, 5, 6, 7)[:n_buses], cfg, workers=2)
+    (mapping,) = mappings
+    assert len(mapping) == blocks * block <= 2 * n_buses * block
 
 
 def test_symmetric_placements_equivalent():
