@@ -64,22 +64,33 @@ def build_ybus(case: NetworkCase) -> np.ndarray:
     return y
 
 
-def _ds_dv(ybus, v, ibus, vm):
-    """dS/dtheta and dS/d|V| of the bus injections S = v conj(ybus v) at
-    v = vm exp(j theta), given the bus currents ibus = ybus v.
+def _jacobian(ybus, v, ibus, vm, pvpq, pq):
+    """The Newton-Raphson Jacobian of the bus injections S = v conj(ybus v)
+    at v = vm exp(j theta), given the bus currents ibus = ybus v: rows P at
+    pvpq then Q at pq, columns theta at pvpq then |V| at pq.
 
     Element (r, c) of dS/dtheta is j v_r (conj(i_r) [r = c] - conj(Y_rc v_c)),
     and of dS/d|V| it is v_r conj(Y_rc v_c / vm_c) + conj(i_r) v_r / vm_r
-    [r = c]: broadcast products and a diagonal, O(n^2).
+    [r = c]: broadcast products and a diagonal, O(n^2).  Each is built in
+    place in one complex n x n buffer, dS/dtheta first, and copied into its
+    columns of the real Jacobian before the buffer is rebuilt.
     """
     vnorm = np.divide(v, vm, out=np.zeros_like(v), where=vm != 0)  # a zero v: a zero row
-    diag = np.diag_indices_from(ybus)
-    ds_dva = -np.conj(ybus * v)
-    ds_dva[diag] += np.conj(ibus)
-    ds_dva *= 1j * v[:, None]
-    ds_dvm = v[:, None] * np.conj(ybus * vnorm)
-    ds_dvm[diag] += np.conj(ibus) * vnorm
-    return ds_dva, ds_dvm
+    nva = len(pvpq)
+    jac = np.empty((nva + len(pq),) * 2)
+    ds = ybus * v
+    diag = np.diag_indices_from(ds)
+    np.negative(np.conjugate(ds, out=ds), out=ds)
+    ds[diag] += np.conj(ibus)
+    ds *= 1j * v[:, None]
+    jac[:nva, :nva] = ds.real[np.ix_(pvpq, pvpq)]
+    jac[nva:, :nva] = ds.imag[np.ix_(pq, pvpq)]
+    np.conjugate(np.multiply(ybus, vnorm, out=ds), out=ds)
+    np.multiply(v[:, None], ds, out=ds)
+    ds[diag] += np.conj(ibus) * vnorm
+    jac[:nva, nva:] = ds.real[np.ix_(pvpq, pq)]
+    jac[nva:, nva:] = ds.imag[np.ix_(pq, pq)]
+    return jac
 
 
 def _scheduled(case: NetworkCase):
@@ -145,14 +156,9 @@ def solve_powerflow(
         if iterations == max_iter:
             break
 
-        ds_dva, ds_dvm = _ds_dv(ybus, v, ibus, vm)
-        j11 = ds_dva[np.ix_(pvpq, pvpq)].real
-        j12 = ds_dvm[np.ix_(pvpq, pq)].real
-        j21 = ds_dva[np.ix_(pq, pvpq)].imag
-        j22 = ds_dvm[np.ix_(pq, pq)].imag
-        jac = np.block([[j11, j12], [j21, j22]])
+        # The Jacobian is a temporary of the solve, so no two are ever held.
         try:
-            dx = np.linalg.solve(jac, mismatch)
+            dx = np.linalg.solve(_jacobian(ybus, v, ibus, vm, pvpq, pq), mismatch)
         except np.linalg.LinAlgError as exc:
             raise SingularMatrixError(
                 f"power-flow Jacobian singular at iteration {iterations}; "
@@ -197,7 +203,7 @@ def internal_emfs(case: NetworkCase, sol: PowerFlowSolution) -> InternalEmfs:
         v = sol.vm[i] * np.exp(1j * sol.va[i])
         p_total = sol.p_inj[i] + load[bus_id][0]
         q_total = sol.q_inj[i] + load[bus_id][1]
-        ratings = np.array([case.generators[k].mva_base for k in members])
+        ratings = np.array([case.generators[k].mva_base or case.base_mva for k in members])
         shares = ratings / ratings.sum()
         scheduled = sum(case.generators[k].p_gen for k in members)
         p_residual = p_total - scheduled if kinds[bus_id] == "slack" else 0.0

@@ -86,14 +86,21 @@ def build_laplacian(case: NetworkCase, admittance: np.ndarray, vm: np.ndarray,
 def _eigh_pencil(l: np.ndarray, h: np.ndarray) -> GeneralizedDecomposition:
     """Eigenpairs of (L, diag(h)) through M = N^{-1/2} L N^{-1/2}: eigh(M)
     gives real ascending eigenvalues, and back-transformed vectors
-    N^{-1/2} psi satisfy L v = lambda N v.  At h = 1 every scaling is exact."""
+    N^{-1/2} psi satisfy L v = lambda N v.  At h = 1 every scaling is exact.
+
+    M is scaled and symmetrized, (M + M^T) / 2, in place in one n x n buffer
+    (numpy buffers the transpose that `m += m.T` reads while it writes m), and
+    the vectors are back-transformed in eigh's own output."""
     s = 1.0 / np.sqrt(h)
-    m = s[:, None] * l * s[None, :]
-    vals, psi = np.linalg.eigh(0.5 * (m + m.T))
+    m = s[:, None] * l
+    m *= s
+    m += m.T
+    m *= 0.5
+    vals, psi = np.linalg.eigh(m)
     scale = float(np.max(np.abs(vals))) if vals.size else 0.0
     return GeneralizedDecomposition(
         eigenvalues=vals,
-        eigenvectors=s[:, None] * psi,
+        eigenvectors=np.multiply(s[:, None], psi, out=psi),
         zero_multiplicity=int(np.sum(np.abs(vals) <= ZERO_EIG_REL * scale)),
     )
 

@@ -1,8 +1,10 @@
 """Admittance assembly, Newton-Raphson solve, and internal EMFs."""
 
 import json
+import tracemalloc
 import warnings
-from dataclasses import replace
+from dataclasses import is_dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,16 +13,19 @@ from gridgfv import (
     CaseError,
     ConvergenceError,
     SingularMatrixError,
+    analyze_case,
     build_ybus,
     internal_emfs,
     parse_case,
+    serialize_case,
     solve_powerflow,
+    validate_case,
 )
 from gridgfv import powerflow
-from gridgfv.case_model import bus_positions
+from gridgfv.case_model import Branch, Bus, Generator, NetworkCase, bus_positions
 
 from conftest import FIXTURE_NAMES, SYNTH120, get_analysis, get_case
-from references import dense_ds_dv
+from references import powerflow_jacobian
 
 
 def two_bus(b_ch=0.0):
@@ -145,9 +150,29 @@ def test_power_derivatives_match_the_dense_formula(name):
     vm = rng.uniform(0.9, 1.1, case.n_bus)
     va = rng.uniform(-0.5, 0.5, case.n_bus)
     v = vm * np.exp(1j * va)
-    got = powerflow._ds_dv(ybus, v, ybus @ v, vm)
-    for fast, dense in zip(got, dense_ds_dv(ybus, vm, va)):
-        assert np.abs(fast - dense).max() <= 1e-13 * np.abs(dense).max()
+    pvpq = np.array([i for i, b in enumerate(case.buses) if b.kind != "slack"], dtype=int)
+    pq = np.array([i for i, b in enumerate(case.buses) if b.kind == "pq"], dtype=int)
+    got = powerflow._jacobian(ybus, v, ybus @ v, vm, pvpq, pq)
+    dense = powerflow_jacobian(case, ybus, SimpleNamespace(vm=vm, va=va))
+    assert np.abs(got - dense).max() <= 1e-13 * np.abs(dense).max()
+
+
+def test_newton_raphson_memory_is_bounded_by_its_buffers():
+    # Per iteration, for n buses and m unknowns: one complex n x n derivative
+    # buffer (16 n^2 bytes), the real m x m Jacobian and the copy its LU
+    # factorization may take (16 m^2), and one real gather of a Jacobian block
+    # of at most m rows and n - 1 columns (8 m (n - 1)).
+    case = get_case(SYNTH120)
+    ybus = build_ybus(case)
+    n = case.n_bus
+    m = n - 1 + sum(b.kind == "pq" for b in case.buses)
+    tracemalloc.start()
+    try:
+        solve_powerflow(case, ybus=ybus)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * n**2 + 16 * m**2 + 8 * m * (n - 1)
 
 
 def test_nine_bus_converges_quickly():
@@ -195,6 +220,20 @@ def test_emf_zero_reactance_degenerates_to_terminal():
     emfs = internal_emfs(case, sol)
     assert emfs.e_mag[0] == pytest.approx(sol.vm[0], abs=1e-14)
     assert emfs.delta0[0] == pytest.approx(sol.va[0], abs=1e-14)
+
+
+def test_a_case_built_in_code_analyzes_as_its_case_file():
+    # A Generator built in code keeps mva_base None, which means the system base.
+    case = NetworkCase(100.0, (Bus(1, "slack"), Bus(2, "pq", p_load=0.5)),
+                       (Branch(1, 2, x=0.2),), (Generator(1, h=5.0, xd_p=0.3),))
+    assert validate_case(case) == []
+
+    def arrays(analysis):
+        return {name: vars(value) if is_dataclass(value) else value
+                for name, value in vars(analysis).items() if name != "case"}
+
+    np.testing.assert_equal(arrays(analyze_case(case)),
+                            arrays(analyze_case(parse_case(serialize_case(case)))))
 
 
 def test_emf_no_load_generator():
