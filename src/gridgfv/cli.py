@@ -174,7 +174,7 @@ def _cmd_simulate(args, run: RunConfig) -> int:
     header = (["t", "dp", "coi_freq"]
               + [f"gen_{k}" for k in range(len(model.m))]
               + [f"bus_{b}" for b in model.bus_ids])
-    rows = np.vstack([traj.t, traj.injection, traj.coi_freq, traj.gen_freq,
+    rows = np.vstack([traj.t, dp, traj.coi_freq, traj.gen_freq,
                       traj.bus_freq]).T.tolist()
     _emit(args, header, rows, comment=f"seed={run.seed} bus={args.bus} dt={run.dt!r}")
     return 0

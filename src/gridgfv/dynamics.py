@@ -102,13 +102,13 @@ class SwingModel:
 @dataclass(frozen=True)
 class Trajectory:
     """One realization: shared time grid, per-machine and per-bus frequency
-    deviation series (pu), COI frequency, and the applied injection."""
+    deviation series (pu) and COI frequency.  The applied injection is the
+    caller's dp, which simulate does not copy."""
 
     t: np.ndarray
     gen_freq: np.ndarray  # (n_gen, n_t)
     bus_freq: np.ndarray  # (n_bus, n_t)
     coi_freq: np.ndarray  # (n_t,)
-    injection: np.ndarray  # (n_t,)
 
 
 def simulate_ou(params: OuParams, dt: float, n_steps: int, seed) -> np.ndarray:
@@ -129,16 +129,14 @@ def simulate_ou(params: OuParams, dt: float, n_steps: int, seed) -> np.ndarray:
     xi = np.random.default_rng(seed).standard_normal(n_steps)
     # x_{k+1} = rho x_k + sigma xi_k from x_0 = 0; the appended input sample
     # would only drive x_{n_steps + 1}.
-    deviations = _apply(*_ou_kernel(np.array([rho, sigma]).tobytes()), np.append(xi, 0.0))
+    deviations = _apply(*_ou_kernel(rho, sigma), np.append(xi, 0.0))
     return params.mu + deviations[0]
 
 
 @lru_cache(maxsize=1)
-def _ou_kernel(rho_sigma: bytes):
-    """_apply's operands for x_{k+1} = rho x_k + sigma xi_k, rho and sigma
-    the two float64s of rho_sigma.  One entry: a run draws every path with
-    the same rho and sigma."""
-    rho, sigma = np.frombuffer(rho_sigma)
+def _ou_kernel(rho: float, sigma: float):
+    """_apply's operands for x_{k+1} = rho x_k + sigma xi_k.  One entry: a
+    run draws every path with the same rho and sigma."""
     fill, table, power = _kernel(np.array([[rho]]), np.array([sigma]), np.zeros(1),
                                  slice(None))
     return _read_only(fill, _input_map(table, slice(None)), power)
@@ -376,5 +374,4 @@ def simulate(model: SwingModel, injection_bus, dp: np.ndarray, dt: float) -> Tra
         gen_freq=omega,
         bus_freq=bus_freq,
         coi_freq=coi,
-        injection=dp.copy(),
     )

@@ -104,16 +104,6 @@ class BoxStats:
 
 
 @dataclass(frozen=True)
-class PlacementSamples:
-    """Raw per-bus collections, one entry (row) per successful realization."""
-
-    ifd_values: tuple[float, ...]
-    coi: np.ndarray  # (n_ok, n_t)
-    poi: np.ndarray  # (n_ok, n_t)
-    failures: tuple[str, ...]
-
-
-@dataclass(frozen=True)
 class PlacementStats:
     coi_histogram: Histogram
     poi_histogram: Histogram
@@ -146,21 +136,28 @@ def _box_stats(values: np.ndarray) -> BoxStats:
                     whisker_high=min(q3 + 1.5 * iqr, float(values.max())))
 
 
-def summarize(bus: int, group: PlacementSamples, bins: int = RunConfig.bins) -> PlacementStats:
-    """The statistics of placement bus from its raw collections, group:
-    histograms, boxplot quartiles and pooled standard deviations.  A bus with
-    no successful realization is an UnusableResultError that names it.
+def summarize(bus: int, outcomes: list, series: np.ndarray,
+              bins: int = RunConfig.bins) -> PlacementStats:
+    """The statistics of placement bus from its realizations: histograms,
+    boxplot quartiles and pooled standard deviations.  outcomes holds each
+    realization's IFD, or its failure message, in realization order, and
+    series (2, len(outcomes), n_t) their COI and POI series, of which the
+    failed realizations' columns are left out.  A bus with no successful
+    realization is an UnusableResultError that names it.
 
     Histograms are equal-width over the pooled min/max per metric (a single
     degenerate bin when every sample coincides); whiskers sit at 1.5 IQR
     clamped to the data range, with all samples retained in ifd_samples.
     """
-    if not group.ifd_values:
-        first = f" ({group.failures[0]})" if group.failures else ""
+    ok = [not isinstance(r, str) for r in outcomes]
+    failures = tuple(r for r in outcomes if isinstance(r, str))
+    if not any(ok):
+        first = f" ({failures[0]})" if failures else ""
         raise UnusableResultError(f"placement bus {bus} has no successful realizations{first}")
-    coi_pool = group.coi.reshape(-1)
-    poi_pool = group.poi.reshape(-1)
-    ifd_arr = np.asarray(group.ifd_values)
+    kept = series if all(ok) else series[:, ok]  # a view unless some failed
+    coi_pool = kept[0].reshape(-1)
+    poi_pool = kept[1].reshape(-1)
+    ifd_arr = np.array([r for r, good in zip(outcomes, ok) if good])
     return PlacementStats(
         coi_histogram=_histogram(coi_pool, bins),
         poi_histogram=_histogram(poi_pool, bins),
@@ -168,7 +165,7 @@ def summarize(bus: int, group: PlacementSamples, bins: int = RunConfig.bins) -> 
         ifd_quartiles=_box_stats(ifd_arr),
         coi_std=float(coi_pool.std()),
         poi_std=float(poi_pool.std()),
-        failures=group.failures,
+        failures=failures,
     )
 
 
@@ -280,12 +277,6 @@ def run_monte_carlo(
             per_bus = [r for result in pending.pop(0) for r in result()]
             if k == 0 and n_slots == 2:
                 start(1)
-            ok = [not isinstance(r, str) for r in per_bus]
-            kept = slots[k % n_slots]
-            kept = kept if all(ok) else kept[:, ok]  # a view unless some failed
-            placements[bus] = summarize(bus, PlacementSamples(
-                ifd_values=tuple(r for r in per_bus if not isinstance(r, str)),
-                coi=kept[0], poi=kept[1],
-                failures=tuple(r for r in per_bus if isinstance(r, str))), bins=cfg.bins)
+            placements[bus] = summarize(bus, per_bus, slots[k % n_slots], cfg.bins)
             start(k + n_slots)
     return placements

@@ -154,18 +154,22 @@ def nodal_inertia(
               / sum_i H_i^{-1} D_ji B_ij E_i cos(d_i0 - t_j0)
 
     which collapses to h = H for a single-machine system.  A bus whose h is
-    undefined or not positive is a NumericalError: the pencil (L, diag(h))
-    needs h > 0.
+    undefined (its denominator within 1e-12 of its terms' summed magnitudes,
+    which scale as 1/H) or not positive is a NumericalError: the pencil
+    (L, diag(h)) needs h > 0.  One bus's reduced matrix is alive at a time.
     """
     n = case.n_bus
     g_rows = list(range(n, n + case.n_gen))
     # Row j: the susceptances from bus j to every internal node, bus j kept
     # first in its reduction.
-    b = np.array([kron_reduce(aug, [j] + g_rows)[1:, 0].imag for j in range(n)])
+    b = np.empty((n, case.n_gen))
+    for j in range(n):
+        b[j] = kron_reduce(aug, [j] + g_rows)[1:, 0].imag
     terms = b * emfs.e_mag * np.cos(emfs.delta0 - sol.va[:, None])
     h_gen = np.array([g.h for g in case.generators])
-    denom = np.sum(terms * participation / h_gen, axis=1)
-    zero = np.abs(denom) < 1e-12
+    weighted = terms * participation / h_gen
+    denom = np.sum(weighted, axis=1)
+    zero = np.abs(denom) <= 1e-12 * np.sum(np.abs(weighted), axis=1)
     if zero.any():
         j = int(np.argmax(zero))
         raise NumericalError(

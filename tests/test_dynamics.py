@@ -483,7 +483,7 @@ def test_a_numpy_step_gives_the_bytes_of_a_python_float_step():
     model = build_swing_model(get_analysis("case9"))
     dp = _wind_dp(300, 5)
     a, b = (simulate(model, 5, dp, dt) for dt in (0.01, np.float64(0.01)))
-    for name in ("t", "gen_freq", "bus_freq", "coi_freq", "injection"):
+    for name in ("t", "gen_freq", "bus_freq", "coi_freq"):
         assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
     assert len(model._propagators) == 1
     assert (simulate_ou(OuParams(), 0.01, 300, 5).tobytes()
@@ -531,7 +531,7 @@ def test_a_reused_propagator_gives_the_bytes_of_a_fresh_model():
                      + [(p, 0.02) for p in ports]):
         got = simulate(model, port, dp, dt)
         want = simulate(build_swing_model(get_analysis("case9")), port, dp, dt)
-        for name in ("t", "gen_freq", "bus_freq", "coi_freq", "injection"):
+        for name in ("t", "gen_freq", "bus_freq", "coi_freq"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (port, dt, name)
 
 

@@ -88,6 +88,7 @@ def test_generator_permutation_changes_nothing(name):
 @_DRAWS
 @given(c=st.floats(0.125, 8.0))
 @example(c=3.0)
+@example(c=1e12)
 def test_tripling_every_inertia_triples_h_and_divides_lambda2(name, c):
     # Any factor c, 3 among them.  H enters neither the operating point nor
     # L.  The pencil (L, cN) has the eigenvalues of (L, N) over c and the

@@ -16,7 +16,7 @@ from gridgfv import OuParams, RunConfig, ifd, montecarlo, run_monte_carlo, summa
 from gridgfv.case_model import bus_ids
 from gridgfv.dynamics import Trajectory, TurbineParams, build_swing_model
 from gridgfv.errors import SimulationUnstableError
-from gridgfv.montecarlo import PlacementSamples, _histogram, _one_span
+from gridgfv.montecarlo import _histogram, _one_span
 from gridgfv.pipeline import operating_point
 
 from conftest import FIXTURE_NAMES, get_case
@@ -32,7 +32,6 @@ def fake_trajectory(bus_freq):
         gen_freq=np.zeros((1, n_t)),
         bus_freq=bus_freq,
         coi_freq=np.zeros(n_t),
-        injection=np.zeros(n_t),
     )
 
 
@@ -65,16 +64,12 @@ def test_ifd_matches_brute_force(bus_freq):
 
 
 def _samples(ifd_values, series):
-    return PlacementSamples(
-        ifd_values=tuple(ifd_values),
-        coi=np.array(series),
-        poi=np.array(series),
-        failures=(),
-    )
+    """summarize's outcomes and (COI, POI) series, both series equal."""
+    return list(ifd_values), np.array([series, series], dtype=float)
 
 
 def test_summarize_single_sample_degenerate():
-    stats = summarize(1, _samples([2.5], [np.zeros(4)]), bins=10)
+    stats = summarize(1, *_samples([2.5], [np.zeros(4)]), bins=10)
     q = stats.ifd_quartiles
     assert q.q1 == q.median == q.q3 == 2.5
     assert q.whisker_low == q.whisker_high == 2.5
@@ -84,7 +79,7 @@ def test_summarize_single_sample_degenerate():
 
 def test_summarize_five_point_quartiles():
     s = summarize(
-        1, _samples([1.0, 2.0, 3.0, 4.0, 5.0], [np.zeros(2)] * 5), bins=4
+        1, *_samples([1.0, 2.0, 3.0, 4.0, 5.0], [np.zeros(2)] * 5), bins=4
     )
     q = s.ifd_quartiles
     assert (q.q1, q.median, q.q3) == (2.0, 3.0, 4.0)
@@ -95,7 +90,7 @@ def test_summarize_five_point_quartiles():
 def test_summarize_normal_quantiles():
     rng = np.random.default_rng(11)
     values = rng.standard_normal(10**4)
-    s = summarize(1, _samples(values.tolist(), [values]), bins=50)
+    s = summarize(1, *_samples(values.tolist(), [values]), bins=50)
     q = s.ifd_quartiles
     assert abs(q.median) < 0.05
     iqr = q.q3 - q.q1
@@ -400,14 +395,19 @@ def test_failed_realizations_mark_summary_partial():
 
 
 def test_recorded_failures_mark_summary_partial():
-    group = PlacementSamples(
-        ifd_values=(1.0, 2.0),
-        coi=np.zeros((2, 3)),
-        poi=np.zeros((2, 3)),
-        failures=("realization 2: non-finite state",),
-    )
-    s = summarize(1, group, bins=4)
-    assert s.failures == ("realization 2: non-finite state",)
+    # Realization 1 failed: its column holds what its slot held, 1e9, and
+    # must not enter any pooled statistic.
+    outcomes = [1.0, "realization 1: non-finite state", 2.0]
+    series = np.array([[[0.0, 1.0, 2.0], [1e9] * 3, [3.0, 4.0, 5.0]],
+                       [[5.0, 7.0, 6.0], [1e9] * 3, [8.0, 9.0, 4.0]]])
+    s = summarize(1, outcomes, series, bins=4)
+    kept = series[:, [0, 2]]
+    assert s.failures == ("realization 1: non-finite state",)
+    assert s.ifd_samples.tolist() == [1.0, 2.0]
+    assert s.coi_histogram.edges.tolist() == [0.0, 1.25, 2.5, 3.75, 5.0]
+    assert s.poi_histogram.edges.tolist() == [4.0, 5.25, 6.5, 7.75, 9.0]
+    assert s.coi_histogram.counts.sum() == s.poi_histogram.counts.sum() == 6
+    assert (s.coi_std, s.poi_std) == (kept[0].std(), kept[1].std())
 
 
 def test_kept_poi_series_share_no_memory_with_trajectories(monkeypatch):
@@ -420,9 +420,9 @@ def test_kept_poi_series_share_no_memory_with_trajectories(monkeypatch):
         trajectories.append(simulate(*args))
         return trajectories[-1]
 
-    def recording_summarize(bus, group, **kwargs):
-        kept.extend(group.poi)
-        return summarize_(bus, group, **kwargs)
+    def recording_summarize(bus, outcomes, series, bins):
+        kept.extend(series[1])
+        return summarize_(bus, outcomes, series, bins)
 
     monkeypatch.setattr(montecarlo, "simulate", recording_simulate)
     monkeypatch.setattr(montecarlo, "summarize", recording_summarize)

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -326,6 +327,30 @@ def test_nodal_inertia_names_the_first_bus_of_zero_denominator():
     with pytest.raises(NumericalError, match=message):
         nodal_inertia(analysis.case, analysis.solution, analysis.emfs, zeroed,
                       analysis.aug)
+
+
+def _peak_bytes(call) -> int:
+    """The peak of the memory tracemalloc traces while call runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_nodal_inertia_holds_one_bus_reduction_at_a_time():
+    # Each bus's row is copied out of its reduction, which is then freed.
+    # Beyond one reduction, at most four (n_bus, n_gen) float arrays live at
+    # once: b and up to three of the arrays and temporaries computed from it
+    # (terms, weighted, |weighted|).  Keeping every reduction alive would add
+    # a whole complex (n_gen + 1)^2 matrix per bus.
+    a = get_analysis(SYNTH120)
+    n, n_gen = a.case.n_bus, a.case.n_gen
+    one = _peak_bytes(lambda: kron_reduce(a.aug, [0] + list(range(n, n + n_gen))))
+    peak = _peak_bytes(lambda: nodal_inertia(a.case, a.solution, a.emfs,
+                                             a.participation, a.aug))
+    assert peak <= one + 4 * n * n_gen * 8
 
 
 def test_gep_rejects_non_positive_inertia():
