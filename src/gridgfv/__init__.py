@@ -46,7 +46,7 @@ from .errors import (
     StabilityRegionError,
 )
 from .montecarlo import RunConfig, ifd, run_monte_carlo, summarize
-from .pipeline import CaseAnalysis, OperatingPoint, analyze_case, operating_point
+from .pipeline import CaseAnalysis, analyze_case
 from .powerflow import (
     InternalEmfs,
     PowerFlowSolution,

@@ -30,8 +30,7 @@ from .csvio import read_table, render_table, write_table
 from .dynamics import build_swing_model, simulate, simulate_ou, wind_to_power
 from .errors import CaseError, GridGfvError, NumericalError
 from .montecarlo import RunConfig
-from .pipeline import analyze_case, operating_point
-from .powerflow import solve_powerflow
+from .pipeline import analyze_case
 
 
 class _UsageError(Exception):
@@ -156,19 +155,9 @@ def _per_bus(case, *columns):
             for i, bid in enumerate(bus_ids(case))]
 
 
-def _cmd_pf(args, run: RunConfig) -> int:
-    case = load_validated_case(args.case)
-    sol = solve_powerflow(case, tol=run.tol, max_iter=run.max_iter)
-    _emit(args, ["bus_id", "vm", "va_deg", "p_inj", "q_inj"],
-          _per_bus(case, sol.vm, np.degrees(sol.va), sol.p_inj, sol.q_inj),
-          comment=f"iterations={sol.iterations} max_mismatch={sol.max_mismatch!r}")
-    return 0
-
-
 def _cmd_simulate(args, run: RunConfig) -> int:
-    op = operating_point(load_validated_case(args.case), tol=run.tol,
-                         max_iter=run.max_iter)
-    model = build_swing_model(op, default_damping=run.damping)
+    model = build_swing_model(analyze_case(load_validated_case(args.case), tol=run.tol,
+                                           max_iter=run.max_iter), run.damping)
     dp = wind_to_power(simulate_ou(run.ou, run.dt, run.n_steps, run.seed), run.turbine)
     traj = simulate(model, args.bus, dp, run.dt)
     header = (["t", "dp", "coi_freq"]
@@ -203,11 +192,11 @@ def _cmd_mc(args, run: RunConfig) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    analysis = analyze_case(case, tol=run.tol, max_iter=run.max_iter)
+    # Rows in case bus order; read before the study, which then holds no analysis.
+    gfv = analyze_case(case, tol=run.tol, max_iter=run.max_iter).gfv.vector
     placements = montecarlo.run_monte_carlo(case, buses, run, workers)
     partial = any(stats.failures for stats in placements.values())
 
-    gfv = analysis.gfv.vector  # rows in case bus order
     summary_rows = []
     for bus, stats in placements.items():
         bus_dir = out_dir / f"bus_{bus}"
@@ -311,8 +300,8 @@ class _Command:
 
 
 def _analysis(help_text: str, tabulate) -> _Command:
-    """A command that analyzes a case and writes one table,
-    tabulate(analysis) -> (header, rows[, comment])."""
+    """A command that writes one table of a case's analysis, tabulate(analysis)
+    -> (header, rows[, comment]); only the stages that tabulate reads run."""
     def handler(args, run: RunConfig) -> int:
         analysis = analyze_case(load_validated_case(args.case), tol=run.tol,
                                 max_iter=run.max_iter)
@@ -325,8 +314,12 @@ def _analysis(help_text: str, tabulate) -> _Command:
 _COMMANDS = {
     "validate": _Command("check case invariants", _cmd_validate, ("case",),
                          table=False),
-    "pf": _Command("solve the AC power flow", _cmd_pf, ("case",),
-                   ("--tol", "--max-iter")),
+    "pf": _analysis("solve the AC power flow", lambda a: (
+        ["bus_id", "vm", "va_deg", "p_inj", "q_inj"],
+        _per_bus(a.case, a.solution.vm, np.degrees(a.solution.va), a.solution.p_inj,
+                 a.solution.q_inj),
+        f"iterations={a.solution.iterations} max_mismatch={a.solution.max_mismatch!r}",
+    )),
     "laplacian": _analysis("dump the weighted Laplacian", lambda a: (
         ["bus_id"] + [str(b) for b in bus_ids(a.case)],
         _per_bus(a.case, *a.laplacian.T),

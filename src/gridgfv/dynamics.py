@@ -20,7 +20,7 @@ import numpy as np
 
 from .case_model import bus_ids
 from .errors import GridGfvError, NumericalError, SimulationUnstableError
-from .pipeline import OperatingPoint
+from .pipeline import CaseAnalysis
 from .reduction import kron_reduce
 from .spectral import build_laplacian
 
@@ -166,25 +166,26 @@ def wind_to_power(v: np.ndarray, turbine: TurbineParams) -> np.ndarray:
 
 
 def build_swing_model(
-    op: OperatingPoint, default_damping: float = DEFAULT_DAMPING
+    analysis: CaseAnalysis, default_damping: float = DEFAULT_DAMPING
 ) -> SwingModel:
     """Assemble the second-order model M dw/dt = dP - D w - L_red theta,
     d theta/dt = OMEGA_SYNC * w over generator internal nodes.
 
-    L_red is the weighted Laplacian (spectral.build_laplacian) of the
+    L_red is the weighted Laplacian (spectral.build_laplacian) of analysis's
     augmented admittance at the bus voltages and the machine EMFs: the bus
-    Laplacian plus one edge per machine, internal node to terminal.
-    Machines missing a damping value in the case file get default_damping.
+    Laplacian plus one edge per machine, internal node to terminal.  No
+    spectral stage of analysis runs.  Machines missing a damping value in
+    the case file get default_damping.
     """
-    case, sol, emfs = op.case, op.solution, op.emfs
+    case, sol, emfs = analysis.case, analysis.solution, analysis.emfs
     return SwingModel(
         m=np.array([2.0 * g.h for g in case.generators]),
         damp=np.array(
             [g.d if g.d is not None else default_damping for g in case.generators]
         ),
-        l_red=build_laplacian(case, op.aug, np.concatenate([sol.vm, emfs.e_mag]),
+        l_red=build_laplacian(case, analysis.aug, np.concatenate([sol.vm, emfs.e_mag]),
                               np.concatenate([sol.va, emfs.delta0])),
-        participation=op.participation,
+        participation=analysis.participation,
         bus_ids=bus_ids(case),
     )
 

@@ -46,7 +46,7 @@ from .dynamics import (
     wind_to_power,
 )
 from .errors import CaseError, GridGfvError, UnusableResultError
-from .pipeline import operating_point
+from .pipeline import analyze_case
 from .powerflow import PF_MAX_ITER, PF_TOL
 
 
@@ -233,7 +233,8 @@ def run_monte_carlo(
     case: NetworkCase, buses, cfg: RunConfig = RunConfig(), workers: int | None = None
 ) -> dict[int, PlacementStats]:
     """Run the placement study of a validated case at buses, one bus after
-    another: each bus's statistics, in placement order.  A bus none of whose
+    another on the swing model of analyze_case(case), whose analysis is
+    dropped first: each bus's statistics, in placement order.  A bus none of whose
     realizations succeeded is an UnusableResultError.  The series mapping
     holds 8 n (n_steps + 1) bytes 2, 3 or 5 times, for 1, 2 or more buses.
 
@@ -242,8 +243,8 @@ def run_monte_carlo(
     rows = placement_rows(case, buses)
     if (cfg.bins + 1) * 8 > np.iinfo(np.intp).max:  # numpy would fail with no MemoryError
         raise MemoryError(f"Unable to allocate a histogram of {cfg.bins} bins")
-    op = operating_point(case, tol=cfg.tol, max_iter=cfg.max_iter)
-    model = build_swing_model(op, cfg.damping)
+    model = build_swing_model(analyze_case(case, tol=cfg.tol, max_iter=cfg.max_iter),
+                              cfg.damping)
     # The slots, then the wind, in an anonymous shared mapping that forked
     # workers write into; it is unmapped with the last view of it.  Bus k +
     # n_slots starts once bus k is summarized, bus 1 once bus 0 drew the wind.

@@ -18,7 +18,6 @@ from gridgfv import (
     analyze_case,
     gfv,
     load_case,
-    operating_point,
     run_monte_carlo,
     simulate,
     simulate_ou,
@@ -138,7 +137,7 @@ def test_04_ou_stationary_moments():
 
 def test_05_simulator_vs_closed_form():
     with _Gate(5, "simulator vs closed form", 5.0):
-        model = build_swing_model(operating_point(get_case("case4_ring")))
+        model = build_swing_model(analyze_case(get_case("case4_ring")))
         dt, horizon, dp_mag = 0.01, 10.0, 0.1
         n = int(round(horizon / dt))
         dp = np.full(n + 1, dp_mag)
@@ -213,7 +212,7 @@ def test_08_the_second_moment_oracle_ranks_the_placements_as_gfv_does():
     # their GFV entries do.
     case = get_case("case7_study")
     cfg = _load_run_config(fixture_path("case7_study_run"))
-    model = build_swing_model(operating_point(case), cfg.damping)
+    model = build_swing_model(analyze_case(case), cfg.damping)
     expected = [expected_ifd(impulse_responses(model, b, cfg)[0]) for b in STUDY_BUSES]
     gfv_at = dict(zip(bus_ids(case), get_analysis("case7_study").gfv.vector))
     assert np.argsort(expected).tolist() == np.argsort([gfv_at[b] for b in STUDY_BUSES]).tolist()

@@ -21,7 +21,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import spearmanr
 
-from gridgfv import OuParams, TurbineParams, cli, montecarlo, powerflow
+from gridgfv import OuParams, TurbineParams, cli, montecarlo, pipeline, powerflow
+from gridgfv.case_model import load_validated_case
 from gridgfv.cli import main
 from gridgfv.csvio import format_cell, read_table, write_table
 from gridgfv.errors import SimulationUnstableError
@@ -521,16 +522,32 @@ def test_a_one_bus_case_fails_validate(tmp_path, capsys):
         f"error: case {one} fails validation: case: too-few-buses (1)\n")
 
 
-def test_non_positive_nodal_inertia_of_a_valid_case_is_a_numerical_failure(tmp_path,
-                                                                           capsys):
-    # A valid case on which the computation fails: exit 3, not a data error.
+@pytest.mark.parametrize("argv, code", [
+    (["pf"], 0),
+    (["laplacian"], 0),
+    (["dmatrix"], 0),
+    (["inertia"], 3),
+    (["gfv"], 3),
+    (["mc", "--buses", "3", "--n", "1", "--t", "0.05", "--out-dir", "{tmp}"], 3),
+], ids=["pf", "laplacian", "dmatrix", "inertia", "gfv", "mc"])
+def test_non_positive_nodal_inertia_of_a_valid_case_is_a_numerical_failure(
+        tmp_path, capsys, monkeypatch, argv, code):
+    # A valid case on which the nodal inertia fails: exit 3, not a data error,
+    # for a command that reads it, and no failure for one that does not.  mc
+    # reads the GFV before its study, so the study never starts.
+    def fail(*args, **kwargs):
+        raise AssertionError("the study ran before the GFV was read")
+
+    monkeypatch.setattr(montecarlo, "run_monte_carlo", fail)
     doc = json.loads(fixture_path("case4_ring").read_text())
     doc["buses"][1]["v_set"] = 1e9
     ring = tmp_path / "ring.json"
     ring.write_text(json.dumps(doc))
     assert main(["validate", str(ring)]) == 0
-    assert main(["gfv", str(ring)]) == 3
-    assert capsys.readouterr().err == (
+    capsys.readouterr()
+    assert main([argv[0], str(ring)] + [a.format(tmp=tmp_path / "mc") for a in argv[1:]]) \
+        == code
+    assert capsys.readouterr().err == ("" if code == 0 else
         "numerical failure: non-positive nodal inertia at buses [1, 3, 4]\n")
 
 
@@ -968,6 +985,51 @@ def test_one_ybus_build_and_one_solve_per_operating_point(tmp_path, capsys, monk
                     monkeypatch.setattr(module, attr, counted)
     assert main([arg.format(tmp=tmp_path) for arg in argv]) == 0
     assert calls == {"build_ybus": builds, "solve_powerflow": builds}
+
+
+# The functions that the stages of a CaseAnalysis call, in the order of the
+# call counts below.
+_STAGE_FUNCTIONS = ("internal_emfs", "frequency_participation", "build_laplacian",
+                    "nodal_inertia", "eigendecompose", "solve_gep")
+
+
+def _count_stages(monkeypatch) -> Counter:
+    """Count the calls of each of _STAGE_FUNCTIONS made through pipeline."""
+    calls = Counter()
+    for name in _STAGE_FUNCTIONS:
+        def counted(*args, _name=name, _original=getattr(pipeline, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, name, counted)
+    return calls
+
+
+# mc counts the metric's analysis and the Monte Carlo driver's swing model.
+@pytest.mark.parametrize("argv, counts", [
+    (["pf", CASE9], (0, 0, 0, 0, 0, 0)),
+    (["laplacian", CASE9], (0, 0, 1, 0, 0, 0)),
+    (["dmatrix", CASE9], (0, 1, 0, 0, 0, 0)),
+    (["inertia", CASE9], (1, 1, 0, 1, 0, 0)),
+    (["gfv", CASE9], (1, 1, 1, 1, 1, 1)),
+    (["mc", CASE9, "--buses", "5", "--n", "1", "--t", "0.05", "--out-dir", "{tmp}"],
+     (2, 2, 1, 1, 0, 1)),
+    (["simulate", CASE9, "--bus", "5", "--t", "0.05"], (1, 1, 0, 0, 0, 0)),
+], ids=["pf", "laplacian", "dmatrix", "inertia", "gfv", "mc", "simulate"])
+def test_each_command_runs_only_the_stages_it_reads(tmp_path, capsys, monkeypatch,
+                                                    argv, counts):
+    monkeypatch.setenv("GRID_GFV_THREADS", "1")
+    calls = _count_stages(monkeypatch)
+    assert main([arg.format(tmp=tmp_path) for arg in argv]) == 0
+    assert calls == Counter(dict(zip(_STAGE_FUNCTIONS, counts)))
+
+
+def test_each_stage_runs_once_however_often_it_is_read(monkeypatch):
+    calls = _count_stages(monkeypatch)
+    analysis = pipeline.analyze_case(load_validated_case(CASE9))
+    assert analysis.gfv is analysis.gfv
+    assert analysis.inertia is analysis.inertia and analysis.emfs is analysis.emfs
+    assert calls == Counter(dict(zip(_STAGE_FUNCTIONS, (1, 1, 1, 1, 0, 1))))
 
 
 def test_mc_tolerances_reach_every_power_flow(tmp_path, capsys, monkeypatch):

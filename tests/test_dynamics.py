@@ -17,7 +17,6 @@ from gridgfv import (
     TurbineParams,
     analyze_case,
     build_swing_model,
-    operating_point,
     parse_case,
     simulate,
     simulate_ou,
@@ -136,7 +135,7 @@ def _internal_rows(model):
 
 def _model_from(doc, default_damping=1.0):
     case = parse_case(json.dumps(doc))
-    return case, build_swing_model(operating_point(case), default_damping)
+    return case, build_swing_model(analyze_case(case), default_damping)
 
 
 SINGLE = {
@@ -186,7 +185,7 @@ def test_two_identical_machines_coi_aggregates():
 
 def test_nine_bus_swing_coupling_is_psd():
     case = get_case("case9")
-    model = build_swing_model(operating_point(case))
+    model = build_swing_model(analyze_case(case))
     lred = kron_reduce(model.l_red, _internal_rows(model))
     assert np.max(np.abs(lred.sum(axis=1))) <= 1e-9
     vals = np.linalg.eigvalsh(lred)
@@ -219,9 +218,9 @@ def test_swing_model_rejects_ninety_degree_branch(monkeypatch):
     sol = replace(sol, va=np.array([0.0, -math.pi / 2]))
     monkeypatch.setattr(pipeline, "solve_powerflow", lambda *args, **kwargs: sol)
     with pytest.raises(StabilityRegionError):
-        build_swing_model(operating_point(case))
+        build_swing_model(analyze_case(case))
     with pytest.raises(StabilityRegionError):
-        analyze_case(case)
+        analyze_case(case).laplacian
 
 
 @pytest.mark.parametrize("name", ["case2", "case7_study", "case9", "case9_lossless"])
@@ -230,7 +229,7 @@ def test_swing_model_takes_angle_spreads_modulo_a_turn(monkeypatch, name):
     # wrapped EMF angle of some machine then trails its unwrapped terminal
     # angle by nearly a full turn; the couplings are the same.
     case = get_case(name)
-    want = build_swing_model(operating_point(case)).l_red
+    want = build_swing_model(analyze_case(case)).l_red
     real = pipeline.solve_powerflow
 
     def turned(*args, **kwargs):
@@ -238,10 +237,10 @@ def test_swing_model_takes_angle_spreads_modulo_a_turn(monkeypatch, name):
         return replace(sol, va=sol.va + 3.0)
 
     monkeypatch.setattr(pipeline, "solve_powerflow", turned)
-    op = operating_point(case)
+    analysis = analyze_case(case)
     term = [bus_positions(case)[g.bus] for g in case.generators]
-    assert np.any(np.abs(op.emfs.delta0 - op.solution.va[term]) > math.pi)
-    got = build_swing_model(op).l_red
+    assert np.any(np.abs(analysis.emfs.delta0 - analysis.solution.va[term]) > math.pi)
+    got = build_swing_model(analysis).l_red
     # Each angle moves by a few ulps of 2 pi and cos is 1-Lipschitz; the
     # EMF magnitudes and the diagonal sums add a few ulps more.
     bound = 16 * np.finfo(float).eps * 2 * math.pi * np.abs(want).max()
@@ -249,7 +248,7 @@ def test_swing_model_takes_angle_spreads_modulo_a_turn(monkeypatch, name):
 
 
 def _lead_machine(monkeypatch, k, degrees):
-    """operating_point then gives machine k an EMF angle that leads its
+    """analyze_case then gives machine k an EMF angle that leads its
     terminal's voltage angle by degrees."""
     real = pipeline.internal_emfs
 
@@ -266,11 +265,11 @@ def _lead_machine(monkeypatch, k, degrees):
 def test_swing_model_rejects_ninety_degree_machine_edge(monkeypatch):
     # Machine 1 of case9 sits at bus 2; its edge would take a negative weight.
     _lead_machine(monkeypatch, 1, 95.0)
-    op = operating_point(get_case("case9"))
+    analysis = analyze_case(get_case("case9"))
     message = (r"^angle spread -95\.0 deg between bus 2 and generator\[1\] at "
                r"bus 2 reaches 90 deg at the operating point$")
     with pytest.raises(StabilityRegionError, match=message):
-        build_swing_model(op)
+        build_swing_model(analysis)
 
 
 def test_simulate_command_reports_a_ninety_degree_machine_edge(monkeypatch, capsys):
@@ -324,7 +323,7 @@ def test_simulate_matches_independent_integrator():
     from gridgfv.dynamics import _injection_reduction, _resolve_node
 
     case = get_case("case9")
-    model = build_swing_model(operating_point(case))
+    model = build_swing_model(analyze_case(case))
     dt = 0.01
     dp = wind_to_power(simulate_ou(OuParams(), 0.01, 500, 8),
                        TurbineParams(1.0, 15.0, 14.0))
@@ -353,7 +352,7 @@ def test_simulate_matches_independent_integrator():
 
 def test_simulate_coi_is_inertia_weighted_mean():
     case = get_case("case9")
-    model = build_swing_model(operating_point(case))
+    model = build_swing_model(analyze_case(case))
     dp = wind_to_power(simulate_ou(OuParams(), 0.01, 300, 21),
                        TurbineParams(1.0, 15.0, 14.0))
     traj = simulate(model, 5, dp, 0.01)

@@ -17,7 +17,7 @@ from gridgfv.case_model import bus_ids
 from gridgfv.dynamics import Trajectory, TurbineParams, build_swing_model
 from gridgfv.errors import SimulationUnstableError
 from gridgfv.montecarlo import _histogram, _one_span
-from gridgfv.pipeline import operating_point
+from gridgfv.pipeline import analyze_case
 
 from conftest import FIXTURE_NAMES, get_case
 from references import (expected_ifd, ifd_variance_bound, impulse_responses,
@@ -234,7 +234,7 @@ def test_the_statistics_agree_with_the_second_moment_oracle(name):
     case, cfg, z = get_case(name), ORACLE_RUN, 5.0
     n, n_t = cfg.n_realizations, cfg.n_steps + 1
     summary = run_monte_carlo(case, bus_ids(case), cfg, workers=2)
-    model = build_swing_model(operating_point(case), cfg.damping)
+    model = build_swing_model(analyze_case(case), cfg.damping)
     for row, bus in enumerate(bus_ids(case)):
         f, g = impulse_responses(model, bus, cfg)
         stats = summary[bus]
@@ -279,7 +279,7 @@ def test_a_task_returns_one_scalar_per_realization():
     # an IFD or a failure message per realization; the series stay in the
     # shared slots.  The first bus draws the wind that the later ones replay.
     cfg = RunConfig(horizon=50.0, dt=0.01, seed=3)
-    model = build_swing_model(operating_point(get_case("case7_study")), cfg.damping)
+    model = build_swing_model(analyze_case(get_case("case7_study")), cfg.damping)
     placements = tuple(montecarlo.placement_rows(get_case("case7_study"), (3, 4, 5)).items())
     slots = np.zeros((2, 2, 3, cfg.n_steps + 1))
     wind = np.zeros((3, cfg.n_steps + 1))
@@ -435,9 +435,9 @@ def test_kept_poi_series_share_no_memory_with_trajectories(monkeypatch):
 
 def test_impossible_bins_fail_before_any_simulation(monkeypatch):
     def unreachable(*args, **kwargs):
-        raise AssertionError("the operating point was built")
+        raise AssertionError("the case was analyzed")
 
-    monkeypatch.setattr(montecarlo, "operating_point", unreachable)
+    monkeypatch.setattr(montecarlo, "analyze_case", unreachable)
     cfg = RunConfig(n_realizations=1000, horizon=200.0, bins=2**63 - 1)
     with pytest.raises(MemoryError, match=r"^Unable to allocate a histogram of \d+ bins$"):
         run_monte_carlo(get_case("case7_study"), [3], cfg)

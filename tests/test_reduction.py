@@ -339,7 +339,9 @@ def _program_blocks(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(reduction, "_solve", spy)
         for name in FIXTURE_NAMES:
-            model = build_swing_model(analyze_case(get_case(name)))
+            analysis = analyze_case(get_case(name))
+            analysis.inertia  # its reductions run on first read
+            model = build_swing_model(analysis)
             for row in range(len(model.bus_ids)):
                 _injection_reduction(model, row)
     return blocks
