@@ -17,7 +17,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable
@@ -391,12 +390,9 @@ def main(argv=None) -> int:
         return _fail(str(exc), 1)
     except MemoryError as exc:  # e.g. a horizon of more steps than fit in memory
         return _fail(f"out of memory: {exc}", 1)
-    except BrokenProcessPool:  # a worker that the OOM killer, say, ended
-        return _fail("error: a Monte Carlo worker process ended abruptly "
-                     "(killed, e.g. out of memory)", 1)
     except FileNotFoundError as exc:
         return _fail(f"file not found: {exc.filename or exc}", 1)
-    except OSError as exc:  # e.g. a directory where a file belongs
+    except OSError as exc:  # e.g. a directory where a file belongs, a dead worker
         return _fail(f"{exc.filename}: {exc.strerror}" if exc.filename
                      else f"error: {exc}", 1)
     except NumericalError as exc:

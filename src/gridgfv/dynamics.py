@@ -82,10 +82,11 @@ class SwingModel:
     gets the same machines' Laplacian, bit for bit, and its own gain vector.
     participation is the (n_bus, n_gen) matrix D of f_bus = D @ f_gen.
 
-    The model keeps the RK4 propagator of each port and step size that
+    The model keeps the RK4 propagator of the last port and step size that
     simulate() has built, and reuses it for every later call at that port and
-    step size; outputs are the same as from a fresh model.  The store lives
-    and dies with the model (dataclasses.replace starts an empty one).
+    step size; a call at another port or step size replaces it.  Outputs are
+    the same as from a fresh model.  The store lives and dies with the model
+    (dataclasses.replace starts an empty one).
     """
 
     m: np.ndarray
@@ -93,8 +94,8 @@ class SwingModel:
     l_red: np.ndarray
     participation: np.ndarray
     bus_ids: tuple[int, ...]
-    # simulate's propagators, keyed by the bytes of the port's reduced
-    # Laplacian and gain vector and by dt.
+    # simulate's propagator, at most one, keyed by the bytes of the port's
+    # reduced Laplacian and gain vector and by dt.
     _propagators: dict = field(default_factory=dict, init=False, compare=False,
                                repr=False)
 
@@ -151,7 +152,7 @@ def _checked_dt(dt) -> float:
 
 
 def _read_only(*arrays) -> tuple:
-    """arrays, made read-only: a stored propagator serves every later call."""
+    """arrays, made read-only: a stored propagator serves later calls."""
     for array in arrays:
         array.flags.writeable = False
     return arrays
@@ -321,9 +322,10 @@ def simulate(model: SwingModel, injection_bus, dp: np.ndarray, dt: float) -> Tra
     (_kernel, _apply); zero input from zero state stays identically zero.
 
     The port's propagator (R and its block kernel) is built on the model's
-    first call at this port and dt and reused by later calls, which then
-    only reduce the network to the port and apply it; the result is the
-    same, byte for byte, as from a fresh model.
+    first call at this port and dt, replacing the one of the port and dt
+    before, and reused by the calls that follow at the same port and dt,
+    which then only reduce the network to the port and apply it; the result
+    is the same, byte for byte, as from a fresh model.
     """
     dp = np.asarray(dp, dtype=float)
     if dp.ndim != 1 or len(dp) < 1:
@@ -340,6 +342,8 @@ def simulate(model: SwingModel, injection_bus, dp: np.ndarray, dt: float) -> Tra
     n_t = len(dp)
     with np.errstate(over="ignore", invalid="ignore"):
         if key not in model._propagators:
+            # One entry, as _ou_kernel: callers finish a port before the next.
+            model._propagators.clear()
             a = np.zeros((2 * ng, 2 * ng))
             a[:ng, ng:] = OMEGA_SYNC * np.eye(ng)
             a[ng:, :ng] = -l_red / model.m[:, None]

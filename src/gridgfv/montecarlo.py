@@ -10,10 +10,11 @@ realizations.
 The study runs bus by bus: the first bus draws the power series that later
 buses replay, and each bus's COI and POI series fill one of two slots, which
 the parent summarizes while the workers simulate the next bus.
-A run simulates on one swing model, which keeps each placement bus's RK4
-propagator after its first realization (in each worker), so later
-realizations only reduce the network to the bus and apply it; the results
-are the same bytes as with a fresh model per realization.
+A run simulates on one swing model, which keeps the current placement bus's
+RK4 propagator after its first realization (in each worker), so later
+realizations only reduce the network to the bus and apply it; the next bus's
+propagator replaces it, so a process holds one.  The results are the same
+bytes as with a fresh model per realization.
 
 Frequency samples are recorded as deviations in pu from the nominal
 frequency; nothing adds the nominal value back onto the series.
@@ -24,9 +25,7 @@ from __future__ import annotations
 import errno
 import math
 import mmap
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
@@ -238,8 +237,14 @@ def run_monte_carlo(
     realizations succeeded is an UnusableResultError.  The series mapping
     holds 8 n (n_steps + 1) bytes 2, 3 or 5 times, for 1, 2 or more buses.
 
-    workers=None honors GRID_GFV_THREADS, else uses all available cores.
+    workers=None honors GRID_GFV_THREADS, else uses all available cores.  A
+    worker process that ends abruptly (killed, e.g. out of memory) is a
+    ChildProcessError.
     """
+    # Only a study loads the process-pool modules, not every command.
+    import multiprocessing
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
     rows = placement_rows(case, buses)
     if (cfg.bins + 1) * 8 > np.iinfo(np.intp).max:  # numpy would fail with no MemoryError
         raise MemoryError(f"Unable to allocate a histogram of {cfg.bins} bins")
@@ -265,19 +270,24 @@ def run_monte_carlo(
     serial = n_workers == 1 or "fork" not in multiprocessing.get_all_start_methods()
     placements, pending = {}, []  # pending: per started bus, the calls for its results
     # Forked workers inherit realize, the series mapping with it, unpickled.
-    with (nullcontext() if serial else ProcessPoolExecutor(
-            n_workers, multiprocessing.get_context("fork"),
-            initializer=_attach, initargs=(realize,))) as pool:
-        def start(j):
-            if j < n_buses:
-                pending.append([partial(realize, j, span) if serial else
-                                pool.submit(_attached, j, span).result for span in spans])
+    try:
+        with (nullcontext() if serial else ProcessPoolExecutor(
+                n_workers, multiprocessing.get_context("fork"),
+                initializer=_attach, initargs=(realize,))) as pool:
+            def start(j):
+                if j < n_buses:
+                    pending.append([partial(realize, j, span) if serial else
+                                    pool.submit(_attached, j, span).result
+                                    for span in spans])
 
-        start(0)
-        for k, bus in enumerate(rows):
-            per_bus = [r for result in pending.pop(0) for r in result()]
-            if k == 0 and n_slots == 2:
-                start(1)
-            placements[bus] = summarize(bus, per_bus, slots[k % n_slots], cfg.bins)
-            start(k + n_slots)
+            start(0)
+            for k, bus in enumerate(rows):
+                per_bus = [r for result in pending.pop(0) for r in result()]
+                if k == 0 and n_slots == 2:
+                    start(1)
+                placements[bus] = summarize(bus, per_bus, slots[k % n_slots], cfg.bins)
+                start(k + n_slots)
+    except BrokenProcessPool as exc:  # a worker that the OOM killer, say, ended
+        raise ChildProcessError("a Monte Carlo worker process ended abruptly "
+                                "(killed, e.g. out of memory)") from exc
     return placements

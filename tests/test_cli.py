@@ -1127,6 +1127,20 @@ def test_no_scipy_module_is_loaded_by_import_gfv_or_mc(tmp_path):
     assert done.stdout.strip() == "[]"
 
 
+def test_import_cli_loads_no_process_pool_module():
+    # Only mc starts workers: run_monte_carlo imports multiprocessing and
+    # concurrent.futures itself, so the other commands do not load them.
+    script = ("import sys, gridgfv.cli\n"
+              "print(sorted(m for m in sys.modules"
+              " if m.split('.')[0] in ('multiprocessing', 'concurrent')))\n")
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")},
+        capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
 # Records OPENBLAS_NUM_THREADS when numpy is first looked up, then imports
 # the package alone.
 _FIRST_NUMPY_IMPORT = """

@@ -517,21 +517,33 @@ def test_simulate_step_operator_overflow_is_an_instability():
 
 
 def test_a_reused_propagator_gives_the_bytes_of_a_fresh_model():
-    # One model simulates every port in case order, then in reverse order,
-    # then at a second dt: the later calls reuse the propagators of the
-    # earlier ones, and every array must equal a fresh model's byte for byte.
-    # The machine ports share one reduced Laplacian and differ in the gain
-    # vector alone.
+    # One model simulates each port twice in a row, in case order, then in
+    # reverse order, then at a second dt: the second call at a port reuses
+    # the propagator that the first built, and every array must equal a fresh
+    # model's byte for byte.  The machine ports share one reduced Laplacian
+    # and differ in the gain vector alone.
     case = get_case("case9")
     ports = [bus.id for bus in case.buses] + [("gen", k) for k in range(case.n_gen)]
     dp = _wind_dp(700, 5)
     model = build_swing_model(get_analysis("case9"))
-    for port, dt in ([(p, 0.01) for p in ports] + [(p, 0.01) for p in ports[::-1]]
-                     + [(p, 0.02) for p in ports]):
+    for port, dt in ([(p, 0.01) for p in ports for _ in range(2)]
+                     + [(p, 0.01) for p in ports[::-1] for _ in range(2)]
+                     + [(p, 0.02) for p in ports for _ in range(2)]):
         got = simulate(model, port, dp, dt)
         want = simulate(build_swing_model(get_analysis("case9")), port, dp, dt)
         for name in ("t", "gen_freq", "bus_freq", "coi_freq"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (port, dt, name)
+
+
+def test_a_model_holds_the_propagator_of_one_port_only():
+    # Callers finish a port before they start the next, so the store keeps
+    # the last one: 16,080 bytes at 3 machines, not one entry per port.
+    model = build_swing_model(get_analysis("case9"))
+    dp = _wind_dp(300, 5)
+    for bus in get_case("case9").buses:
+        simulate(model, bus.id, dp, 0.01)
+    (entry,) = model._propagators.values()
+    assert sum(a.nbytes for a in entry) == 16_080
 
 
 @pytest.mark.parametrize("damp, dt", [(None, 0.5), (1e100, 0.01)],

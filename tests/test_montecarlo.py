@@ -433,6 +433,23 @@ def test_kept_poi_series_share_no_memory_with_trajectories(monkeypatch):
                    for series in kept for traj in trajectories)
 
 
+def test_a_serial_run_keeps_the_propagator_of_one_placement_bus(monkeypatch):
+    # The run finishes a bus before it starts the next, so its swing model
+    # keeps the last bus's propagator alone: 16,080 bytes at 3 machines.
+    models = []
+
+    def recording_build(*args):
+        models.append(build_swing_model(*args))
+        return models[-1]
+
+    monkeypatch.setattr(montecarlo, "build_swing_model", recording_build)
+    cfg = RunConfig(n_realizations=3, horizon=0.5, dt=0.01)
+    run_monte_carlo(get_case("case7_study"), (3, 4, 5, 7), cfg, workers=1)
+    (model,) = models
+    (entry,) = model._propagators.values()
+    assert sum(a.nbytes for a in entry) == 16_080
+
+
 def test_impossible_bins_fail_before_any_simulation(monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("the case was analyzed")
