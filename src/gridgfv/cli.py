@@ -168,11 +168,6 @@ def _cmd_simulate(args, run: RunConfig) -> int:
     return 0
 
 
-def _hist_rows(hist: montecarlo.Histogram):
-    return [[float(low), float(high), int(count)]
-            for low, high, count in zip(hist.edges, hist.edges[1:], hist.counts)]
-
-
 def _cmd_mc(args, run: RunConfig) -> int:
     try:
         workers = montecarlo.resolve_workers(None, run.n_realizations)
@@ -194,24 +189,25 @@ def _cmd_mc(args, run: RunConfig) -> int:
     # Rows in case bus order; read before the study, which then holds no analysis.
     gfv = analyze_case(case, tol=run.tol, max_iter=run.max_iter).gfv.vector
     placements = montecarlo.run_monte_carlo(case, buses, run, workers)
-    partial = any(stats.failures for stats in placements.values())
 
-    summary_rows = []
+    summary_rows, failures = [], []
     for bus, stats in placements.items():
-        bus_dir = out_dir / f"bus_{bus}"
-        bus_dir.mkdir(exist_ok=True)
-        write_table(bus_dir / "coi_hist.csv", ["bin_low", "bin_high", "count"],
-                    _hist_rows(stats.coi_histogram), json_mirror=args.json)
-        write_table(bus_dir / "poi_hist.csv", ["bin_low", "bin_high", "count"],
-                    _hist_rows(stats.poi_histogram), json_mirror=args.json)
-        write_table(bus_dir / "ifd.csv", ["ifd"],
-                    [[float(v)] for v in stats.ifd_samples], json_mirror=args.json)
+        failures += (f"bus {bus}: {failure}" for failure in stats.failures)
         q = stats.ifd_quartiles
         summary_rows.append([
             bus, float(gfv[rows[bus]]), q.median, q.q3 - q.q1, q.q1, q.q3,
             q.whisker_low, q.whisker_high, stats.coi_std, stats.poi_std,
             len(stats.ifd_samples),
         ])
+    write_table(out_dir / "ifd.csv", ["bus_id", "realization", "ifd"],
+                ([bus, r, v] for bus, s in placements.items()
+                 for r, v in zip(s.ifd_realizations.tolist(), s.ifd_samples.tolist())),
+                json_mirror=args.json)
+    write_table(out_dir / "hist.csv", ["bus_id", "series", "bin_low", "bin_high", "count"],
+                ([bus, series, *cells] for bus, s in placements.items()
+                 for series, h in (("coi", s.coi_histogram), ("poi", s.poi_histogram))
+                 for cells in zip(h.edges.tolist(), h.edges[1:].tolist(), h.counts.tolist())),
+                json_mirror=args.json)
     write_table(
         out_dir / "summary.csv",
         ["bus_id", "gfv", "median_ifd", "ifd_iqr", "q1", "q3", "whisker_low",
@@ -219,15 +215,12 @@ def _cmd_mc(args, run: RunConfig) -> int:
         summary_rows,
         comment=(f"f0_pu=1.0 frequency_values=deviation_pu "
                  f"seed={run.seed} n_realizations={run.n_realizations} "
-                 f"partial={partial}"),
+                 f"partial={bool(failures)}"),
         json_mirror=args.json,
     )
-    if partial:
-        for bus, stats in placements.items():
-            for failure in stats.failures:
-                print(f"bus {bus}: {failure}", file=sys.stderr)
-        print("warning: summary is partial (some realizations failed)",
-              file=sys.stderr)
+    if failures:
+        print(*failures, "warning: summary is partial (some realizations failed)",
+              sep="\n", file=sys.stderr)
     return 0
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterable
 from pathlib import Path
 
 from .errors import UnusableResultError
@@ -23,7 +24,7 @@ def format_cell(value) -> str:
     return str(value)
 
 
-def render_table(header: list[str], rows: list[list], comment: str | None = None) -> str:
+def render_table(header: list[str], rows: Iterable[list], comment: str | None = None) -> str:
     """The RFC-4180-style CSV text of a table: comment, when given, as a
     '# ...' line, the header row, then every row with each cell formatted.
     Nothing is returned unless every cell is finite."""
@@ -35,7 +36,7 @@ def render_table(header: list[str], rows: list[list], comment: str | None = None
 def write_table(
     path,
     header: list[str],
-    rows: list[list],
+    rows: Iterable[list],
     comment: str | None = None,
     json_mirror: bool = False,
 ):

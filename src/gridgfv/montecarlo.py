@@ -104,9 +104,12 @@ class BoxStats:
 
 @dataclass(frozen=True)
 class PlacementStats:
+    """A placement bus's statistics; realization ifd_realizations[i] had IFD ifd_samples[i]."""
+
     coi_histogram: Histogram
     poi_histogram: Histogram
     ifd_samples: np.ndarray
+    ifd_realizations: np.ndarray
     ifd_quartiles: BoxStats
     coi_std: float
     poi_std: float
@@ -145,8 +148,8 @@ def summarize(bus: int, outcomes: list, series: np.ndarray,
     realization is an UnusableResultError that names it.
 
     Histograms are equal-width over the pooled min/max per metric (a single
-    degenerate bin when every sample coincides); whiskers sit at 1.5 IQR
-    clamped to the data range, with all samples retained in ifd_samples.
+    bin when every sample coincides); whiskers sit at 1.5 IQR clamped to the
+    data range.  ifd_samples keeps every successful IFD, ifd_realizations its realization.
     """
     ok = [not isinstance(r, str) for r in outcomes]
     failures = tuple(r for r in outcomes if isinstance(r, str))
@@ -161,6 +164,7 @@ def summarize(bus: int, outcomes: list, series: np.ndarray,
         coi_histogram=_histogram(coi_pool, bins),
         poi_histogram=_histogram(poi_pool, bins),
         ifd_samples=ifd_arr,
+        ifd_realizations=np.flatnonzero(ok),
         ifd_quartiles=_box_stats(ifd_arr),
         coi_std=float(coi_pool.std()),
         poi_std=float(poi_pool.std()),

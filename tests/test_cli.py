@@ -13,6 +13,7 @@ import warnings
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import asdict, fields
+from itertools import groupby
 from pathlib import Path
 from unittest import mock
 
@@ -213,14 +214,19 @@ def test_mc_outputs_and_determinism(tmp_path):
     snap_a, snap_b = _snapshot(first), _snapshot(second)
     assert set(snap_a) == set(snap_b)
     assert snap_a == snap_b  # byte-identical regardless of worker count
-    # Per-bus files exist; buses are emitted in case order (3 before 5).
-    assert (first / "bus_3" / "coi_hist.csv").exists()
-    assert (first / "bus_5" / "poi_hist.csv").exists()
-    assert (first / "bus_3" / "ifd.csv").exists()
+    # Three tables, whose rows name their bus; buses are emitted in case
+    # order (3 before 5), each bus's COI histogram before its POI one.
+    assert set(snap_a) == {"summary.csv", "ifd.csv", "hist.csv"}
     header, rows = read_table(first / "summary.csv")
     assert [r[0] for r in rows] == ["3", "5"]
-    _, ifd_rows = read_table(first / "bus_3" / "ifd.csv")
-    assert len(ifd_rows) == 4
+    header, hist_rows = read_table(first / "hist.csv")
+    assert header == ["bus_id", "series", "bin_low", "bin_high", "count"]
+    assert [key for key, _ in groupby((r[0], r[1]) for r in hist_rows)] == [
+        ("3", "coi"), ("3", "poi"), ("5", "coi"), ("5", "poi")]
+    header, ifd_rows = read_table(first / "ifd.csv")
+    assert header == ["bus_id", "realization", "ifd"]
+    assert [(r[0], r[1]) for r in ifd_rows] == [
+        (bus, str(r)) for bus in ("3", "5") for r in range(4)]
 
 
 def test_other_placement_buses_never_perturb_a_bus(tmp_path, monkeypatch):
@@ -232,12 +238,22 @@ def test_other_placement_buses_never_perturb_a_bus(tmp_path, monkeypatch):
         out_dir = tmp_path / buses.replace(",", "_")
         assert main(["mc", STUDY, "--buses", buses, "--n", "6", "--t", "5",
                      "--seed", "3", "--out-dir", str(out_dir)]) == 0
-        summary = (out_dir / "summary.csv").read_text().splitlines()
-        outputs[buses] = ([row for row in summary if row.startswith("3,")],
-                          [(out_dir / "bus_3" / name).read_bytes()
-                           for name in ("coi_hist.csv", "poi_hist.csv", "ifd.csv")])
+        outputs[buses] = [[row for row in (out_dir / name).read_text().splitlines()
+                           if row.startswith("3,")]
+                          for name in ("summary.csv", "hist.csv", "ifd.csv")]
     assert len(outputs["3"][0]) == 1
+    assert {row.split(",")[1] for row in outputs["3"][1]} == {"coi", "poi"}
+    assert len(outputs["3"][2]) == 6
     assert outputs["3"] == outputs["5,3,7"]
+
+
+def test_a_rerun_into_the_same_out_dir_leaves_only_its_own_files(tmp_path, monkeypatch):
+    monkeypatch.setenv("GRID_GFV_THREADS", "2")
+    reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+    for buses, out_dir in (("3,4", reused), ("5", reused), ("5", fresh)):
+        assert main(["mc", STUDY, "--buses", buses, "--n", "3", "--t", "0.5",
+                     "--json", "--out-dir", str(out_dir)]) == 0
+    assert _snapshot(reused) == _snapshot(fresh)
 
 
 def test_a_worker_that_dies_is_a_one_line_usage_error(tmp_path, capsys, monkeypatch):
@@ -747,6 +763,10 @@ def test_partial_mc_run_names_each_failure_then_warns(tmp_path, capsys, monkeypa
     header, rows = read_table(summary)
     n_ok = header.index("n_ok")
     assert [(row[0], row[n_ok]) for row in rows] == [("3", "3"), ("5", "2")]
+    header, rows = read_table(out_dir / "ifd.csv")
+    assert header == ["bus_id", "realization", "ifd"]
+    assert [(row[0], row[1]) for row in rows] == [
+        ("3", "0"), ("3", "2"), ("3", "3"), ("5", "0"), ("5", "1")]
 
 
 def test_unusable_out_dir_is_reported_before_the_study(tmp_path, capsys, monkeypatch):

@@ -404,6 +404,7 @@ def test_recorded_failures_mark_summary_partial():
     kept = series[:, [0, 2]]
     assert s.failures == ("realization 1: non-finite state",)
     assert s.ifd_samples.tolist() == [1.0, 2.0]
+    assert s.ifd_realizations.tolist() == [0, 2]
     assert s.coi_histogram.edges.tolist() == [0.0, 1.25, 2.5, 3.75, 5.0]
     assert s.poi_histogram.edges.tolist() == [4.0, 5.25, 6.5, 7.75, 9.0]
     assert s.coi_histogram.counts.sum() == s.poi_histogram.counts.sum() == 6
