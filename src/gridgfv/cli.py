@@ -4,8 +4,8 @@ gfv | simulate | mc | report.
 Exit codes: 0 success, 1 usage error (bad arguments, missing files), 2 data
 or validation error, 3 numerical failure (non-convergence, singularity,
 unstable integration); every failure is one line on stderr.  All outputs
-are CSV with a header row; --json mirrors each CSV as a sibling .json
-document.  A command takes the run-parameter flags it uses and, with them, a
+are CSV with a header row, rendered whole before a byte is written; a
+failed mc writes no file.  A command takes the run-parameter flags it uses and, with them, a
 --config JSON file of run parameters (tolerances, OU/turbine/MC parameters,
 seed); explicit flags win over the file, and unknown keys or mistyped values
 in it are usage errors.
@@ -127,12 +127,13 @@ def _load_run_config(path, flags=None) -> RunConfig:
 
 
 def _emit(args, header, rows, comment=None):
-    """Write a command's table, rendered whole by csvio, to --out (mirrored
-    by --json) or to stdout; a non-finite cell leaves both untouched."""
+    """Render a command's table whole, then write it to --out or to stdout;
+    a non-finite cell leaves both untouched."""
+    text = render_table(header, rows, comment)
     if args.out:
-        write_table(args.out, header, rows, comment=comment, json_mirror=args.json)
+        write_table(args.out, text)
     else:
-        sys.stdout.write(render_table(header, rows, comment))
+        sys.stdout.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -199,25 +200,28 @@ def _cmd_mc(args, run: RunConfig) -> int:
             q.whisker_low, q.whisker_high, stats.coi_std, stats.poi_std,
             len(stats.ifd_samples),
         ])
-    write_table(out_dir / "ifd.csv", ["bus_id", "realization", "ifd"],
-                ([bus, r, v] for bus, s in placements.items()
-                 for r, v in zip(s.ifd_realizations.tolist(), s.ifd_samples.tolist())),
-                json_mirror=args.json)
-    write_table(out_dir / "hist.csv", ["bus_id", "series", "bin_low", "bin_high", "count"],
-                ([bus, series, *cells] for bus, s in placements.items()
-                 for series, h in (("coi", s.coi_histogram), ("poi", s.poi_histogram))
-                 for cells in zip(h.edges.tolist(), h.edges[1:].tolist(), h.counts.tolist())),
-                json_mirror=args.json)
-    write_table(
-        out_dir / "summary.csv",
-        ["bus_id", "gfv", "median_ifd", "ifd_iqr", "q1", "q3", "whisker_low",
-         "whisker_high", "coi_std", "poi_std", "n_ok"],
-        summary_rows,
-        comment=(f"f0_pu=1.0 frequency_values=deviation_pu "
-                 f"seed={run.seed} n_realizations={run.n_realizations} "
-                 f"partial={bool(failures)}"),
-        json_mirror=args.json,
-    )
+    # Every table is rendered before any is written, so a failed run leaves
+    # the files of out_dir as it found them.
+    tables = {
+        "ifd.csv": render_table(
+            ["bus_id", "realization", "ifd"],
+            ([bus, r, v] for bus, s in placements.items()
+             for r, v in zip(s.ifd_realizations.tolist(), s.ifd_samples.tolist()))),
+        "hist.csv": render_table(
+            ["bus_id", "series", "bin_low", "bin_high", "count"],
+            ([bus, series, *cells] for bus, s in placements.items()
+             for series, h in (("coi", s.coi_histogram), ("poi", s.poi_histogram))
+             for cells in zip(h.edges.tolist(), h.edges[1:].tolist(), h.counts.tolist()))),
+        "summary.csv": render_table(
+            ["bus_id", "gfv", "median_ifd", "ifd_iqr", "q1", "q3", "whisker_low",
+             "whisker_high", "coi_std", "poi_std", "n_ok"],
+            summary_rows,
+            comment=(f"f0_pu=1.0 frequency_values=deviation_pu "
+                     f"seed={run.seed} n_realizations={run.n_realizations} "
+                     f"partial={bool(failures)}")),
+    }
+    for name, text in tables.items():
+        write_table(out_dir / name, text)
     if failures:
         print(*failures, "warning: summary is partial (some realizations failed)",
               sep="\n", file=sys.stderr)
@@ -273,8 +277,6 @@ _ARGUMENTS = {
     "--out-dir": {"required": True},
     "--config": {"help": "JSON file with shared run defaults"},
     "--out": {"help": "output CSV path (default: stdout)"},
-    "--json": {"action": "store_true",
-               "help": "also write each CSV as a sibling .json document"},
 }
 
 
@@ -282,7 +284,7 @@ _ARGUMENTS = {
 class _Command:
     """A subcommand: its help, its handler(args, run) -> exit code, its own
     arguments, the run-parameter flags it takes (and so --config) and whether
-    it writes one table (to stdout or --out, mirrored by --json)."""
+    it writes one table (to stdout or --out)."""
 
     help: str
     handler: Callable[[argparse.Namespace, RunConfig], int]
@@ -333,9 +335,9 @@ _COMMANDS = {
         "one stochastic-wind trajectory", _cmd_simulate, ("case", "--bus"),
         ("--tol", "--max-iter", "--seed", "--damping", "--ou-mu", "--ou-alpha",
          "--ou-b", "--rated-power", "--v-rated", "--v-ref", "--t", "--dt")),
-    "mc": _Command(  # every run parameter; --json mirrors each file it writes
+    "mc": _Command(  # every run parameter
         "Monte Carlo placement study", _cmd_mc,
-        ("case", "--buses", "--out-dir", "--json"), tuple(_RUN_PARAMETERS),
+        ("case", "--buses", "--out-dir"), tuple(_RUN_PARAMETERS),
         table=False),
     "report": _Command("ranking table from an mc output directory", _cmd_report,
                        ("out_dir",)),
@@ -351,7 +353,7 @@ def build_parser(command: str | None = None) -> _Parser:
         cmd = _COMMANDS[name]
         sub = subs.add_parser(name, help=cmd.help, allow_abbrev=False)
         for option in (cmd.arguments + cmd.flags + ("--config",) * bool(cmd.flags)
-                       + ("--out", "--json") * cmd.table):
+                       + ("--out",) * cmd.table):
             if option in _RUN_PARAMETERS:
                 sub.add_argument(option, type=_kind(*_RUN_PARAMETERS[option]))
             else:
@@ -373,12 +375,9 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
         args = build_parser(argv[0] if argv else None).parse_args(argv)
-        cmd = _COMMANDS[args.command]
-        if cmd.table and args.json and not args.out:
-            raise _UsageError("--json requires --out (it mirrors a CSV file)")
         run = _load_run_config(getattr(args, "config", None), args)
         with np.errstate(all="ignore"):  # outputs are checked for finiteness
-            return cmd.handler(args, run)
+            return _COMMANDS[args.command].handler(args, run)
     except _UsageError as exc:
         return _fail(str(exc), 1)
     except MemoryError as exc:  # e.g. a horizon of more steps than fit in memory

@@ -1,14 +1,13 @@
-"""CSV output with a finite-value guard and an optional JSON mirror.
+"""CSV output with a finite-value guard.
 
 Every CLI table, to stdout or to a file, is rendered by render_table, so a
 NaN or infinity anywhere in a result is caught at the boundary, before a
-byte of the table is written.  Floats are rendered with repr() (shortest
+byte of the table is written; write_table only writes text rendered so.  Floats are rendered with repr() (shortest
 round-trip form) which keeps repeated runs byte-identical.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from collections.abc import Iterable
 from pathlib import Path
@@ -33,30 +32,9 @@ def render_table(header: list[str], rows: Iterable[list], comment: str | None = 
     return "\n".join(lines) + "\n"
 
 
-def write_table(
-    path,
-    header: list[str],
-    rows: Iterable[list],
-    comment: str | None = None,
-    json_mirror: bool = False,
-):
-    """Write render_table's CSV text of a table to path.
-
-    With json_mirror the same table is also written next to the CSV as
-    {stem}.json with keys columns/rows (and comment when present), its rows
-    the CSV's own formatted cells.
-    """
-    path = Path(path)
-    text = render_table(header, rows, comment)
-    path.write_text(text, encoding="utf-8")
-    if json_mirror:
-        body = text.splitlines()[1 + (comment is not None):]
-        doc = {"columns": header, "rows": [line.split(",") for line in body]}
-        if comment is not None:
-            doc["comment"] = comment
-        path.with_suffix(".json").write_text(
-            json.dumps(doc, indent=2) + "\n", encoding="utf-8"
-        )
+def write_table(path, text: str):
+    """Write a table's text, as render_table returned it, to path."""
+    Path(path).write_text(text, encoding="utf-8")
 
 
 def read_table(path) -> tuple[list[str], list[list[str]]]:

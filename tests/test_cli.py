@@ -25,7 +25,7 @@ from scipy.stats import spearmanr
 from gridgfv import OuParams, TurbineParams, cli, montecarlo, pipeline, powerflow
 from gridgfv.case_model import load_validated_case
 from gridgfv.cli import main
-from gridgfv.csvio import format_cell, read_table, write_table
+from gridgfv.csvio import format_cell, read_table, render_table, write_table
 from gridgfv.errors import SimulationUnstableError
 
 from conftest import FIXTURE_NAMES, fixture_path
@@ -174,14 +174,6 @@ def test_simulate_overflow_of_a_stable_model_is_not_called_unstable(tmp_path, ca
                    "past the float range (the linear model is stable at this step size)\n")
 
 
-def test_json_mirror(tmp_path):
-    out = tmp_path / "gfv.csv"
-    assert main(["gfv", CASE9, "--out", str(out), "--json"]) == 0
-    doc = json.loads((tmp_path / "gfv.json").read_text())
-    assert doc["columns"] == ["bus_id", "nodal_inertia_s", "fiedler_norm", "gfv"]
-    assert len(doc["rows"]) == 9
-
-
 def _run_mc(tmp_path, name, threads):
     out_dir = tmp_path / name
     env_before = os.environ.get("GRID_GFV_THREADS")
@@ -252,8 +244,23 @@ def test_a_rerun_into_the_same_out_dir_leaves_only_its_own_files(tmp_path, monke
     reused, fresh = tmp_path / "reused", tmp_path / "fresh"
     for buses, out_dir in (("3,4", reused), ("5", reused), ("5", fresh)):
         assert main(["mc", STUDY, "--buses", buses, "--n", "3", "--t", "0.5",
-                     "--json", "--out-dir", str(out_dir)]) == 0
+                     "--out-dir", str(out_dir)]) == 0
     assert _snapshot(reused) == _snapshot(fresh)
+
+
+def test_a_failed_mc_leaves_an_earlier_runs_tables_as_they_were(tmp_path, capsys,
+                                                                 monkeypatch):
+    monkeypatch.setenv("GRID_GFV_THREADS", "1")
+    out_dir = tmp_path / "mc"
+    run = ["mc", STUDY, "--n", "2", "--t", "0.2", "--out-dir", str(out_dir)]
+    assert main(run + ["--buses", "3"]) == 0
+    before = _snapshot(out_dir)
+    # A rated power past the float range makes bus 5's statistics infinite,
+    # and so its rows of every table.
+    assert main(run + ["--buses", "5", "--rated-power", "1e300"]) == 3
+    assert capsys.readouterr().err == (
+        "numerical failure: non-finite value inf in CSV output\n")
+    assert _snapshot(out_dir) == before
 
 
 def test_a_worker_that_dies_is_a_one_line_usage_error(tmp_path, capsys, monkeypatch):
@@ -306,7 +313,7 @@ def test_csv_writer_rejects_non_finite(tmp_path):
     with pytest.raises(ValueError, match="non-finite"):
         format_cell(math.nan)
     with pytest.raises(ValueError, match="non-finite"):
-        write_table(tmp_path / "x.csv", ["a"], [[math.inf]])
+        render_table(["a"], [[math.inf]])
 
 
 @pytest.mark.parametrize("out", [False, True], ids=["stdout", "out"])
@@ -329,7 +336,7 @@ def test_a_non_finite_cell_writes_no_table(tmp_path, capsys, monkeypatch, out):
 def test_csv_floats_round_trip_exactly(tmp_path):
     value = 0.1234567890123456789
     path = tmp_path / "x.csv"
-    write_table(path, ["a"], [[value]])
+    write_table(path, render_table(["a"], [[value]]))
     _, rows = read_table(path)
     assert float(rows[0][0]) == value
 
@@ -905,16 +912,21 @@ def test_argument_error_is_one_line(tmp_path, capsys, argv, code, message):
 
 @pytest.mark.parametrize("argv, unused", [
     (["validate", CASE9, "--json"], "--json"),
+    (["gfv", CASE9, "--out", "x.csv", "--json"], "--json"),
+    (["mc", STUDY, "--buses", "3", "--out-dir", "mc", "--json"], "--json"),
     (["validate", CASE9, "--config", "run.json"], "--config run.json"),
     (["report", ".", "--config", "run.json"], "--config run.json"),
-], ids=["validate-json", "validate-config", "report-config"])
-def test_flag_a_command_does_not_use_is_a_one_line_usage_error(capsys, argv, unused):
+], ids=["validate-json", "gfv-json", "mc-json", "validate-config", "report-config"])
+def test_flag_a_command_does_not_use_is_a_one_line_usage_error(tmp_path, capsys,
+                                                               monkeypatch, argv, unused):
+    monkeypatch.chdir(tmp_path)  # a command that took the flag would write here
     assert main(argv) == 1
+    assert not any(tmp_path.iterdir())
     assert capsys.readouterr().err == f"grid-gfv: unrecognized arguments: {unused}\n"
 
 
 # The flags each command takes, besides --help.
-_ANALYSIS_FLAGS = {"--tol", "--max-iter", "--config", "--out", "--json"}
+_ANALYSIS_FLAGS = {"--tol", "--max-iter", "--config", "--out"}
 _SIMULATE_FLAGS = _ANALYSIS_FLAGS | {
     "--bus", "--seed", "--damping", "--ou-mu", "--ou-alpha", "--ou-b", "--rated-power",
     "--v-rated", "--v-ref", "--t", "--dt"}
@@ -923,7 +935,7 @@ _FLAGS = {
     "dmatrix": _ANALYSIS_FLAGS, "inertia": _ANALYSIS_FLAGS, "gfv": _ANALYSIS_FLAGS,
     "simulate": _SIMULATE_FLAGS,
     "mc": _SIMULATE_FLAGS - {"--bus", "--out"} | {"--buses", "--out-dir", "--n", "--bins"},
-    "report": {"--out", "--json"},
+    "report": {"--out"},
 }
 
 
@@ -965,19 +977,6 @@ def test_simulate_max_iter_reaches_its_power_flow(capsys):
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: power flow did not converge in 0 iterations")
     assert len(err.splitlines()) == 1
-
-
-@pytest.mark.parametrize("argv, work", [
-    (["gfv", CASE9, "--json"], "analyze_case"),
-    (["simulate", STUDY, "--bus", "3", "--t", "200", "--json"], "simulate"),
-], ids=["gfv", "simulate"])
-def test_json_without_out_is_refused_before_any_work(capsys, monkeypatch, argv, work):
-    def fail(*args, **kwargs):
-        raise AssertionError(f"{work} ran before --json was refused")
-
-    monkeypatch.setattr(cli, work, fail)
-    assert main(argv) == 1
-    assert capsys.readouterr().err == "--json requires --out (it mirrors a CSV file)\n"
 
 
 @pytest.mark.parametrize("argv, builds", [
