@@ -126,7 +126,8 @@ def simulate_ou(params: OuParams, dt: float, n_steps: int, seed) -> np.ndarray:
         raise MemoryError(f"Unable to allocate an OU path of {n_steps} steps")
     dt = _checked_dt(dt)
     rho = math.exp(-params.alpha * dt)
-    sigma = params.b * math.sqrt((1.0 - rho * rho) / (2.0 * params.alpha))
+    # expm1, not 1 - rho^2, which cancels to 0 when alpha * dt is small.
+    sigma = params.b * math.sqrt(-math.expm1(-2.0 * params.alpha * dt) / (2.0 * params.alpha))
     xi = np.random.default_rng(seed).standard_normal(n_steps)
     # x_{k+1} = rho x_k + sigma xi_k from x_0 = 0; the appended input sample
     # would only drive x_{n_steps + 1}.

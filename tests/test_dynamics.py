@@ -49,6 +49,19 @@ def test_ou_zero_diffusion_is_constant():
     assert np.all(path == 14.0)
 
 
+def test_ou_noise_survives_a_mean_reversion_below_rounding():
+    # At alpha * dt = 1e-17, rho rounds to 1 and 1 - rho^2 to 0; the path is
+    # then a random walk whose increments are sigma xi_k, sigma^2 -> b^2 dt.
+    p, dt, n = OuParams(alpha=1e-15, b=0.1), 0.01, 2000
+    path = simulate_ou(p, dt, n, 1)
+    assert np.ptp(path) > 0.0
+    # The ratio is chi^2 with n - 1 degrees of freedom over n - 1: mean 1 and
+    # standard deviation sqrt(2 / (n - 1)); 5 of them hold for any seed with
+    # probability above 1 - 1e-6.
+    ratio = np.diff(path).var(ddof=1) / (p.b**2 * dt)
+    assert abs(ratio - 1.0) <= 5.0 * math.sqrt(2.0 / (n - 1))
+
+
 def test_ou_deterministic_for_fixed_seed():
     p = OuParams()
     assert np.array_equal(simulate_ou(p, 0.01, 2000, 1234),
