@@ -4,11 +4,11 @@ gfv | simulate | mc | report.
 Exit codes: 0 success, 1 usage error (bad arguments, missing files), 2 data
 or validation error, 3 numerical failure (non-convergence, singularity,
 unstable integration); every failure is one line on stderr.  All outputs
-are CSV with a header row, rendered whole before a byte is written; a
-failed mc writes no file.  A command takes the run-parameter flags it uses and, with them, a
---config JSON file of run parameters (tolerances, OU/turbine/MC parameters,
-seed); explicit flags win over the file, and unknown keys or mistyped values
-in it are usage errors.
+are CSV with a header row, rendered whole before a byte is written, so an
+mc whose study or tables fail writes no file.  A command takes the
+run-parameter flags it uses and, with them, a --config JSON file of run
+parameters (tolerances, OU/turbine/MC parameters, seed); explicit flags win
+over the file, and unknown keys or mistyped values in it are usage errors.
 """
 
 from __future__ import annotations
@@ -200,8 +200,8 @@ def _cmd_mc(args, run: RunConfig) -> int:
             q.whisker_low, q.whisker_high, stats.coi_std, stats.poi_std,
             len(stats.ifd_samples),
         ])
-    # Every table is rendered before any is written, so a failed run leaves
-    # the files of out_dir as it found them.
+    # Every table is rendered before any is written, so a run whose study or
+    # tables fail leaves the files of out_dir as it found them.
     tables = {
         "ifd.csv": render_table(
             ["bus_id", "realization", "ifd"],

@@ -2,8 +2,9 @@
 
 Every CLI table, to stdout or to a file, is rendered by render_table, so a
 NaN or infinity anywhere in a result is caught at the boundary, before a
-byte of the table is written; write_table only writes text rendered so.  Floats are rendered with repr() (shortest
-round-trip form) which keeps repeated runs byte-identical.
+byte of the table is written; write_table only writes text rendered so.
+Floats are rendered with repr() (shortest round-trip form) which keeps
+repeated runs byte-identical.
 """
 
 from __future__ import annotations
