@@ -156,13 +156,17 @@ def _per_bus(case, *columns):
 
 
 def _cmd_simulate(args, run: RunConfig) -> int:
-    model = build_swing_model(analyze_case(load_validated_case(args.case), tol=run.tol,
-                                           max_iter=run.max_iter), run.damping)
+    case = load_validated_case(args.case)
+    row = case_model.bus_positions(case).get(args.bus)
+    if row is None:
+        raise GridGfvError(f"unknown injection node {args.bus}")
+    model = build_swing_model(analyze_case(case, tol=run.tol, max_iter=run.max_iter),
+                              run.damping)
     dp = wind_to_power(simulate_ou(run.ou, run.dt, run.n_steps, run.seed), run.turbine)
-    traj = simulate(model, args.bus, dp, run.dt)
+    traj = simulate(model, row, dp, run.dt)
     header = (["t", "dp", "coi_freq"]
-              + [f"gen_{k}" for k in range(len(model.m))]
-              + [f"bus_{b}" for b in model.bus_ids])
+              + [f"gen_{k}" for k in range(case.n_gen)]
+              + [f"bus_{b}" for b in bus_ids(case)])
     rows = np.vstack([traj.t, dp, traj.coi_freq, traj.gen_freq,
                       traj.bus_freq]).T.tolist()
     _emit(args, header, rows, comment=f"seed={run.seed} bus={args.bus} dt={run.dt!r}")

@@ -3,7 +3,7 @@
 The dynamic states live at the generator internal nodes only: load buses are
 algebraic and their frequencies are reconstructed through the participation
 matrix (f_bus = D @ f_gen), so the state dimension stays at 2 * n_gen.  The
-disturbance bus is retained through the reduction as a pure injection port.
+disturbance's port, a bus or an internal node, is kept as a pure injection.
 
 Wind speed follows a mean-reverting Ornstein-Uhlenbeck process sampled with
 the exact discretization (unconditionally stable, exact stationary moments at
@@ -18,7 +18,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .case_model import bus_ids
 from .errors import GridGfvError, NumericalError, SimulationUnstableError
 from .pipeline import CaseAnalysis
 from .reduction import kron_reduce
@@ -74,13 +73,13 @@ class SwingModel:
     """Linearized multi-machine model at one operating point.
 
     m holds 2H per machine, damp the damping coefficients.  l_red is the
-    operating-point-weighted Laplacian over all network buses (rows in
-    bus_ids order, every bus stays available as an injection port) and then
-    the internal nodes, machine k's at row len(bus_ids)+k.  simulate()
-    eliminates every bus in one Kron reduction of l_red bordered with the
-    port's unit column (_injection_reduction), so every port, bus or machine,
-    gets the same machines' Laplacian, bit for bit, and its own gain vector.
-    participation is the (n_bus, n_gen) matrix D of f_bus = D @ f_gen.
+    operating-point-weighted Laplacian over all network buses, in case order,
+    and then the internal nodes, machine k's at row n_bus + k; each row is an
+    injection port.  simulate() eliminates every bus in one Kron reduction of
+    l_red bordered with the port's unit column (_injection_reduction), so
+    every port, bus or machine, gets the same machines' Laplacian, bit for
+    bit, and its own gain vector.  participation is the (n_bus, n_gen)
+    matrix D of f_bus = D @ f_gen.
 
     The model keeps the RK4 propagator of the last port and step size that
     simulate() has built, and reuses it for every later call at that port and
@@ -93,7 +92,6 @@ class SwingModel:
     damp: np.ndarray
     l_red: np.ndarray
     participation: np.ndarray
-    bus_ids: tuple[int, ...]
     # simulate's propagator, at most one, keyed by the bytes of the port's
     # reduced Laplacian and gain vector and by dt.
     _propagators: dict = field(default_factory=dict, init=False, compare=False,
@@ -188,22 +186,7 @@ def build_swing_model(
         l_red=build_laplacian(case, analysis.aug, np.concatenate([sol.vm, emfs.e_mag]),
                               np.concatenate([sol.va, emfs.delta0])),
         participation=analysis.participation,
-        bus_ids=bus_ids(case),
     )
-
-
-def _resolve_node(model: SwingModel, injection_bus) -> int:
-    """The row of l_red of an injection port: a bus id, ("bus", id), or
-    ("gen", k) for machine k's internal node.  Ids and k are integers; a
-    float or a bool is no port."""
-    port = injection_bus if isinstance(injection_bus, tuple) else ("bus", injection_bus)
-    kind, index = port if len(port) == 2 else (None, None)
-    if isinstance(index, (int, np.integer)) and not isinstance(index, bool):
-        if kind == "bus" and index in model.bus_ids:
-            return model.bus_ids.index(index)
-        if kind == "gen" and 0 <= index < len(model.m):
-            return len(model.bus_ids) + int(index)
-    raise GridGfvError(f"unknown injection node {injection_bus!r}")
 
 
 def _injection_reduction(model: SwingModel, row: int):
@@ -222,7 +205,7 @@ def _injection_reduction(model: SwingModel, row: int):
     bordered = np.zeros((n + 1, n + 1))
     bordered[:n, :n] = model.l_red
     bordered[row, n] = 1.0
-    kept = kron_reduce(bordered, np.arange(len(model.bus_ids), n + 1))
+    kept = kron_reduce(bordered, np.arange(len(model.participation), n + 1))
     return kept[:-1, :-1], kept[:-1, -1]
 
 
@@ -313,14 +296,14 @@ def _apply(fill: np.ndarray, g: np.ndarray, power: np.ndarray, u: np.ndarray) ->
     return states.reshape(-1, k)[: len(u)].T
 
 
-def simulate(model: SwingModel, injection_bus, dp: np.ndarray, dt: float) -> Trajectory:
+def simulate(model: SwingModel, port: int, dp: np.ndarray, dt: float) -> Trajectory:
     """Integrate the swing model for one injection series.
 
-    injection_bus is a network bus id, or a ("gen", k) node key to drive a
-    machine directly.  dp samples live on the time grid t_k = k*dt; the
-    series length fixes the horizon, and dt must be positive and finite.
-    Fixed-step 4th-order (RK4) integration, advanced in blocks of time steps
-    (_kernel, _apply); zero input from zero state stays identically zero.
+    port is the row of model.l_red that dp enters: bus i of the case at row i,
+    machine k's internal node at n_bus + k.  dp samples live on the grid
+    t_k = k*dt, the series length fixes the horizon, and dt must be positive
+    and finite.  Fixed-step 4th-order (RK4) integration, advanced in blocks of
+    time steps (_kernel, _apply); zero input from zero state stays identically zero.
 
     The port's propagator (R and its block kernel) is built on the model's
     first call at this port and dt, replacing the one of the port and dt
@@ -334,7 +317,10 @@ def simulate(model: SwingModel, injection_bus, dp: np.ndarray, dt: float) -> Tra
     if not np.all(np.isfinite(dp)):
         raise ValueError("dp must be finite")
     dt = _checked_dt(dt)
-    l_red, w = _injection_reduction(model, _resolve_node(model, injection_bus))
+    if (not isinstance(port, (int, np.integer)) or isinstance(port, bool)
+            or not 0 <= port < len(model.l_red)):
+        raise GridGfvError(f"unknown injection port {port!r}")
+    l_red, w = _injection_reduction(model, port)
     ng = len(model.m)
     rows = slice(ng, None)
     # A, R and the kernel depend on the port only through l_red and w, so

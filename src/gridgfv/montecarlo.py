@@ -172,13 +172,13 @@ def summarize(bus: int, outcomes: list, series: np.ndarray,
     )
 
 
-def _one_span(cfg: RunConfig, model: SwingModel, placements: tuple, slots: np.ndarray,
+def _one_span(cfg: RunConfig, model: SwingModel, rows: tuple, slots: np.ndarray,
               wind: np.ndarray | None, k: int, span: range) -> list:
-    """Bus k of placements, (bus, row of bus_freq) pairs, at each realization r
-    of span: the IFD or failure message per r, the COI and POI series to
-    slots[k % len(slots), :, r].  Bus 0 draws each power series, to wind[r]
+    """Placement bus k, injection port and bus_freq row rows[k], at each
+    realization r of span: the IFD or failure message per r, the COI and POI
+    series to slots[k % len(slots), :, r].  Bus 0 draws each power series, to wind[r]
     unless wind is None, and the later buses replay it from there."""
-    bus, row = placements[k]
+    row = rows[k]
     results = []
     for r in span:
         # The seed is shared across placement buses: common random numbers.
@@ -187,7 +187,7 @@ def _one_span(cfg: RunConfig, model: SwingModel, placements: tuple, slots: np.nd
         if k == 0 and wind is not None:
             wind[r] = dp
         try:
-            traj = simulate(model, bus, dp, cfg.dt)
+            traj = simulate(model, row, dp, cfg.dt)
         except GridGfvError as exc:
             results.append(f"realization {r}: {exc}")
             continue
@@ -267,7 +267,7 @@ def run_monte_carlo(
             raise
         raise MemoryError(f"Unable to map the COI/POI series of shape {shape}") from None
     slots = series[:2 * n_slots].reshape(n_slots, 2, *shape[1:])
-    realize = partial(_one_span, cfg, model, tuple(rows.items()), slots,
+    realize = partial(_one_span, cfg, model, tuple(rows.values()), slots,
                       series[-1] if n_buses >= 2 else None)
     n_workers = resolve_workers(workers, n)
     spans = [range(n * i // n_workers, n * (i + 1) // n_workers) for i in range(n_workers)]

@@ -75,8 +75,8 @@ def bus_port_reduction(l_red, n_bus, row):
     return four_block_kron(l_red, g_rows), -l_red[n_bus:, :n_bus] @ x
 
 
-def impulse_responses(model, bus, cfg):
-    """simulate's trajectories at bus for two inputs of run_monte_carlo's
+def impulse_responses(model, row, cfg):
+    """simulate's trajectories at port row for two inputs of run_monte_carlo's
     linearized wind model: f, the wind path of the normal xi_0 = 1 alone,
     and g, a unit power impulse at step 1.
 
@@ -93,7 +93,7 @@ def impulse_responses(model, bus, cfg):
     wind, unit = np.zeros(cfg.n_steps + 1), np.zeros(cfg.n_steps + 1)
     wind[1:] = kappa * sigma * rho ** np.arange(cfg.n_steps)
     unit[1] = 1.0
-    return simulate(model, bus, wind, cfg.dt), simulate(model, bus, unit, cfg.dt)
+    return simulate(model, row, wind, cfg.dt), simulate(model, row, unit, cfg.dt)
 
 
 def linearization_error(g, cfg):

@@ -25,7 +25,7 @@ from gridgfv import (
     solve_powerflow,
 )
 from gridgfv.cli import _load_run_config, main
-from gridgfv.case_model import bus_ids
+from gridgfv.case_model import bus_ids, bus_positions
 from gridgfv.dynamics import OMEGA_SYNC, TurbineParams, build_swing_model
 from gridgfv.reduction import kron_reduce
 
@@ -137,12 +137,13 @@ def test_04_ou_stationary_moments():
 
 def test_05_simulator_vs_closed_form():
     with _Gate(5, "simulator vs closed form", 5.0):
-        model = build_swing_model(analyze_case(get_case("case4_ring")))
+        case = get_case("case4_ring")
+        model = build_swing_model(analyze_case(case))
         dt, horizon, dp_mag = 0.01, 10.0, 0.1
         n = int(round(horizon / dt))
         dp = np.full(n + 1, dp_mag)
-        traj = simulate(model, ("gen", 2), dp, dt)
-        lred = kron_reduce(model.l_red, range(len(model.bus_ids), len(model.l_red)))
+        traj = simulate(model, case.n_bus + 2, dp, dt)
+        lred = kron_reduce(model.l_red, range(case.n_bus, len(model.l_red)))
         w_s = OMEGA_SYNC
         reference = (
             closed_form_response(
@@ -213,7 +214,8 @@ def test_08_the_second_moment_oracle_ranks_the_placements_as_gfv_does():
     case = get_case("case7_study")
     cfg = _load_run_config(fixture_path("case7_study_run"))
     model = build_swing_model(analyze_case(case), cfg.damping)
-    expected = [expected_ifd(impulse_responses(model, b, cfg)[0]) for b in STUDY_BUSES]
+    rows = bus_positions(case)
+    expected = [expected_ifd(impulse_responses(model, rows[b], cfg)[0]) for b in STUDY_BUSES]
     gfv_at = dict(zip(bus_ids(case), get_analysis("case7_study").gfv.vector))
     assert np.argsort(expected).tolist() == np.argsort([gfv_at[b] for b in STUDY_BUSES]).tolist()
 

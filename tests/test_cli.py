@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from scipy.stats import spearmanr
 
 from gridgfv import OuParams, TurbineParams, cli, montecarlo, pipeline, powerflow
-from gridgfv.case_model import load_validated_case
+from gridgfv.case_model import bus_positions, load_validated_case
 from gridgfv.cli import main
 from gridgfv.csvio import format_cell, read_table, render_table, write_table
 from gridgfv.errors import SimulationUnstableError
@@ -155,6 +155,17 @@ def test_simulate_output_shape(tmp_path):
 
 
 def test_simulate_unknown_bus_is_one_line(capsys):
+    assert main(["simulate", STUDY, "--bus", "99", "--t", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: unknown injection node 99\n"
+
+
+def test_simulate_refuses_an_unknown_bus_before_the_power_flow(capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("the case was analyzed before --bus was resolved")
+
+    monkeypatch.setattr(cli, "analyze_case", fail)
     assert main(["simulate", STUDY, "--bus", "99", "--t", "1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -742,22 +753,24 @@ def test_mc_failure_is_a_one_line_numerical_failure(tmp_path, capsys, monkeypatc
 
 
 def test_partial_mc_run_names_each_failure_then_warns(tmp_path, capsys, monkeypatch):
-    # A run serially simulates every realization at bus 3, then at bus 5.
+    # A run serially simulates every realization at bus 3, then at bus 5;
+    # simulate sees their rows.
     monkeypatch.setenv("GRID_GFV_THREADS", "1")
     simulate, calls = montecarlo.simulate, []
-    failing = {(1, 3), (2, 5), (3, 5)}  # (realization, bus)
+    row = bus_positions(load_validated_case(STUDY))
+    failing = {(1, row[3]), (2, row[5]), (3, row[5])}  # (realization, row)
 
-    def flaky(model, bus, dp, dt):
-        calls.append(bus)
-        if ((len(calls) - 1) % 4, bus) in failing:
+    def flaky(model, port, dp, dt):
+        calls.append(port)
+        if ((len(calls) - 1) % 4, port) in failing:
             raise SimulationUnstableError("non-finite state (injected)")
-        return simulate(model, bus, dp, dt)
+        return simulate(model, port, dp, dt)
 
     monkeypatch.setattr(montecarlo, "simulate", flaky)
     out_dir = tmp_path / "mc"
     assert main(["mc", STUDY, "--buses", "5,3", "--n", "4", "--t", "0.5",
                  "--out-dir", str(out_dir)]) == 0
-    assert calls == [3] * 4 + [5] * 4
+    assert calls == [row[3]] * 4 + [row[5]] * 4
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (

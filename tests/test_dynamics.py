@@ -24,7 +24,7 @@ from gridgfv import (
     wind_to_power,
 )
 from gridgfv import pipeline
-from gridgfv.case_model import bus_ids, bus_positions
+from gridgfv.case_model import bus_positions
 from gridgfv.cli import main
 from gridgfv.dynamics import (
     OMEGA_SYNC,
@@ -33,7 +33,6 @@ from gridgfv.dynamics import (
     _injection_reduction,
     _input_map,
     _kernel,
-    _resolve_node,
     _rk4_step_operators,
 )
 from gridgfv.reduction import kron_reduce
@@ -42,6 +41,8 @@ from closed_form import closed_form_response
 from conftest import FIXTURE_NAMES, SYNTH120, fixture_path, get_analysis, get_case
 from references import bus_port_reduction
 
+# The row of case9's bus 5 in l_red: its injection port.
+CASE9_BUS5 = bus_positions(get_case("case9"))[5]
 
 def test_ou_zero_diffusion_is_constant():
     path = simulate_ou(OuParams(b=0.0), 0.01, 500, 9)
@@ -143,7 +144,7 @@ def test_wind_power_delta_method_std():
 
 def _internal_rows(model):
     # Machine k's internal node is row n_bus + k of l_red.
-    return list(range(len(model.bus_ids), len(model.l_red)))
+    return list(range(len(model.participation), len(model.l_red)))
 
 
 def _model_from(doc, default_damping=1.0):
@@ -178,7 +179,7 @@ def test_single_machine_step_settles_at_dp_over_d():
     case, model = _model_from(SINGLE)
     dt = 0.01
     dp = np.full(3001, 0.08)
-    traj = simulate(model, 1, dp, dt)
+    traj = simulate(model, bus_positions(case)[1], dp, dt)
     m, d = model.m[0], model.damp[0]
     expected = 0.08 / d * (1.0 - np.exp(-d * traj.t / m))
     assert np.max(np.abs(traj.gen_freq[0] - expected)) <= 1e-6
@@ -189,7 +190,7 @@ def test_two_identical_machines_coi_aggregates():
     case, model = _model_from(PAIR)
     dt = 0.01
     dp = np.full(2001, 0.05)
-    traj = simulate(model, 1, dp, dt)
+    traj = simulate(model, bus_positions(case)[1], dp, dt)
     m_tot = model.m.sum()
     d_tot = model.damp.sum()
     expected = 0.05 / d_tot * (1.0 - np.exp(-d_tot * traj.t / m_tot))
@@ -221,7 +222,6 @@ def test_swing_laplacian_is_the_admittance_weighted_laplacian(name):
     reference = np.diag(w.sum(axis=1)) - w
     model = build_swing_model(analysis)
     assert model.l_red.shape == aug.shape
-    assert model.bus_ids == bus_ids(analysis.case)
     assert np.max(np.abs(model.l_red - reference)) <= 1e-12 * np.abs(reference).max()
 
 
@@ -296,7 +296,7 @@ def test_simulate_command_reports_a_ninety_degree_machine_edge(monkeypatch, caps
 
 def test_simulate_zero_input_stays_zero():
     case, model = _model_from(PAIR)
-    traj = simulate(model, 2, np.zeros(500), 0.01)
+    traj = simulate(model, bus_positions(case)[2], np.zeros(500), 0.01)
     assert np.all(traj.gen_freq == 0.0)
     assert np.all(traj.bus_freq == 0.0)
     assert np.all(traj.coi_freq == 0.0)
@@ -306,8 +306,8 @@ def test_simulate_deterministic():
     case, model = _model_from(PAIR)
     rng = np.random.default_rng(0)
     dp = 0.01 * rng.standard_normal(400)
-    a = simulate(model, 1, dp, 0.01)
-    b = simulate(model, 1, dp, 0.01)
+    a = simulate(model, bus_positions(case)[1], dp, 0.01)
+    b = simulate(model, bus_positions(case)[1], dp, 0.01)
     assert np.array_equal(a.gen_freq, b.gen_freq)
     assert np.array_equal(a.bus_freq, b.bus_freq)
 
@@ -318,7 +318,7 @@ def test_simulate_matches_closed_form_two_nodes():
     case, model = _model_from(PAIR)
     dt = 0.01
     dp = np.full(1001, 0.05)
-    traj = simulate(model, ("gen", 0), dp, dt)
+    traj = simulate(model, case.n_bus, dp, dt)
     lred = kron_reduce(model.l_red, _internal_rows(model))
     w_s = OMEGA_SYNC
     expected = (
@@ -333,16 +333,15 @@ def test_simulate_matches_independent_integrator():
     # heterogeneous nine-bus model with a wandering injection.
     from scipy.integrate import solve_ivp
 
-    from gridgfv.dynamics import _injection_reduction, _resolve_node
-
     case = get_case("case9")
     model = build_swing_model(analyze_case(case))
     dt = 0.01
     dp = wind_to_power(simulate_ou(OuParams(), 0.01, 500, 8),
                        TurbineParams(1.0, 15.0, 14.0))
-    traj = simulate(model, 8, dp, dt)
+    port = bus_positions(case)[8]
+    traj = simulate(model, port, dp, dt)
 
-    l_red, w = _injection_reduction(model, _resolve_node(model, 8))
+    l_red, w = _injection_reduction(model, port)
     ng = 3
     t_grid = traj.t
 
@@ -368,7 +367,7 @@ def test_simulate_coi_is_inertia_weighted_mean():
     model = build_swing_model(analyze_case(case))
     dp = wind_to_power(simulate_ou(OuParams(), 0.01, 300, 21),
                        TurbineParams(1.0, 15.0, 14.0))
-    traj = simulate(model, 5, dp, 0.01)
+    traj = simulate(model, bus_positions(case)[5], dp, 0.01)
     h = np.array([g.h for g in case.generators])
     expected = (h @ traj.gen_freq) / h.sum()
     assert np.max(np.abs(traj.coi_freq - expected)) <= 1e-12
@@ -388,21 +387,11 @@ def test_momentum_balance_zero_damping():
     k_imp = 50
     dp = np.zeros(1000)
     dp[:k_imp] = 0.2
-    traj = simulate(model, ("gen", 0), dp, dt)
+    traj = simulate(model, case.n_bus, dp, dt)
     expected = np.trapezoid(dp, dx=dt) / model.m.sum()
     tail = traj.coi_freq[k_imp + 1 :]
     assert np.max(np.abs(tail - expected)) <= 1e-12
     assert traj.coi_freq[-1] == pytest.approx(0.2 * dt * (k_imp - 0.5) / model.m.sum())
-
-
-def test_injection_ports_resolve_to_their_rows():
-    case = get_case("case9")
-    model = build_swing_model(get_analysis("case9"))
-    for row, bus in enumerate(case.buses):
-        assert _resolve_node(model, bus.id) == row
-        assert _resolve_node(model, ("bus", bus.id)) == row
-    for k in range(case.n_gen):
-        assert _resolve_node(model, ("gen", k)) == case.n_bus + k
 
 
 def _port_bound(l_red, n_bus):
@@ -434,29 +423,30 @@ def test_every_port_is_one_bordered_reduction(name):
     # and the Laplacian are the four-block Kron reduction and the solve of
     # the reference, and the gains sum to 1 (a Laplacian's columns sum to 0).
     model = build_swing_model(get_analysis(name))
-    n_bus, n_gen = len(model.bus_ids), len(model.m)
-    ports = list(model.bus_ids) + [("gen", k) for k in range(n_gen)]
-    reductions = [_injection_reduction(model, _resolve_node(model, p)) for p in ports]
+    n_bus, n_gen = len(model.participation), len(model.m)
+    reductions = [_injection_reduction(model, row) for row in range(len(model.l_red))]
     shared = reductions[0][0]
     bound = _port_bound(model.l_red, n_bus)
     for row, (l_red, w) in enumerate(reductions):
-        assert l_red.tobytes() == shared.tobytes(), ports[row]
+        assert l_red.tobytes() == shared.tobytes(), row
         if row >= n_bus:
-            assert w.tobytes() == np.eye(n_gen)[row - n_bus].tobytes(), ports[row]
+            assert w.tobytes() == np.eye(n_gen)[row - n_bus].tobytes(), row
             continue
         want_l, want_w = bus_port_reduction(model.l_red, n_bus, row)
-        assert np.max(np.abs(l_red - want_l)) <= bound, ports[row]
-        assert np.abs(w - want_w).sum() <= bound, ports[row]
-        assert abs(w.sum() - 1.0) <= bound, ports[row]
+        assert np.max(np.abs(l_red - want_l)) <= bound, row
+        assert np.abs(w - want_w).sum() <= bound, row
+        assert abs(w.sum() - 1.0) <= bound, row
 
 
 @pytest.mark.parametrize("port", [99, ("bus", 99), ("gen", 3), ("gen", -1), ("node", 1),
-                                  ("gen", 1.7), ("bus", 2.9), 3.0, True])
+                                  ("gen", 1.7), ("bus", 2.9), 3.0, True, -1, 9 + 3,
+                                  ("gen", 0)])
 def test_simulate_rejects_an_unknown_injection_port(port):
-    # case9 has buses 1-9 and three machines; a negative machine index must
-    # not wrap around to the last machine.
+    # case9 has 9 buses and 3 machines, so rows 0-11 of l_red; a negative row
+    # must not wrap around to the last machine.  A port is an integer row:
+    # a float, a bool or a tuple, even one that names a machine, is none.
     model = build_swing_model(get_analysis("case9"))
-    with pytest.raises(GridGfvError, match="unknown injection node"):
+    with pytest.raises(GridGfvError, match="unknown injection port"):
         simulate(model, port, np.zeros(10), 0.01)
 
 
@@ -464,7 +454,7 @@ def test_simulate_rejects_an_unknown_injection_port(port):
 def test_simulate_rejects_a_dp_that_is_not_a_non_empty_series(dp):
     model = build_swing_model(get_analysis("case9"))
     with pytest.raises(ValueError, match="dp must be a non-empty 1-d series"):
-        simulate(model, 5, dp, 0.01)
+        simulate(model, CASE9_BUS5, dp, 0.01)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -475,7 +465,7 @@ def test_simulate_rejects_a_non_finite_dp(bad):
     dp = np.zeros(100)
     dp[50] = bad
     with pytest.raises(ValueError, match="dp must be finite"):
-        simulate(model, 5, dp, 0.01)
+        simulate(model, CASE9_BUS5, dp, 0.01)
 
 
 @pytest.mark.parametrize("dt", [np.nan, np.inf, 0.0, -0.01])
@@ -484,7 +474,7 @@ def test_simulate_and_simulate_ou_reject_a_step_that_is_not_positive_and_finite(
     # backwards and 0 returns zeros.
     model = build_swing_model(get_analysis("case9"))
     with pytest.raises(ValueError, match="^dt must be positive and finite"):
-        simulate(model, 5, _wind_dp(100, 5), dt)
+        simulate(model, CASE9_BUS5, _wind_dp(100, 5), dt)
     with pytest.raises(ValueError, match="^dt must be positive and finite"):
         simulate_ou(OuParams(), dt, 100, 5)
     assert model._propagators == {}
@@ -494,7 +484,7 @@ def test_a_numpy_step_gives_the_bytes_of_a_python_float_step():
     # Both are converted to one float: they share one stored propagator.
     model = build_swing_model(get_analysis("case9"))
     dp = _wind_dp(300, 5)
-    a, b = (simulate(model, 5, dp, dt) for dt in (0.01, np.float64(0.01)))
+    a, b = (simulate(model, CASE9_BUS5, dp, dt) for dt in (0.01, np.float64(0.01)))
     for name in ("t", "gen_freq", "bus_freq", "coi_freq"):
         assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
     assert len(model._propagators) == 1
@@ -505,7 +495,7 @@ def test_a_numpy_step_gives_the_bytes_of_a_python_float_step():
 def test_simulate_unstable_step_reports_time():
     case, model = _model_from(PAIR)
     with pytest.raises(SimulationUnstableError) as err:
-        simulate(model, 1, np.full(4000, 0.1), 1.0)
+        simulate(model, bus_positions(case)[1], np.full(4000, 0.1), 1.0)
     assert err.value.first_time is not None
 
 
@@ -514,7 +504,7 @@ def test_simulate_overflow_of_a_stable_model_is_not_an_instability():
     # step makes the angles grow linearly until they leave the float range.
     model = build_swing_model(get_analysis("case9"))
     with pytest.raises(NumericalError, match="past the float range") as err:
-        simulate(model, 5, np.full(5000, 1e306), 0.01)
+        simulate(model, CASE9_BUS5, np.full(5000, 1e306), 0.01)
     assert not isinstance(err.value, SimulationUnstableError)
 
 
@@ -526,7 +516,7 @@ def test_simulate_step_operator_overflow_is_an_instability():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(SimulationUnstableError, match="unstable at this step size"):
-            simulate(model, 5, np.full(10, 0.1), 0.01)
+            simulate(model, CASE9_BUS5, np.full(10, 0.1), 0.01)
 
 
 def test_a_reused_propagator_gives_the_bytes_of_a_fresh_model():
@@ -535,10 +525,9 @@ def test_a_reused_propagator_gives_the_bytes_of_a_fresh_model():
     # the propagator that the first built, and every array must equal a fresh
     # model's byte for byte.  The machine ports share one reduced Laplacian
     # and differ in the gain vector alone.
-    case = get_case("case9")
-    ports = [bus.id for bus in case.buses] + [("gen", k) for k in range(case.n_gen)]
     dp = _wind_dp(700, 5)
     model = build_swing_model(get_analysis("case9"))
+    ports = range(len(model.l_red))
     for port, dt in ([(p, 0.01) for p in ports for _ in range(2)]
                      + [(p, 0.01) for p in ports[::-1] for _ in range(2)]
                      + [(p, 0.02) for p in ports for _ in range(2)]):
@@ -553,8 +542,8 @@ def test_a_model_holds_the_propagator_of_one_port_only():
     # the last one: 16,080 bytes at 3 machines, not one entry per port.
     model = build_swing_model(get_analysis("case9"))
     dp = _wind_dp(300, 5)
-    for bus in get_case("case9").buses:
-        simulate(model, bus.id, dp, 0.01)
+    for row in range(get_case("case9").n_bus):
+        simulate(model, row, dp, 0.01)
     (entry,) = model._propagators.values()
     assert sum(a.nbytes for a in entry) == 16_080
 
@@ -571,15 +560,15 @@ def test_a_reused_unstable_propagator_fails_again_at_the_same_time(damp, dt):
     times = []
     for _ in range(2):
         with pytest.raises(SimulationUnstableError) as err:
-            simulate(model, 5, dp, dt)
+            simulate(model, CASE9_BUS5, dp, dt)
         times.append(err.value.first_time)
     assert times[0] is not None and times[0] == times[1]
 
 
-def _stepped_gen_freq(model, injection_bus, dp, dt):
+def _stepped_gen_freq(model, port, dp, dt):
     """Machine frequencies by the RK4 recurrence stepped one sample at a
     time: the definition the time-blocked integration is held to."""
-    l_red, w = _injection_reduction(model, _resolve_node(model, injection_bus))
+    l_red, w = _injection_reduction(model, port)
     ng = len(model.m)
     a = np.zeros((2 * ng, 2 * ng))
     a[:ng, ng:] = OMEGA_SYNC * np.eye(ng)
@@ -606,21 +595,21 @@ def test_blocked_integration_matches_stepping(name):
     case = get_case(name)
     model = build_swing_model(get_analysis(name))
     dp = _wind_dp(1500, 17)
-    for node in [bus.id for bus in case.buses] + [("gen", 0)]:
-        reference = _stepped_gen_freq(model, node, dp, 0.01)
-        traj = simulate(model, node, dp, 0.01)
+    for port in range(case.n_bus + 1):  # every bus, then machine 0
+        reference = _stepped_gen_freq(model, port, dp, 0.01)
+        traj = simulate(model, port, dp, 0.01)
         assert traj.gen_freq.shape == reference.shape
         assert np.all(traj.gen_freq[:, 0] == 0.0)
         scale = np.abs(reference).max()
-        assert np.max(np.abs(traj.gen_freq - reference)) <= 1e-10 * scale, node
+        assert np.max(np.abs(traj.gen_freq - reference)) <= 1e-10 * scale, port
 
 
 @pytest.mark.parametrize("n_t", [1, 2, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1])
 def test_blocked_integration_at_block_edges(n_t):
     model = build_swing_model(get_analysis("case9"))
     dp = _wind_dp(n_t - 1, 3) if n_t > 1 else np.array([0.02])
-    traj = simulate(model, 5, dp, 0.01)
-    reference = _stepped_gen_freq(model, 5, dp, 0.01)
+    traj = simulate(model, CASE9_BUS5, dp, 0.01)
+    reference = _stepped_gen_freq(model, CASE9_BUS5, dp, 0.01)
     assert traj.t.shape == (n_t,)
     assert traj.gen_freq.shape == (3, n_t)
     assert traj.bus_freq.shape == (9, n_t)
@@ -636,8 +625,8 @@ def test_blocked_integration_at_every_scan_level(n_t):
     # just past each power of two reach every level and its edges.
     model = build_swing_model(get_analysis("case9"))
     dp = _wind_dp(n_t - 1, 5)
-    traj = simulate(model, 5, dp, 0.01)
-    reference = _stepped_gen_freq(model, 5, dp, 0.01)
+    traj = simulate(model, CASE9_BUS5, dp, 0.01)
+    reference = _stepped_gen_freq(model, CASE9_BUS5, dp, 0.01)
     assert traj.gen_freq.shape == (3, n_t)
     scale = np.abs(reference).max()
     assert np.max(np.abs(traj.gen_freq - reference)) <= 1e-10 * scale
@@ -688,8 +677,8 @@ def test_advance_rows_are_rows_of_the_whole_state(rows):
 def test_blocked_zero_input_is_exactly_zero_at_seventy_blocks():
     case = get_case("case9")
     model = build_swing_model(get_analysis("case9"))
-    for node in [bus.id for bus in case.buses] + [("gen", 2)]:
-        traj = simulate(model, node, np.zeros(70 * _BLOCK + 3), 0.01)
+    for port in [*range(case.n_bus), case.n_bus + 2]:
+        traj = simulate(model, port, np.zeros(70 * _BLOCK + 3), 0.01)
         assert np.all(traj.gen_freq == 0.0)
         assert np.all(traj.bus_freq == 0.0)
 
@@ -697,8 +686,8 @@ def test_blocked_zero_input_is_exactly_zero_at_seventy_blocks():
 def test_blocked_zero_input_is_exactly_zero_at_every_port():
     case = get_case("case9")
     model = build_swing_model(get_analysis("case9"))
-    for node in [bus.id for bus in case.buses] + [("gen", 1)]:
-        traj = simulate(model, node, np.zeros(3 * _BLOCK + 5), 0.01)
+    for port in [*range(case.n_bus), case.n_bus + 1]:
+        traj = simulate(model, port, np.zeros(3 * _BLOCK + 5), 0.01)
         assert np.all(traj.gen_freq == 0.0)
         assert np.all(traj.bus_freq == 0.0)
 
@@ -706,7 +695,7 @@ def test_blocked_zero_input_is_exactly_zero_at_every_port():
 def test_simulate_unstable_step_reports_the_first_non_finite_time():
     case, model = _model_from(PAIR)
     with pytest.raises(SimulationUnstableError) as err:
-        simulate(model, 1, np.full(4000, 0.1), 1.0)
+        simulate(model, bus_positions(case)[1], np.full(4000, 0.1), 1.0)
     assert err.value.first_time == 104.0
 
 

@@ -170,10 +170,10 @@ def test_partial_runs_agree_across_worker_counts(monkeypatch, buses):
     # slot and no kept wind, one slot and the wind, and two slots.
     simulate = montecarlo.simulate
 
-    def flaky(model, bus, dp, dt):
-        if dp[bus] > dp[0]:
+    def flaky(model, row, dp, dt):
+        if dp[row] > dp[0]:
             raise SimulationUnstableError("non-finite state (injected)")
-        return simulate(model, bus, dp, dt)
+        return simulate(model, row, dp, dt)
 
     monkeypatch.setattr(montecarlo, "simulate", flaky)
     case = get_case("case7_study")
@@ -236,7 +236,7 @@ def test_the_statistics_agree_with_the_second_moment_oracle(name):
     summary = run_monte_carlo(case, bus_ids(case), cfg, workers=2)
     model = build_swing_model(analyze_case(case), cfg.damping)
     for row, bus in enumerate(bus_ids(case)):
-        f, g = impulse_responses(model, bus, cfg)
+        f, g = impulse_responses(model, row, cfg)
         stats = summary[bus]
         # E|y| = sqrt(2/pi) sd(y) per sample; Var[IFD] from ifd_variance_bound.
         tol = (z * math.sqrt(ifd_variance_bound(f) / n)
@@ -280,11 +280,11 @@ def test_a_task_returns_one_scalar_per_realization():
     # shared slots.  The first bus draws the wind that the later ones replay.
     cfg = RunConfig(horizon=50.0, dt=0.01, seed=3)
     model = build_swing_model(analyze_case(get_case("case7_study")), cfg.damping)
-    placements = tuple(montecarlo.placement_rows(get_case("case7_study"), (3, 4, 5)).items())
+    rows = tuple(montecarlo.placement_rows(get_case("case7_study"), (3, 4, 5)).values())
     slots = np.zeros((2, 2, 3, cfg.n_steps + 1))
     wind = np.zeros((3, cfg.n_steps + 1))
     for k in range(3):
-        results = _one_span(cfg, model, placements, slots, wind, k, range(1, 3))
+        results = _one_span(cfg, model, rows, slots, wind, k, range(1, 3))
         assert [type(r) for r in results] == [float] * 2
         assert len(pickle.dumps(results)) < 1024
         assert np.all(slots[k % 2, :, 1:, 1:] != 0.0)  # every series was written

@@ -342,7 +342,7 @@ def _program_blocks(monkeypatch):
             analysis = analyze_case(get_case(name))
             analysis.inertia  # its reductions run on first read
             model = build_swing_model(analysis)
-            for row in range(len(model.bus_ids)):
+            for row in range(analysis.case.n_bus):
                 _injection_reduction(model, row)
     return blocks
 
