@@ -4,8 +4,8 @@ gfv | simulate | mc | report.
 Exit codes: 0 success, 1 usage error (bad arguments, missing files), 2 data
 or validation error, 3 numerical failure (non-convergence, singularity,
 unstable integration); every failure is one line on stderr.  All outputs
-are CSV with a header row, rendered whole before a byte is written, so an
-mc whose study or tables fail writes no file.  A command takes the
+are CSV with a header row, rendered whole before a byte is written; an mc
+whose study, tables or writes fail replaces no file.  A command takes the
 run-parameter flags it uses and, with them, a --config JSON file of run
 parameters (tolerances, OU/turbine/MC parameters, seed); explicit flags win
 over the file, and unknown keys or mistyped values in it are usage errors.
@@ -14,9 +14,13 @@ over the file, and unknown keys or mistyped values in it are usage errors.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
+import os
+import shutil
 import sys
+import tempfile
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable
@@ -190,6 +194,10 @@ def _cmd_mc(args, run: RunConfig) -> int:
     buses = sorted(rows, key=rows.get)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    names = ("ifd.csv", "hist.csv", "summary.csv")
+    for path in (out_dir / name for name in names):
+        if path.is_dir():  # a table could not replace it
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
 
     # Rows in case bus order; read before the study, which then holds no analysis.
     gfv = analyze_case(case, tol=run.tol, max_iter=run.max_iter).gfv.vector
@@ -204,28 +212,35 @@ def _cmd_mc(args, run: RunConfig) -> int:
             q.whisker_low, q.whisker_high, stats.coi_std, stats.poi_std,
             len(stats.ifd_samples),
         ])
-    # Every table is rendered before any is written, so a run whose study or
-    # tables fail leaves the files of out_dir as it found them.
-    tables = {
-        "ifd.csv": render_table(
+    # Every table is rendered, then written into a temporary directory, before
+    # any replaces its name, so a run whose study, tables or writes fail
+    # leaves the files of out_dir as it found them.
+    texts = (
+        render_table(
             ["bus_id", "realization", "ifd"],
             ([bus, r, v] for bus, s in placements.items()
              for r, v in zip(s.ifd_realizations.tolist(), s.ifd_samples.tolist()))),
-        "hist.csv": render_table(
+        render_table(
             ["bus_id", "series", "bin_low", "bin_high", "count"],
             ([bus, series, *cells] for bus, s in placements.items()
              for series, h in (("coi", s.coi_histogram), ("poi", s.poi_histogram))
              for cells in zip(h.edges.tolist(), h.edges[1:].tolist(), h.counts.tolist()))),
-        "summary.csv": render_table(
+        render_table(
             ["bus_id", "gfv", "median_ifd", "ifd_iqr", "q1", "q3", "whisker_low",
              "whisker_high", "coi_std", "poi_std", "n_ok"],
             summary_rows,
             comment=(f"f0_pu=1.0 frequency_values=deviation_pu "
                      f"seed={run.seed} n_realizations={run.n_realizations} "
                      f"partial={bool(failures)}")),
-    }
-    for name, text in tables.items():
-        write_table(out_dir / name, text)
+    )
+    temp = Path(tempfile.mkdtemp(prefix=".mc-", dir=out_dir))
+    try:
+        for name, text in zip(names, texts):
+            write_table(temp / name, text)
+        for name in names:
+            os.replace(temp / name, out_dir / name)
+    finally:
+        shutil.rmtree(temp, ignore_errors=True)
     if failures:
         print(*failures, "warning: summary is partial (some realizations failed)",
               sep="\n", file=sys.stderr)

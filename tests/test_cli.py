@@ -274,6 +274,54 @@ def test_a_failed_mc_leaves_an_earlier_runs_tables_as_they_were(tmp_path, capsys
     assert _snapshot(out_dir) == before
 
 
+def test_a_directory_at_a_table_path_fails_mc_before_the_study(tmp_path, capsys,
+                                                                monkeypatch):
+    monkeypatch.setenv("GRID_GFV_THREADS", "1")
+    out_dir = tmp_path / "mc"
+    run = ["mc", STUDY, "--n", "2", "--t", "0.2", "--out-dir", str(out_dir)]
+    assert main(run + ["--buses", "3"]) == 0
+    (out_dir / "hist.csv").unlink()
+    (out_dir / "hist.csv").mkdir()
+    before, names = _snapshot(out_dir), sorted(os.listdir(out_dir))
+
+    def fail(*args, **kwargs):
+        raise AssertionError("the case was analyzed before the table paths were checked")
+
+    monkeypatch.setattr(cli, "analyze_case", fail)
+    assert main(run + ["--buses", "5"]) == 1
+    assert capsys.readouterr().err == (
+        f"{out_dir / 'hist.csv'}: {os.strerror(errno.EISDIR)}\n")
+    assert _snapshot(out_dir) == before
+    assert sorted(os.listdir(out_dir)) == names
+
+
+def test_an_mc_whose_second_table_write_fails_replaces_no_table(tmp_path, capsys,
+                                                               monkeypatch):
+    # The first table is written whole and the second in part before the
+    # disk fills up; neither reaches its name, and no temporary is left.
+    monkeypatch.setenv("GRID_GFV_THREADS", "1")
+    out_dir = tmp_path / "mc"
+    run = ["mc", STUDY, "--n", "2", "--t", "0.2", "--out-dir", str(out_dir)]
+    assert main(run + ["--buses", "3"]) == 0
+    before, names = _snapshot(out_dir), sorted(os.listdir(out_dir))
+    write, calls = cli.write_table, []
+
+    def disk_full_at_the_second(path, text):
+        calls.append(path)
+        if len(calls) == 2:
+            write(path, text[:10])
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        write(path, text)
+
+    monkeypatch.setattr(cli, "write_table", disk_full_at_the_second)
+    assert main(run + ["--buses", "5"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n")
+    assert len(calls) == 2
+    assert _snapshot(out_dir) == before
+    assert sorted(os.listdir(out_dir)) == names
+
+
 def test_a_worker_that_dies_is_a_one_line_usage_error(tmp_path, capsys, monkeypatch):
     # As under the OOM killer: the worker process ends without a word.
     realize = montecarlo._one_span
