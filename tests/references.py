@@ -88,7 +88,8 @@ def impulse_responses(model, row, cfg):
     zero at step 0."""
     ou, turbine = cfg.ou, cfg.turbine
     rho = math.exp(-ou.alpha * cfg.dt)
-    sigma = ou.b * math.sqrt((1.0 - rho * rho) / (2.0 * ou.alpha))
+    # expm1, as in simulate_ou: 1 - rho^2 cancels when alpha * dt is small.
+    sigma = ou.b * math.sqrt(-math.expm1(-2.0 * ou.alpha * cfg.dt) / (2.0 * ou.alpha))
     kappa = 3.0 * turbine.rated_power * ou.mu**2 / turbine.v_rated**3
     wind, unit = np.zeros(cfg.n_steps + 1), np.zeros(cfg.n_steps + 1)
     wind[1:] = kappa * sigma * rho ** np.arange(cfg.n_steps)
