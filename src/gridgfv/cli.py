@@ -200,7 +200,7 @@ def _cmd_mc(args, run: RunConfig) -> int:
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
 
     # Rows in case bus order; read before the study, which then holds no analysis.
-    gfv = analyze_case(case, tol=run.tol, max_iter=run.max_iter).gfv.vector
+    gfv = analyze_case(case, tol=run.tol, max_iter=run.max_iter).gfv
     placements = montecarlo.run_monte_carlo(case, buses, run, workers)
 
     summary_rows, failures = [], []
@@ -208,7 +208,7 @@ def _cmd_mc(args, run: RunConfig) -> int:
         failures += (f"bus {bus}: {failure}" for failure in stats.failures)
         q = stats.ifd_quartiles
         summary_rows.append([
-            bus, float(gfv[rows[bus]]), q.median, q.q3 - q.q1, q.q1, q.q3,
+            bus, float(gfv.vector[rows[bus]]), q.median, q.q3 - q.q1, q.q1, q.q3,
             q.whisker_low, q.whisker_high, stats.coi_std, stats.poi_std,
             len(stats.ifd_samples),
         ])
@@ -230,7 +230,7 @@ def _cmd_mc(args, run: RunConfig) -> int:
              "whisker_high", "coi_std", "poi_std", "n_ok"],
             summary_rows,
             comment=(f"f0_pu=1.0 frequency_values=deviation_pu "
-                     f"seed={run.seed} n_realizations={run.n_realizations} "
+                     f"gfv_degenerate={gfv.degenerate} seed={run.seed} n_realizations={run.n_realizations} "
                      f"partial={bool(failures)}")),
     )
     temp = Path(tempfile.mkdtemp(prefix=".mc-", dir=out_dir))
@@ -348,7 +348,8 @@ _COMMANDS = {
     "gfv": _analysis("per-bus placement metric and Fiedler vector", lambda a: (
         ["bus_id", "nodal_inertia_s", "fiedler_norm", "gfv"],
         _per_bus(a.case, a.inertia, a.fiedler.vector, a.gfv.vector),
-        f"lambda2={a.fiedler.value!r} lambda2_bar={a.gfv.value!r}",
+        f"lambda2={a.fiedler.value!r} lambda2_bar={a.gfv.value!r} "
+        f"fiedler_degenerate={a.fiedler.degenerate} gfv_degenerate={a.gfv.degenerate}",
     )),
     "simulate": _Command(
         "one stochastic-wind trajectory", _cmd_simulate, ("case", "--bus"),

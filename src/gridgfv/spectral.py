@@ -123,7 +123,7 @@ def _second_mode(decomp: GeneralizedDecomposition, what: str) -> SecondMode:
     degenerate = False
     if len(vals) >= 3:
         gap = vals[2] - vals[1]
-        degenerate = gap <= DEGENERATE_REL * max(abs(vals[2]), abs(vals[1]))
+        degenerate = bool(gap <= DEGENERATE_REL * max(abs(vals[2]), abs(vals[1])))
     vec = np.abs(decomp.eigenvectors[:, 1])
     return SecondMode(float(vals[1]), vec / vec.max(), degenerate)
 

@@ -115,6 +115,34 @@ def test_gfv_csv_and_comment(tmp_path):
     assert len(rows) == 9
     gfv_col = [float(r[3]) for r in rows]
     assert max(gfv_col) == 1.0
+    assert first.endswith(" fiedler_degenerate=False gfv_degenerate=False")
+
+
+# A slack hub with the one machine and three identical load leaves: the
+# leaves' modes coincide, so the second and third eigenvalues are equal in
+# both problems and the printed vectors are one arbitrary member of a plane.
+STAR = {
+    "base_mva": 100.0,
+    "buses": [{"id": 1, "kind": "slack", "v_set": 1.0}]
+    + [{"id": i, "kind": "pq", "p_load": 0.1, "q_load": 0.02} for i in (2, 3, 4)],
+    "branches": [{"from_bus": 1, "to_bus": i, "x": 0.1} for i in (2, 3, 4)],
+    "generators": [{"bus": 1, "h": 5.0, "xd_p": 0.2}],
+}
+
+
+def test_gfv_and_mc_report_a_degenerate_second_mode(tmp_path, monkeypatch):
+    case = tmp_path / "star.json"
+    case.write_text(json.dumps(STAR))
+    out = tmp_path / "gfv.csv"
+    assert main(["gfv", str(case), "--out", str(out)]) == 0
+    first = out.read_text().splitlines()[0]
+    assert first.startswith("# lambda2=")
+    assert first.endswith(" fiedler_degenerate=True gfv_degenerate=True")
+    monkeypatch.setenv("GRID_GFV_THREADS", "1")
+    assert main(["mc", str(case), "--buses", "2", "--n", "2", "--t", "0.2",
+                 "--out-dir", str(tmp_path / "mc")]) == 0
+    first = (tmp_path / "mc" / "summary.csv").read_text().splitlines()[0]
+    assert " gfv_degenerate=True seed=0 " in first
 
 
 def test_laplacian_dense_dump(tmp_path):
