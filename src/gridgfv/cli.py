@@ -230,8 +230,8 @@ def _cmd_mc(args, run: RunConfig) -> int:
              "whisker_high", "coi_std", "poi_std", "n_ok"],
             summary_rows,
             comment=(f"f0_pu=1.0 frequency_values=deviation_pu "
-                     f"gfv_degenerate={gfv.degenerate} seed={run.seed} n_realizations={run.n_realizations} "
-                     f"partial={bool(failures)}")),
+                     f"gfv_degenerate={gfv.degenerate} seed={run.seed} "
+                     f"n_realizations={run.n_realizations} partial={bool(failures)}")),
     )
     temp = Path(tempfile.mkdtemp(prefix=".mc-", dir=out_dir))
     try:

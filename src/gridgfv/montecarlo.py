@@ -174,10 +174,10 @@ def summarize(bus: int, outcomes: list, series: np.ndarray,
 
 def _one_span(cfg: RunConfig, model: SwingModel, rows: tuple, slots: np.ndarray,
               wind: np.ndarray | None, k: int, span: range) -> list:
-    """Placement bus k, injection port and bus_freq row rows[k], at each
-    realization r of span: the IFD or failure message per r, the COI and POI
-    series to slots[k % len(slots), :, r].  Bus 0 draws each power series, to wind[r]
-    unless wind is None, and the later buses replay it from there."""
+    """Placement bus k, whose injection port and bus_freq row is rows[k], at
+    each realization r of span: the IFD or failure message per r, the COI and
+    POI series to slots[k % len(slots), :, r].  Bus 0 draws each power series,
+    to wind[r] unless wind is None, and the later buses replay it from there."""
     row = rows[k]
     results = []
     for r in span:
