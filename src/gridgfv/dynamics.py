@@ -28,7 +28,7 @@ OMEGA_SYNC = 2.0 * math.pi * 60.0  # rad/s at 60 Hz nominal
 DEFAULT_DAMPING = 1.0
 # Steps per block of the time-blocked recurrence of _kernel and _apply.
 _BLOCK = 64
-# Rows of _kernel's lag table that _input_map gathers, by input c (rows) and
+# Rows of _kernel's lag table that its input map gathers, by input c (rows) and
 # step i (columns) of a block, m = _BLOCK: the s0-only row m + 2 + i for
 # c = 0, lag i - c for 0 < c <= i, and the zero row m + 1 for c > i.
 _LAGS = np.fromfunction(
@@ -82,18 +82,20 @@ class SwingModel:
     matrix D of f_bus = D @ f_gen.
 
     The model keeps the RK4 propagator of the last port and step size that
-    simulate() has built, and reuses it for every later call at that port and
-    step size; a call at another port or step size replaces it.  Outputs are
-    the same as from a fresh model.  The store lives and dies with the model
-    (dataclasses.replace starts an empty one).
+    simulate() has built, its block input map gathered, and reuses it for
+    every later call at that port and step size; a call at another port or
+    step size replaces it.  Outputs are the same as from a fresh model.  The
+    store lives and dies with the model (dataclasses.replace starts an empty
+    one).
     """
 
     m: np.ndarray
     damp: np.ndarray
     l_red: np.ndarray
     participation: np.ndarray
-    # simulate's propagator, at most one, keyed by the bytes of the port's
-    # reduced Laplacian and gain vector and by dt.
+    # simulate's propagator (R, _kernel's fill, input map and R^m), at most
+    # one, keyed by the bytes of the port's reduced Laplacian and gain vector
+    # and by dt.
     _propagators: dict = field(default_factory=dict, init=False, compare=False,
                                repr=False)
 
@@ -137,9 +139,8 @@ def simulate_ou(params: OuParams, dt: float, n_steps: int, seed) -> np.ndarray:
 def _ou_kernel(rho: float, sigma: float):
     """_apply's operands for x_{k+1} = rho x_k + sigma xi_k.  One entry: a
     run draws every path with the same rho and sigma."""
-    fill, table, power = _kernel(np.array([[rho]]), np.array([sigma]), np.zeros(1),
-                                 slice(None))
-    return _read_only(fill, _input_map(table, slice(None)), power)
+    return _read_only(*_kernel(np.array([[rho]]), np.array([sigma]), np.zeros(1),
+                               slice(None)))
 
 
 def _checked_dt(dt) -> float:
@@ -230,8 +231,9 @@ def _rk4_step_operators(a: np.ndarray, g: np.ndarray, dt: float):
 
 def _kernel(r: np.ndarray, s0: np.ndarray, s1: np.ndarray, rows: slice):
     """The block kernel of x_{k+1} = R x_k + s0 u_k + s1 u_{k+1}, m = _BLOCK:
-    the rows `rows` of R^0 ... R^(m-1) stacked by rows, the lag table that
-    _apply gathers the block's input map from, and R^m."""
+    the rows `rows` of R^0 ... R^(m-1) stacked by rows, the (m + 1, m * k + n)
+    input map from a block's input window to its forced requested rows, step
+    by step, and to its forced end state, and R^m."""
     n, m = len(s0), _BLOCK
     # By doubling (m is a power of two), the columns R^i s0 and R^i s1
     # interleaved.
@@ -248,21 +250,16 @@ def _kernel(r: np.ndarray, s0: np.ndarray, s1: np.ndarray, rows: slice):
     # it from the lag sequence, a zero row and the s0 terms.
     from_s0 = np.concatenate([np.zeros((1, n)), vecs[:, 0::2].T])
     by_lag = from_s0 + np.concatenate([vecs[:, 1::2].T, (power @ s1)[None]])
-    return fill, np.concatenate([by_lag, np.zeros((1, n)), from_s0]), power
-
-
-def _input_map(table: np.ndarray, rows: slice) -> np.ndarray:
-    """The (m + 1, m * k + n) map from a block's input window to its forced
-    requested rows, step by step, and to its forced end state."""
-    m = _BLOCK
-    return np.concatenate([table[:, rows].take(_LAGS[:, :m], axis=0).reshape(m + 1, -1),
-                           table.take(_LAGS[:, m], axis=0)], axis=1)
+    table = np.concatenate([by_lag, np.zeros((1, n)), from_s0])
+    input_map = np.concatenate([
+        table[:, rows].take(_LAGS[:, :m], axis=0).reshape(m + 1, -1),
+        table.take(_LAGS[:, m], axis=0)], axis=1)
+    return fill, input_map, power
 
 
 def _apply(fill: np.ndarray, g: np.ndarray, power: np.ndarray, u: np.ndarray) -> np.ndarray:
     """The requested rows of x_0 ... x_{N-1}, as columns, from x_0 = 0 for an
-    input series u of N samples, given _kernel's fill and R^m and the
-    _input_map g.
+    input series u of N samples, given _kernel's fill, input map g and R^m.
 
     Blocked in time: with m = _BLOCK and k0 a multiple of m,
     x_{k0+i} = R^i x_{k0} + sum_c G[i, c] u_{k0+c} for i = 0 ... m.  One
@@ -296,7 +293,8 @@ def _apply(fill: np.ndarray, g: np.ndarray, power: np.ndarray, u: np.ndarray) ->
     return states.reshape(-1, k)[: len(u)].T
 
 
-def simulate(model: SwingModel, port: int, dp: np.ndarray, dt: float) -> Trajectory:
+def simulate(model: SwingModel, port: int, dp: np.ndarray, dt: float,
+             out: np.ndarray | None = None) -> Trajectory:
     """Integrate the swing model for one injection series.
 
     port is the row of model.l_red that dp enters: bus i of the case at row i,
@@ -305,11 +303,15 @@ def simulate(model: SwingModel, port: int, dp: np.ndarray, dt: float) -> Traject
     and finite.  Fixed-step 4th-order (RK4) integration, advanced in blocks of
     time steps (_kernel, _apply); zero input from zero state stays identically zero.
 
-    The port's propagator (R and its block kernel) is built on the model's
-    first call at this port and dt, replacing the one of the port and dt
-    before, and reused by the calls that follow at the same port and dt,
-    which then only reduce the network to the port and apply it; the result
-    is the same, byte for byte, as from a fresh model.
+    The port's propagator (R and its block kernel, input map included) is
+    built on the model's first call at this port and dt, replacing the one of
+    the port and dt before, and reused by the calls that follow at the same
+    port and dt, which then only reduce the network to the port and apply it;
+    the result is the same, byte for byte, as from a fresh model.
+
+    Without out, every returned array is new.  With out, an (n_bus, len(dp))
+    float array that the caller owns, bus_freq is written into it and
+    returned as out itself, so a later call with the same out overwrites it.
     """
     dp = np.asarray(dp, dtype=float)
     if dp.ndim != 1 or len(dp) < 1:
@@ -339,8 +341,8 @@ def simulate(model: SwingModel, port: int, dp: np.ndarray, dt: float) -> Traject
             g[ng:] = w / model.m
             r, s0, s1 = _rk4_step_operators(a, g, dt)
             model._propagators[key] = _read_only(r, *_kernel(r, s0, s1, rows))
-        r, fill, table, power = model._propagators[key]
-        omega = _apply(fill, _input_map(table, rows), power, dp)
+        r, fill, input_map, power = model._propagators[key]
+        omega = _apply(fill, input_map, power, dp)
 
     if not np.all(np.isfinite(omega)):
         # The rigid-body mode puts an eigenvalue of R at 1, computed to within
@@ -360,10 +362,9 @@ def simulate(model: SwingModel, port: int, dp: np.ndarray, dt: float) -> Traject
 
     h_weights = 0.5 * model.m
     coi = (h_weights @ omega) / h_weights.sum()
-    bus_freq = model.participation @ omega
     return Trajectory(
         t=np.arange(n_t) * dt,
         gen_freq=omega,
-        bus_freq=bus_freq,
+        bus_freq=np.matmul(model.participation, omega, out=out),
         coi_freq=coi,
     )

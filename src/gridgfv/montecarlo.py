@@ -13,8 +13,10 @@ the parent summarizes while the workers simulate the next bus.
 A run simulates on one swing model, which keeps the current placement bus's
 RK4 propagator after its first realization (in each worker), so later
 realizations only reduce the network to the bus and apply it; the next bus's
-propagator replaces it, so a process holds one.  The results are the same
-bytes as with a fresh model per realization.
+propagator replaces it, so a process holds one.  Each span of realizations
+writes their bus frequencies into one work buffer and takes each IFD there in
+place, so a realization allocates no (n_bus, n_t) array it does not keep.
+The results are the same bytes as with a fresh model per realization.
 
 Frequency samples are recorded as deviations in pu from the nominal
 frequency; nothing adds the nominal value back onto the series.
@@ -177,9 +179,12 @@ def _one_span(cfg: RunConfig, model: SwingModel, rows: tuple, slots: np.ndarray,
     """Placement bus k, whose injection port and bus_freq row is rows[k], at
     each realization r of span: the IFD or failure message per r, the COI and
     POI series to slots[k % len(slots), :, r].  Bus 0 draws each power series,
-    to wind[r] unless wind is None, and the later buses replay it from there."""
+    to wind[r] unless wind is None, and the later buses replay it from there.
+    Each realization's bus_freq is written into the span's one work buffer,
+    and its IFD, ifd's sum, is taken there in place."""
     row = rows[k]
     results = []
+    buf = np.empty((len(model.participation), cfg.n_steps + 1))
     for r in span:
         # The seed is shared across placement buses: common random numbers.
         dp = wind[r] if k else wind_to_power(
@@ -187,12 +192,12 @@ def _one_span(cfg: RunConfig, model: SwingModel, rows: tuple, slots: np.ndarray,
         if k == 0 and wind is not None:
             wind[r] = dp
         try:
-            traj = simulate(model, row, dp, cfg.dt)
+            traj = simulate(model, row, dp, cfg.dt, out=buf)
         except GridGfvError as exc:
             results.append(f"realization {r}: {exc}")
             continue
         slots[k % len(slots), :, r] = traj.coi_freq, traj.bus_freq[row]
-        results.append(ifd(traj))
+        results.append(float(np.abs(buf, out=buf).sum()))
     return results
 
 

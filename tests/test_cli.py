@@ -836,11 +836,11 @@ def test_partial_mc_run_names_each_failure_then_warns(tmp_path, capsys, monkeypa
     row = bus_positions(load_validated_case(STUDY))
     failing = {(1, row[3]), (2, row[5]), (3, row[5])}  # (realization, row)
 
-    def flaky(model, port, dp, dt):
+    def flaky(model, port, dp, dt, out=None):
         calls.append(port)
         if ((len(calls) - 1) % 4, port) in failing:
             raise SimulationUnstableError("non-finite state (injected)")
-        return simulate(model, port, dp, dt)
+        return simulate(model, port, dp, dt, out=out)
 
     monkeypatch.setattr(montecarlo, "simulate", flaky)
     out_dir = tmp_path / "mc"

@@ -31,7 +31,6 @@ from gridgfv.dynamics import (
     _BLOCK,
     _apply,
     _injection_reduction,
-    _input_map,
     _kernel,
     _rk4_step_operators,
 )
@@ -539,13 +538,33 @@ def test_a_reused_propagator_gives_the_bytes_of_a_fresh_model():
 
 def test_a_model_holds_the_propagator_of_one_port_only():
     # Callers finish a port before they start the next, so the store keeps
-    # the last one: 16,080 bytes at 3 machines, not one entry per port.
+    # the last one, not one entry per port: 1088 n_gen^2 + 34,320 n_gen
+    # bytes, 112,752 at 3 machines.  R, the fill and R^m take 1088 n_gen^2;
+    # the (65, 66 n_gen) input map takes 34,320 n_gen.
     model = build_swing_model(get_analysis("case9"))
     dp = _wind_dp(300, 5)
     for row in range(get_case("case9").n_bus):
         simulate(model, row, dp, 0.01)
     (entry,) = model._propagators.values()
-    assert sum(a.nbytes for a in entry) == 16_080
+    assert sum(a.nbytes for a in entry) == 112_752
+
+
+def test_out_receives_bus_freq_and_no_earlier_trajectory_changes():
+    # Without out every array is new, so a later call that writes its out
+    # leaves a kept trajectory as it was; with out, bus_freq is out itself.
+    model = build_swing_model(get_analysis("case9"))
+    dp = _wind_dp(300, 5)
+    kept = simulate(model, CASE9_BUS5, dp, 0.01)
+    names = ("t", "gen_freq", "bus_freq", "coi_freq")
+    before = {name: getattr(kept, name).copy() for name in names}
+    out = np.empty_like(kept.bus_freq)
+    for port in (CASE9_BUS5, 0):
+        traj = simulate(model, port, dp, 0.01, out=out)
+        assert traj.bus_freq is out
+        want = simulate(build_swing_model(get_analysis("case9")), port, dp, 0.01)
+        assert out.tobytes() == want.bus_freq.tobytes(), port
+    for name, value in before.items():
+        assert getattr(kept, name).tobytes() == value.tobytes(), name
 
 
 @pytest.mark.parametrize("damp, dt", [(None, 0.5), (1e100, 0.01)],
@@ -651,8 +670,7 @@ def _random_swing_operators(ng, seed, dt=0.01):
 def _blocked(r, s0, s1, u, rows):
     """The rows `rows` of the states of x_{k+1} = R x_k + s0 u_k + s1 u_{k+1}
     from x_0 = 0, through _kernel's build and _apply."""
-    fill, table, power = _kernel(r, s0, s1, rows)
-    return _apply(fill, _input_map(table, rows), power, u)
+    return _apply(*_kernel(r, s0, s1, rows), u)
 
 
 @pytest.mark.parametrize("rows", [slice(20, None), slice(0, 20), slice(7, 8), slice(0, 1)])

@@ -5,6 +5,7 @@ import pickle
 import weakref
 from functools import lru_cache
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,12 +15,12 @@ from hypothesis.extra.numpy import arrays
 
 from gridgfv import OuParams, RunConfig, ifd, montecarlo, run_monte_carlo, summarize
 from gridgfv.case_model import bus_ids
-from gridgfv.dynamics import Trajectory, TurbineParams, build_swing_model
+from gridgfv.dynamics import Trajectory, TurbineParams, build_swing_model, simulate
 from gridgfv.errors import SimulationUnstableError
 from gridgfv.montecarlo import _histogram, _one_span
 from gridgfv.pipeline import analyze_case
 
-from conftest import FIXTURE_NAMES, get_case
+from conftest import FIXTURE_NAMES, SYNTH120, get_analysis, get_case
 from references import (expected_ifd, ifd_variance_bound, impulse_responses,
                         linearization_error, series_moments)
 
@@ -61,6 +62,29 @@ def test_ifd_matches_brute_force(bus_freq):
     assert ifd(traj) == pytest.approx(total, abs=1e-12)
     assert ifd(traj) >= 0.0
     assert (ifd(traj) == 0.0) == bool(np.all(bus_freq == 0.0))
+
+
+@given(
+    arrays(
+        np.float64,
+        (4, 25),
+        elements=st.floats(-0.1, 0.1, allow_nan=False),
+    )
+)
+@settings(max_examples=50, deadline=None)
+def test_the_loop_takes_the_ifd_of_montecarlo_ifd_bit_for_bit(bus_freq):
+    # _one_span takes each IFD in place, in its span's work buffer;
+    # montecarlo.ifd stays the definition that it must match.
+    def write(model, row, dp, dt, out=None):
+        out[...] = bus_freq
+        return fake_trajectory(out)
+
+    cfg = RunConfig(horizon=0.24, dt=0.01)
+    model = SimpleNamespace(participation=np.zeros((4, 1)))
+    slots = np.zeros((1, 2, 1, 25))
+    with mock.patch.object(montecarlo, "simulate", write):
+        (got,) = _one_span(cfg, model, (0, 2), slots, np.zeros((1, 25)), 1, range(1))
+    assert got.hex() == ifd(fake_trajectory(bus_freq)).hex()
 
 
 def _samples(ifd_values, series):
@@ -170,10 +194,10 @@ def test_partial_runs_agree_across_worker_counts(monkeypatch, buses):
     # slot and no kept wind, one slot and the wind, and two slots.
     simulate = montecarlo.simulate
 
-    def flaky(model, row, dp, dt):
+    def flaky(model, row, dp, dt, out=None):
         if dp[row] > dp[0]:
             raise SimulationUnstableError("non-finite state (injected)")
-        return simulate(model, row, dp, dt)
+        return simulate(model, row, dp, dt, out=out)
 
     monkeypatch.setattr(montecarlo, "simulate", flaky)
     case = get_case("case7_study")
@@ -291,6 +315,28 @@ def test_a_task_returns_one_scalar_per_realization():
         assert np.all(slots[k % 2, :, 0] == 0.0)  # and no other realization's
     # The wind starts at the reference speed, where the power deviation is 0.
     assert np.all(wind[1:, 1:] != 0.0) and np.all(wind[0] == 0.0)
+
+
+@pytest.mark.parametrize("name", ["case7_study", SYNTH120])
+def test_spans_on_one_model_give_the_bytes_of_fresh_models(name):
+    # One model runs two buses over two spans each, and each span writes
+    # every realization's bus_freq into its one work buffer and takes the IFD
+    # there.  At SYNTH120's 12 machines the stored input map is 792 columns
+    # wide.
+    case, analysis = get_case(name), get_analysis(name)
+    cfg = RunConfig(n_realizations=4, horizon=1.0, dt=0.01, seed=11)
+    model = build_swing_model(analysis, cfg.damping)
+    rows = (1, case.n_bus - 1)
+    slots = np.zeros((1, 2, 4, cfg.n_steps + 1))
+    wind = np.zeros((4, cfg.n_steps + 1))
+    for k, row in enumerate(rows):
+        results = [x for span in (range(2), range(2, 4))
+                   for x in _one_span(cfg, model, rows, slots, wind, k, span)]
+        for r in range(4):
+            want = simulate(build_swing_model(analysis, cfg.damping), row, wind[r], cfg.dt)
+            assert results[r] == ifd(want), (k, r)
+            assert slots[0, 0, r].tobytes() == want.coi_freq.tobytes(), (k, r)
+            assert slots[0, 1, r].tobytes() == want.bus_freq[row].tobytes(), (k, r)
 
 
 @pytest.fixture
@@ -417,8 +463,8 @@ def test_kept_poi_series_share_no_memory_with_trajectories(monkeypatch):
     trajectories, kept = [], []
     simulate, summarize_ = montecarlo.simulate, montecarlo.summarize
 
-    def recording_simulate(*args):
-        trajectories.append(simulate(*args))
+    def recording_simulate(*args, out=None):
+        trajectories.append(simulate(*args, out=out))
         return trajectories[-1]
 
     def recording_summarize(bus, outcomes, series, bins):
@@ -436,7 +482,8 @@ def test_kept_poi_series_share_no_memory_with_trajectories(monkeypatch):
 
 def test_a_serial_run_keeps_the_propagator_of_one_placement_bus(monkeypatch):
     # The run finishes a bus before it starts the next, so its swing model
-    # keeps the last bus's propagator alone: 16,080 bytes at 3 machines.
+    # keeps the last bus's propagator alone: 1088 n_gen^2 + 34,320 n_gen
+    # bytes, 112,752 at 3 machines.
     models = []
 
     def recording_build(*args):
@@ -448,7 +495,7 @@ def test_a_serial_run_keeps_the_propagator_of_one_placement_bus(monkeypatch):
     run_monte_carlo(get_case("case7_study"), (3, 4, 5, 7), cfg, workers=1)
     (model,) = models
     (entry,) = model._propagators.values()
-    assert sum(a.nbytes for a in entry) == 16_080
+    assert sum(a.nbytes for a in entry) == 112_752
 
 
 def test_impossible_bins_fail_before_any_simulation(monkeypatch):
