@@ -28,12 +28,6 @@ OMEGA_SYNC = 2.0 * math.pi * 60.0  # rad/s at 60 Hz nominal
 DEFAULT_DAMPING = 1.0
 # Steps per block of the time-blocked recurrence of _kernel and _apply.
 _BLOCK = 64
-# Rows of _kernel's lag table that its input map gathers, by input c (rows) and
-# step i (columns) of a block, m = _BLOCK: the s0-only row m + 2 + i for
-# c = 0, lag i - c for 0 < c <= i, and the zero row m + 1 for c > i.
-_LAGS = np.fromfunction(
-    lambda c, i: np.where(c == 0, _BLOCK + 2 + i, np.where(c <= i, i - c, _BLOCK + 1)),
-    (_BLOCK + 1, _BLOCK + 1), dtype=int)
 
 
 @dataclass(frozen=True)
@@ -82,7 +76,7 @@ class SwingModel:
     matrix D of f_bus = D @ f_gen.
 
     The model keeps the RK4 propagator of the last port and step size that
-    simulate() has built, its block input map gathered, and reuses it for
+    simulate() has built, its block input map included, and reuses it for
     every later call at that port and step size; a call at another port or
     step size replaces it.  Outputs are the same as from a fresh model.  The
     store lives and dies with the model (dataclasses.replace starts an empty
@@ -233,28 +227,22 @@ def _kernel(r: np.ndarray, s0: np.ndarray, s1: np.ndarray, rows: slice):
     """The block kernel of x_{k+1} = R x_k + s0 u_k + s1 u_{k+1}, m = _BLOCK:
     the rows `rows` of R^0 ... R^(m-1) stacked by rows, the (m + 1, m * k + n)
     input map from a block's input window to its forced requested rows, step
-    by step, and to its forced end state, and R^m."""
+    by step, and to its forced end state, and R^m.  All three come from
+    stepping the recurrence m times on x = [R^0 | 0]: after step i, x is
+    [R^i | G_i], column c of G_i the state x_i that a unit input u_c drives."""
     n, m = len(s0), _BLOCK
-    # By doubling (m is a power of two), the columns R^i s0 and R^i s1
-    # interleaved.
-    fill = np.eye(n)[rows]
-    k = len(fill)
-    vecs = np.stack([s0, s1], axis=1)
-    power = r
-    while len(fill) < m * k:
-        fill = np.concatenate([fill, fill @ power])
-        vecs = np.concatenate([vecs, power @ vecs], axis=1)
-        power = power @ power
-    # G[i, c] = R^{i-1-c} s0 [c < i] + R^{i-c} s1 [0 < c <= i] depends on the
-    # lag i - c alone but in column 0, which lacks the s1 term: _LAGS gathers
-    # it from the lag sequence, a zero row and the s0 terms.
-    from_s0 = np.concatenate([np.zeros((1, n)), vecs[:, 0::2].T])
-    by_lag = from_s0 + np.concatenate([vecs[:, 1::2].T, (power @ s1)[None]])
-    table = np.concatenate([by_lag, np.zeros((1, n)), from_s0])
-    input_map = np.concatenate([
-        table[:, rows].take(_LAGS[:, :m], axis=0).reshape(m + 1, -1),
-        table.take(_LAGS[:, m], axis=0)], axis=1)
-    return fill, input_map, power
+    x = np.concatenate([np.eye(n), np.zeros((n, m + 1))], axis=1)
+    k = len(x[rows])
+    fill = np.empty((m * k, n))
+    input_map = np.empty((m + 1, m * k + n))
+    for i in range(m):
+        fill[i * k : (i + 1) * k] = x[rows, :n]
+        input_map[:, i * k : (i + 1) * k] = x[rows, n:].T
+        x = r @ x
+        x[:, n + i] += s0
+        x[:, n + i + 1] += s1
+    input_map[:, m * k :] = x[:, n:].T
+    return fill, input_map, x[:, :n].copy()
 
 
 def _apply(fill: np.ndarray, g: np.ndarray, power: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -129,6 +129,13 @@ def _parse(text: str):
     return comment, header, rows
 
 
+def integer_cells(text: str) -> list[str]:
+    """The integer cells of a table, its comment's integers first."""
+    comment, _, rows = _parse(text)
+    return [cell for cell in [*comment.values(), *(c for row in rows for c in row)]
+            if _INTEGER.fullmatch(cell)]
+
+
 def compare(old: str, new: str) -> tuple[float, list[str]]:
     """The largest change of a number of table new from table old, relative
     to the largest magnitude of its column in old (to itself for a comment
@@ -187,7 +194,9 @@ def main() -> int:
                 print(f"{name}: bytes unchanged")
             else:
                 largest, faults = compare(old_path.read_text(), new_text)
-                print(f"{name}: bytes moved, largest relative change {largest:.2g}"
+                same = integer_cells(old_path.read_text()) == integer_cells(new_text)
+                print(f"{name}: bytes moved, largest relative change {largest:.2g}, "
+                      f"integer cells {'unchanged' if same else 'moved'}"
                       + "".join(f"; {fault}" for fault in faults))
         for name in sorted(set(before) - set(written)):
             print(f"{name}: removed")

@@ -692,6 +692,24 @@ def test_advance_rows_are_rows_of_the_whole_state(rows):
     assert np.max(np.abs(whole - stepped)) <= 1e-10 * np.abs(stepped).max()
 
 
+@pytest.mark.parametrize("block", [1, 48, 64, 100])
+def test_a_block_of_any_length_gives_the_stepped_recurrence(monkeypatch, block):
+    # _kernel steps the recurrence, so a block may be any number of steps,
+    # not only a power of two; the frequency rows of 3 machines, as simulate
+    # asks for them.
+    monkeypatch.setattr("gridgfv.dynamics._BLOCK", block)
+    r, s0, s1 = _random_swing_operators(3, 6)
+    u = np.random.default_rng(9).standard_normal(5 * 64 + 17)
+    x = np.zeros(6)
+    stepped = np.zeros((3, len(u)))
+    for k in range(len(u) - 1):
+        x = r @ x + s0 * u[k] + s1 * u[k + 1]
+        stepped[:, k + 1] = x[3:]
+    blocked = _blocked(r, s0, s1, u, slice(3, None))
+    assert blocked.shape == stepped.shape
+    assert np.max(np.abs(blocked - stepped)) <= 1e-10 * np.abs(stepped).max()
+
+
 def test_blocked_zero_input_is_exactly_zero_at_seventy_blocks():
     case = get_case("case9")
     model = build_swing_model(get_analysis("case9"))
