@@ -305,8 +305,8 @@ def connected_components(case: NetworkCase) -> list[list[int]]:
 
 def validate_case(case: NetworkCase) -> list[Violation]:
     """The invariants of a parsed case that parse_case does not check: at
-    least two buses, one slack bus, v_set, h and xd_p positive, x nonzero,
-    machines on slack or pv buses and a connected network.  Returns an empty
+    least two buses, one slack bus, v_set, h and xd_p positive, d non-negative,
+    x nonzero, machines on slack or pv buses and a connected network.  Returns an empty
     list iff the case is usable for analysis.  Never raises: violations are
     returned as data."""
     violations = [
@@ -336,6 +336,8 @@ def validate_case(case: NetworkCase) -> list[Violation]:
             violations.append(Violation(entity, "generator-on-pq-bus"))
         if not g.h > 0:
             violations.append(Violation(entity, "non-positive-inertia", str(g.h)))
+        if g.d is not None and g.d < 0:
+            violations.append(Violation(entity, "negative-damping", str(g.d)))
         if not g.xd_p > 0:
             violations.append(Violation(entity, "non-positive-transient-reactance",
                                         str(g.xd_p)))

@@ -76,6 +76,7 @@ class RunConfig:
              f"horizon must cover at least one step of dt and finitely many, "
              f"got horizon {self.horizon} and dt {self.dt}"),
             (self.max_iter >= 0, f"max_iter must be non-negative, got {self.max_iter}"),
+            (self.damping >= 0, f"damping must be non-negative, got {self.damping}"),
             (self.seed >= 0, f"seed must be non-negative, got {self.seed}"),
             (self.n_realizations >= 1,
              f"n_realizations must be at least 1, got {self.n_realizations}"),

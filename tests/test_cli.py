@@ -588,10 +588,11 @@ def test_an_unreadable_case_file_is_a_one_line_data_error(tmp_path, capsys, comm
     (("branches", 0, "x"), 0, "branch 1-4[0]: zero-reactance (0.0)"),
     (("generators",), [], "case: no-generators"),
     (("generators", 0, "h"), 0, "generator[0] at bus 1: non-positive-inertia (0.0)"),
+    (("generators", 0, "d"), -1, "generator[0] at bus 1: negative-damping (-1.0)"),
     (("generators", 0, "xd_p"), -0.1,
      "generator[0] at bus 1: non-positive-transient-reactance (-0.1)"),
 ], ids=["invalid-v-set", "zero-reactance", "no-generators", "non-positive-inertia",
-        "non-positive-transient-reactance"])
+        "negative-damping", "non-positive-transient-reactance"])
 def test_each_case_rule_is_a_data_error(tmp_path, capsys, path, value, violation):
     doc = json.loads(Path(CASE9).read_text())
     _set(doc, path, value)
@@ -772,7 +773,9 @@ def test_config_file_horizon_reaches_simulate(tmp_path):
      "got horizon 0.001 and dt 0.01"),
     ({"ou": {"alpha": 0}}, ["--ou-alpha", "0.1", "--dt", "0.0001", "--t", "0.01"],
      "alpha must be positive, got 0.0"),
-], ids=["dt-0", "horizon-below-one-step", "alpha-0"])
+    ({"damping": -1}, ["--damping", "1.0", "--dt", "0.0001", "--t", "0.01"],
+     "damping must be non-negative, got -1.0"),
+], ids=["dt-0", "horizon-below-one-step", "alpha-0", "damping-negative"])
 def test_flags_override_an_out_of_range_config_value(tmp_path, capsys, config, flags,
                                                       message):
     # The range rules judge the merged run parameters, not the file's alone.
