@@ -70,7 +70,7 @@ def _blas_core() -> str:
                        "openblas_get_corename64_", "openblas_get_corename"):
             corename = getattr(lib, symbol, None)
             if corename is not None:
-                corename.restype = ctypes.c_char_p
+                corename.argtypes, corename.restype = [], ctypes.c_char_p
                 return corename().decode()
     return "unknown"
 
