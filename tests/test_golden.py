@@ -15,11 +15,11 @@ import pytest
 from golden import regen
 
 MANIFEST = json.loads(regen.MANIFEST.read_text())
-SAME_ENVIRONMENT = MANIFEST["environment"] == regen.environment()
+ENVIRONMENT = regen.environment()
+SAME_ENVIRONMENT = MANIFEST["environment"] == ENVIRONMENT
 MODE = ("bytes (the environment is the manifest's)" if SAME_ENVIRONMENT else
         f"numbers within {regen.RTOL:g} of each column's largest magnitude "
-        f"(this environment {regen.environment()}, the manifest's "
-        f"{MANIFEST['environment']})")
+        f"(this environment {ENVIRONMENT}, the manifest's {MANIFEST['environment']})")
 
 
 @pytest.fixture(scope="module")
