@@ -177,11 +177,15 @@ def _cmd_simulate(args, run: RunConfig) -> int:
     return 0
 
 
-def _cmd_mc(args, run: RunConfig) -> int:
+def _workers(n_tasks: int) -> int:
     try:
-        workers = montecarlo.resolve_workers(None, run.n_realizations)
+        return montecarlo.resolve_workers(None, n_tasks)
     except ValueError as exc:  # GRID_GFV_THREADS is not an integer
         raise _UsageError(str(exc)) from None
+
+
+def _cmd_mc(args, run: RunConfig) -> int:
+    workers = _workers(run.n_realizations)
     try:
         buses = [int(tok) for tok in args.buses.split(",") if tok]
     except ValueError:
@@ -200,7 +204,7 @@ def _cmd_mc(args, run: RunConfig) -> int:
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
 
     # Rows in case bus order; read before the study, which then holds no analysis.
-    gfv = analyze_case(case, tol=run.tol, max_iter=run.max_iter).gfv
+    gfv = analyze_case(case, run.tol, run.max_iter, _workers(case.n_bus)).gfv
     placements = montecarlo.run_monte_carlo(case, buses, run, workers)
 
     summary_rows, failures = [], []
@@ -312,13 +316,13 @@ class _Command:
     table: bool = True
 
 
-def _analysis(help_text: str, tabulate) -> _Command:
+def _analysis(help_text: str, tabulate, inertia: bool = False) -> _Command:
     """A command that writes one table of a case's analysis, tabulate(analysis)
     -> (header, rows[, comment]); only the stages that tabulate reads run."""
     def handler(args, run: RunConfig) -> int:
-        analysis = analyze_case(load_validated_case(args.case), tol=run.tol,
-                                max_iter=run.max_iter)
-        _emit(args, *tabulate(analysis))
+        case = load_validated_case(args.case)
+        workers = _workers(case.n_bus) if inertia else 1
+        _emit(args, *tabulate(analyze_case(case, run.tol, run.max_iter, workers)))
         return 0
 
     return _Command(help_text, handler, ("case",), ("--tol", "--max-iter"))
@@ -344,13 +348,13 @@ _COMMANDS = {
     "inertia": _analysis("per-bus nodal inertia", lambda a: (
         ["bus_id", "nodal_inertia_s"],
         _per_bus(a.case, a.inertia),
-    )),
+    ), inertia=True),
     "gfv": _analysis("per-bus placement metric and Fiedler vector", lambda a: (
         ["bus_id", "nodal_inertia_s", "fiedler_norm", "gfv"],
         _per_bus(a.case, a.inertia, a.fiedler.vector, a.gfv.vector),
         f"lambda2={a.fiedler.value!r} lambda2_bar={a.gfv.value!r} "
         f"fiedler_degenerate={a.fiedler.degenerate} gfv_degenerate={a.gfv.degenerate}",
-    )),
+    ), inertia=True),
     "simulate": _Command(
         "one stochastic-wind trajectory", _cmd_simulate, ("case", "--bus"),
         ("--tol", "--max-iter", "--seed", "--damping", "--ou-mu", "--ou-alpha",

@@ -48,6 +48,7 @@ class CaseAnalysis:
     case: NetworkCase
     solution: PowerFlowSolution
     aug: np.ndarray  # complex, buses then internal nodes
+    workers: int = 1  # processes that share the nodal inertia's reductions
 
     @cached_property
     def emfs(self) -> InternalEmfs:
@@ -69,7 +70,7 @@ class CaseAnalysis:
     @cached_property
     def inertia(self) -> np.ndarray:  # per bus, seconds
         return nodal_inertia(self.case, self.solution, self.emfs, self.participation,
-                             self.aug)
+                             self.aug, self.workers)
 
     @cached_property
     def gep(self) -> GeneralizedDecomposition:
@@ -84,9 +85,10 @@ def analyze_case(
     case: NetworkCase,
     tol: float = PF_TOL,
     max_iter: int = PF_MAX_ITER,
+    workers: int = 1,
 ) -> CaseAnalysis:
     """Solve a validated case's power flow and build its network model; the
     rest of the chain runs as its stages are read."""
     ybus = build_ybus(case)
     sol = solve_powerflow(case, tol=tol, max_iter=max_iter, ybus=ybus)
-    return CaseAnalysis(case, sol, augment_internal_nodes(ybus, case))
+    return CaseAnalysis(case, sol, augment_internal_nodes(ybus, case), workers)

@@ -15,6 +15,9 @@ bus between 0 (strongest) and 1 (weakest).
 from __future__ import annotations
 
 import math
+import mmap
+import os
+import signal
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +32,7 @@ from .reduction import kron_reduce
 ZERO_EIG_REL = 1e-9
 # Relative gap under which the second and third modes are reported degenerate.
 DEGENERATE_REL = 1e-6
+FORK_MIN_BUSES = 64  # fewer buses reduce serially (BENCH_inertia_fork.json, crossover)
 
 
 @dataclass(frozen=True)
@@ -144,6 +148,7 @@ def nodal_inertia(
     emfs: InternalEmfs,
     participation: np.ndarray,
     aug: np.ndarray,
+    workers: int = 1,
 ) -> np.ndarray:
     """Per-bus nodal inertia in seconds, in case bus order.
 
@@ -156,15 +161,34 @@ def nodal_inertia(
     which collapses to h = H for a single-machine system.  A bus whose h is
     undefined (its denominator within 1e-12 of its terms' summed magnitudes,
     which scale as 1/H) or not positive is a NumericalError: the pencil
-    (L, diag(h)) needs h > 0.  One bus's reduced matrix is alive at a time.
+    (L, diag(h)) needs h > 0.  One bus's reduced matrix is alive at a time in
+    each of the workers processes, which share the buses from FORK_MIN_BUSES.
     """
-    n = case.n_bus
-    g_rows = list(range(n, n + case.n_gen))
-    # Row j: the susceptances from bus j to every internal node, bus j kept
-    # first in its reduction.
-    b = np.empty((n, case.n_gen))
-    for j in range(n):
-        b[j] = kron_reduce(aug, [j] + g_rows)[1:, 0].imag
+    n, n_gen, children = case.n_bus, case.n_gen, {}
+    def fill(span):  # row j: bus j's susceptances to each internal node, j kept first
+        for j in span:
+            b[j] = kron_reduce(aug, [j, *range(n, n + n_gen)])[1:, 0].imag
+    workers = workers if n >= FORK_MIN_BUSES and n_gen and hasattr(os, "fork") else 1
+    b = (np.frombuffer(mmap.mmap(-1, 8 * n * n_gen)).reshape(n, n_gen) if workers > 1
+         else np.empty((n, n_gen)))  # forked children fill their spans of the mapping
+    spans = [range(n * i // workers, n * (i + 1) // workers) for i in range(workers)]
+    try:
+        for span in spans[1:]:
+            if (pid := os.fork()) == 0:  # exit status 0 only with the span filled
+                try:
+                    fill(span)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            children[pid] = span
+        fill(spans[0])
+    except BaseException:
+        for pid in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:  # reap every child; the span of one that failed is filled here again
+        failed = [j for pid in children if os.waitpid(pid, 0)[1] for j in children[pid]]
+    fill(failed)
     terms = b * emfs.e_mag * np.cos(emfs.delta0 - sol.va[:, None])
     h_gen = np.array([g.h for g in case.generators])
     weighted = terms * participation / h_gen

@@ -41,14 +41,20 @@ SYNTH120 = "synth120"
 
 
 @lru_cache(maxsize=None)
+def synth_case_bytes(n_bus: int, seed: int = 0) -> bytes:
+    """The case file that perfbench/synthgrid.py writes for n_bus and seed."""
+    spec = importlib.util.spec_from_file_location(
+        "synthgrid", ROOT / "perfbench" / "synthgrid.py")
+    synthgrid = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(synthgrid)
+    return synthgrid.case_bytes(n_bus, seed)
+
+
+@lru_cache(maxsize=None)
 def get_case(name: str):
     """A bundled case by name, or SYNTH120 from perfbench/synthgrid.py."""
     if name == SYNTH120:
-        spec = importlib.util.spec_from_file_location(
-            "synthgrid", ROOT / "perfbench" / "synthgrid.py")
-        synthgrid = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(synthgrid)
-        return parse_case(synthgrid.case_bytes(120, 0).decode())
+        return parse_case(synth_case_bytes(120).decode())
     return load_case(fixture_path(name))
 
 

@@ -28,7 +28,7 @@ from gridgfv.cli import main
 from gridgfv.csvio import format_cell, read_table, render_table, write_table
 from gridgfv.errors import SimulationUnstableError
 
-from conftest import FIXTURE_NAMES, fixture_path
+from conftest import FIXTURE_NAMES, fixture_path, synth_case_bytes
 
 CASE9 = str(fixture_path("case9"))
 STUDY = str(fixture_path("case7_study"))
@@ -886,10 +886,48 @@ def test_bad_worker_count_is_a_one_line_usage_error_before_the_analysis(
 
     monkeypatch.setattr(cli, "analyze_case", fail)
     monkeypatch.setenv("GRID_GFV_THREADS", value)
-    assert main(["mc", STUDY, "--buses", "3", "--n", "2", "--t", "0.05",
-                 "--out-dir", str(tmp_path / "mc")]) == 1
-    assert capsys.readouterr().err == (
-        f"GRID_GFV_THREADS must be an integer, got {value!r}\n")
+    # mc's workers, and the nodal inertia's processes of mc's gfv column, gfv
+    # and inertia.
+    for argv in (["mc", STUDY, "--buses", "3", "--n", "2", "--t", "0.05",
+                  "--out-dir", str(tmp_path / "mc")],
+                 ["gfv", STUDY, "--out", str(tmp_path / "gfv.csv")],
+                 ["inertia", STUDY, "--out", str(tmp_path / "inertia.csv")]):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"GRID_GFV_THREADS must be an integer, got {value!r}\n")
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["gfv", "inertia"])
+def test_inertia_commands_write_the_same_bytes_at_any_process_count(
+        tmp_path, monkeypatch, command):
+    # SYNTH120's 120 buses are past spectral.FORK_MIN_BUSES: at 2 and 3 the
+    # nodal inertia's reductions run in forked children too.
+    case = tmp_path / "synth120.json"
+    case.write_bytes(synth_case_bytes(120))
+    forks, real = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real())
+    outputs = []
+    for threads in (1, 2, 3):
+        monkeypatch.setenv("GRID_GFV_THREADS", str(threads))
+        forks.clear()
+        assert main([command, str(case), "--out", str(tmp_path / "out.csv")]) == 0
+        assert len(forks) == threads - 1
+        outputs.append((tmp_path / "out.csv").read_bytes())
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_mc_gfv_column_is_the_same_at_any_process_count(tmp_path, monkeypatch):
+    case = tmp_path / "synth120.json"
+    case.write_bytes(synth_case_bytes(120))
+    tables = []
+    for threads in (1, 2):
+        monkeypatch.setenv("GRID_GFV_THREADS", str(threads))
+        out = tmp_path / f"mc{threads}"
+        assert main(["mc", str(case), "--buses", "3,90", "--n", "2", "--t", "0.05",
+                     "--out-dir", str(out)]) == 0
+        tables.append([(out / name).read_bytes() for name in ("summary.csv", "ifd.csv")])
+    assert tables[0] == tables[1]
 
 
 @pytest.mark.parametrize("content, reason", [

@@ -3,6 +3,8 @@
 import json
 import math
 import os
+import signal
+import time
 import tracemalloc
 from collections import Counter
 
@@ -12,6 +14,7 @@ import pytest
 from gridgfv import (
     DisconnectedNetworkError,
     NumericalError,
+    SingularMatrixError,
     StabilityRegionError,
     analyze_case,
     augment_internal_nodes,
@@ -29,9 +32,17 @@ from gridgfv import (
     solve_gep,
     solve_powerflow,
 )
+from gridgfv import spectral
 from gridgfv.case_model import bus_ids
 
-from conftest import FIXTURE_NAMES, SYNTH120, fixture_path, get_analysis, get_case
+from conftest import (
+    FIXTURE_NAMES,
+    SYNTH120,
+    fixture_path,
+    get_analysis,
+    get_case,
+    synth_case_bytes,
+)
 from references import one_inverse_inertia, per_branch_laplacian, per_bus_inertia
 
 
@@ -351,6 +362,116 @@ def test_nodal_inertia_holds_one_bus_reduction_at_a_time():
     peak = _peak_bytes(lambda: nodal_inertia(a.case, a.solution, a.emfs,
                                              a.participation, a.aug))
     assert peak <= one + 4 * n * n_gen * 8
+
+
+def _inertia(analysis, workers):
+    return nodal_inertia(analysis.case, analysis.solution, analysis.emfs,
+                         analysis.participation, analysis.aug, workers)
+
+
+def _assert_no_child_left():
+    # Every child of this process has been reaped: none runs, none is a zombie.
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The number of os.fork calls made in this process."""
+    calls = []
+    real = os.fork
+
+    def counted():
+        calls.append(1)
+        return real()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return calls
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_forked_inertia_is_the_serial_bytes_on_synth120(workers, forks):
+    # 120 buses in 3 spans of 40, or 2 of 60: each child fills its rows in the
+    # shared mapping, and the parent the first span.
+    analysis = get_analysis(SYNTH120)
+    serial = _inertia(analysis, 1)
+    assert not forks
+    forked = _inertia(analysis, workers)
+    assert len(forks) == workers - 1
+    assert forked.tobytes() == serial.tobytes()
+    _assert_no_child_left()
+
+
+def test_forking_starts_at_the_cutoff(forks):
+    # The smallest case that forks gives the serial bytes; one bus fewer
+    # takes the serial loop at any worker count.
+    for n_bus, expected in ((spectral.FORK_MIN_BUSES, 1), (spectral.FORK_MIN_BUSES - 1, 0)):
+        analysis = analyze_case(parse_case(synth_case_bytes(n_bus).decode()))
+        forks.clear()
+        forked = _inertia(analysis, 2)
+        assert len(forks) == expected
+        assert forked.tobytes() == _inertia(analysis, 1).tobytes()
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("bus", [10, 100], ids=["parent-span", "child-span"])
+def test_forked_inertia_raises_the_serial_error(monkeypatch, bus):
+    # At 3 workers SYNTH120's spans are rows 0-39 (this process), 40-79 and
+    # 80-119 (children).  A child that raises exits with 1, and its span is
+    # reduced again here, so the same exception is raised as serially.
+    analysis = get_analysis(SYNTH120)
+    real = spectral.kron_reduce
+
+    def reduce(y, keep):  # the forked children inherit this binding
+        if keep[0] == bus:
+            raise SingularMatrixError(f"injected failure at row {bus}")
+        return real(y, keep)
+
+    monkeypatch.setattr(spectral, "kron_reduce", reduce)
+    with pytest.raises(SingularMatrixError) as serial:
+        _inertia(analysis, 1)
+    with pytest.raises(SingularMatrixError) as forked:
+        _inertia(analysis, 3)
+    assert str(forked.value) == str(serial.value) == f"injected failure at row {bus}"
+    _assert_no_child_left()
+
+
+def test_children_are_killed_when_the_parent_span_is_interrupted(monkeypatch):
+    # The children would sleep for 30 s in their first reduction and then
+    # exit; an interrupt in this process's span kills them before they are
+    # reaped.
+    analysis = get_analysis(SYNTH120)
+    real, parent = spectral.kron_reduce, os.getpid()
+
+    def reduce(y, keep):
+        if os.getpid() != parent:
+            time.sleep(30)
+            os._exit(0)
+        if keep[0] == 5:
+            raise KeyboardInterrupt
+        return real(y, keep)
+
+    monkeypatch.setattr(spectral, "kron_reduce", reduce)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        _inertia(analysis, 3)
+    assert time.monotonic() - start < 15
+    _assert_no_child_left()
+
+
+def test_a_killed_child_span_is_reduced_again(monkeypatch):
+    analysis = get_analysis(SYNTH120)
+    serial = _inertia(analysis, 1)
+    real, parent = spectral.kron_reduce, os.getpid()
+
+    def reduce(y, keep):
+        if keep[0] == 100 and os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(y, keep)
+
+    monkeypatch.setattr(spectral, "kron_reduce", reduce)
+    assert _inertia(analysis, 3).tobytes() == serial.tobytes()
+    _assert_no_child_left()
 
 
 def test_gep_rejects_non_positive_inertia():
