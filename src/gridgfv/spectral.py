@@ -14,6 +14,7 @@ bus between 0 (strongest) and 1 (weakest).
 
 from __future__ import annotations
 
+import contextlib
 import math
 import mmap
 import os
@@ -32,7 +33,7 @@ from .reduction import kron_reduce
 ZERO_EIG_REL = 1e-9
 # Relative gap under which the second and third modes are reported degenerate.
 DEGENERATE_REL = 1e-6
-FORK_MIN_BUSES = 64  # fewer buses reduce serially (BENCH_inertia_fork.json, crossover)
+FORK_MIN_SPAN = 32  # buses at least in each process (BENCH_inertia_fork.json, crossover)
 
 
 @dataclass(frozen=True)
@@ -161,34 +162,33 @@ def nodal_inertia(
     which collapses to h = H for a single-machine system.  A bus whose h is
     undefined (its denominator within 1e-12 of its terms' summed magnitudes,
     which scale as 1/H) or not positive is a NumericalError: the pencil
-    (L, diag(h)) needs h > 0.  One bus's reduced matrix is alive at a time in
-    each of the workers processes, which share the buses from FORK_MIN_BUSES.
+    (L, diag(h)) needs h > 0.  Each process holds one bus's reduction at a time.
     """
-    n, n_gen, children = case.n_bus, case.n_gen, {}
-    def fill(span):  # row j: bus j's susceptances to each internal node, j kept first
-        for j in span:
+    n, n_gen, children = case.n_bus, case.n_gen, []
+    def fill(rows):  # row j: bus j's susceptances to each internal node, j kept first
+        for j in rows:
             b[j] = kron_reduce(aug, [j, *range(n, n + n_gen)])[1:, 0].imag
-    workers = workers if n >= FORK_MIN_BUSES and n_gen and hasattr(os, "fork") else 1
+    workers = max(1, min(workers, n // FORK_MIN_SPAN)) if n_gen and hasattr(os, "fork") else 1
     b = (np.frombuffer(mmap.mmap(-1, 8 * n * n_gen)).reshape(n, n_gen) if workers > 1
-         else np.empty((n, n_gen)))  # forked children fill their spans of the mapping
-    spans = [range(n * i // workers, n * (i + 1) // workers) for i in range(workers)]
+         else np.empty((n, n_gen)))  # children fill their spans of the zeroed mapping
     try:
-        for span in spans[1:]:
-            if (pid := os.fork()) == 0:  # exit status 0 only with the span filled
-                try:
-                    fill(span)
-                    os._exit(0)
-                finally:
-                    os._exit(1)
-            children[pid] = span
-        fill(spans[0])
-    except BaseException:
+        with contextlib.suppress(OSError):  # no process to be had: its rows stay 0
+            for i in range(1, workers):
+                if (pid := os.fork()) == 0:
+                    try:
+                        fill(range(n * i // workers, n * (i + 1) // workers))
+                    finally:
+                        os._exit(0)
+                children.append(pid)
+        fill(range(n // workers))
+        while children:  # reaped one at a time: an exception leaves the rest below
+            children.remove(os.waitpid(children[0], 0)[0])
+    finally:  # kill and reap the children an exception left (the first may be reaped)
         for pid in children:
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:  # reap every child; the span of one that failed is filled here again
-        failed = [j for pid in children if os.waitpid(pid, 0)[1] for j in children[pid]]
-    fill(failed)
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    fill(np.flatnonzero(~b.all(axis=1)))  # a row with a 0: its child raised, died or never was
     terms = b * emfs.e_mag * np.cos(emfs.delta0 - sol.va[:, None])
     h_gen = np.array([g.h for g in case.generators])
     weighted = terms * participation / h_gen

@@ -901,8 +901,8 @@ def test_bad_worker_count_is_a_one_line_usage_error_before_the_analysis(
 @pytest.mark.parametrize("command", ["gfv", "inertia"])
 def test_inertia_commands_write_the_same_bytes_at_any_process_count(
         tmp_path, monkeypatch, command):
-    # SYNTH120's 120 buses are past spectral.FORK_MIN_BUSES: at 2 and 3 the
-    # nodal inertia's reductions run in forked children too.
+    # SYNTH120's 120 buses make 3 spans of spectral.FORK_MIN_SPAN or more: at
+    # 2 and 3 the nodal inertia's reductions run in forked children too.
     case = tmp_path / "synth120.json"
     case.write_bytes(synth_case_bytes(120))
     forks, real = [], os.fork

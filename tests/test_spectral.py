@@ -1,5 +1,6 @@
 """Laplacian, Fiedler analysis, nodal inertia, and the generalized problem."""
 
+import errno
 import json
 import math
 import os
@@ -402,23 +403,49 @@ def test_forked_inertia_is_the_serial_bytes_on_synth120(workers, forks):
     _assert_no_child_left()
 
 
-def test_forking_starts_at_the_cutoff(forks):
-    # The smallest case that forks gives the serial bytes; one bus fewer
-    # takes the serial loop at any worker count.
-    for n_bus, expected in ((spectral.FORK_MIN_BUSES, 1), (spectral.FORK_MIN_BUSES - 1, 0)):
-        analysis = analyze_case(parse_case(synth_case_bytes(n_bus).decode()))
-        forks.clear()
-        forked = _inertia(analysis, 2)
-        assert len(forks) == expected
-        assert forked.tobytes() == _inertia(analysis, 1).tobytes()
+SPAN = spectral.FORK_MIN_SPAN
+
+
+@pytest.mark.parametrize("n_bus, workers, processes", [
+    (2 * SPAN, 2, 2), (2 * SPAN - 1, 2, 1),  # the smallest case that forks, one bus fewer
+    (3 * SPAN, 3, 3), (3 * SPAN - 1, 3, 2),
+    (3 * SPAN - 1, 64, 2),  # far more workers than spans of FORK_MIN_SPAN buses
+    (2 * SPAN, 0, 1), (2 * SPAN, -1, 1),  # no worker count below 1
+])
+def test_each_process_reduces_at_least_fork_min_span_buses(forks, n_bus, workers, processes):
+    analysis = analyze_case(parse_case(synth_case_bytes(n_bus).decode()))
+    forked = _inertia(analysis, workers)
+    assert len(forks) == processes - 1
+    assert forked.tobytes() == _inertia(analysis, 1).tobytes()
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("failing_fork", [1, 2])
+def test_spans_without_a_process_are_reduced_here(monkeypatch, failing_fork):
+    # os.fork raising (EAGAIN under a process limit) stops the forking; this
+    # process reduces the spans that got no child.
+    analysis = get_analysis(SYNTH120)
+    serial = _inertia(analysis, 1)
+    calls, real = [], os.fork
+
+    def fork():
+        calls.append(1)
+        if len(calls) == failing_fork:
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return real()
+
+    monkeypatch.setattr(os, "fork", fork)
+    assert _inertia(analysis, 3).tobytes() == serial.tobytes()
+    assert len(calls) == failing_fork
     _assert_no_child_left()
 
 
 @pytest.mark.parametrize("bus", [10, 100], ids=["parent-span", "child-span"])
 def test_forked_inertia_raises_the_serial_error(monkeypatch, bus):
     # At 3 workers SYNTH120's spans are rows 0-39 (this process), 40-79 and
-    # 80-119 (children).  A child that raises exits with 1, and its span is
-    # reduced again here, so the same exception is raised as serially.
+    # 80-119 (children).  A child that raises leaves its rows from that bus on
+    # at 0; they are reduced again here, so the same exception is raised as
+    # serially.
     analysis = get_analysis(SYNTH120)
     real = spectral.kron_reduce
 
@@ -459,6 +486,38 @@ def test_children_are_killed_when_the_parent_span_is_interrupted(monkeypatch):
     _assert_no_child_left()
 
 
+def test_children_are_killed_when_the_wait_for_them_is_interrupted(monkeypatch):
+    # This process reduces its 40 buses at once while the children sleep; an
+    # alarm whose handler raises interrupts the wait for the first child, and
+    # both children are killed and reaped before the interrupt propagates.
+    analysis = get_analysis(SYNTH120)
+    real, parent, reduced = spectral.kron_reduce, os.getpid(), []
+
+    def reduce(y, keep):
+        if os.getpid() != parent:
+            time.sleep(30)
+            os._exit(0)
+        reduced.append(keep[0])
+        return real(y, keep)
+
+    def interrupt(signum, frame):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(spectral, "kron_reduce", reduce)
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    start = time.monotonic()
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 0.5)
+        with pytest.raises(KeyboardInterrupt):
+            _inertia(analysis, 3)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert reduced == list(range(40))  # the interrupt came in the wait
+    assert time.monotonic() - start < 15
+    _assert_no_child_left()
+
+
 def test_a_killed_child_span_is_reduced_again(monkeypatch):
     analysis = get_analysis(SYNTH120)
     serial = _inertia(analysis, 1)
@@ -468,6 +527,26 @@ def test_a_killed_child_span_is_reduced_again(monkeypatch):
         if keep[0] == 100 and os.getpid() != parent:
             os.kill(os.getpid(), signal.SIGKILL)
         return real(y, keep)
+
+    monkeypatch.setattr(spectral, "kron_reduce", reduce)
+    assert _inertia(analysis, 3).tobytes() == serial.tobytes()
+    _assert_no_child_left()
+
+
+def test_a_row_a_killed_child_wrote_in_part_is_reduced_again(monkeypatch):
+    # A kill in the middle of a row's copy leaves the row's first entries
+    # written and the rest at 0: the child here writes row 99 so, then dies.
+    analysis = get_analysis(SYNTH120)
+    serial = _inertia(analysis, 1)
+    real, parent = spectral.kron_reduce, os.getpid()
+
+    def reduce(y, keep):
+        if os.getpid() != parent and keep[0] == 100:
+            os.kill(os.getpid(), signal.SIGKILL)
+        reduced = real(y, keep)
+        if os.getpid() != parent and keep[0] == 99:
+            reduced[2:, 0] = 0  # only the first machine's entry is written
+        return reduced
 
     monkeypatch.setattr(spectral, "kron_reduce", reduce)
     assert _inertia(analysis, 3).tobytes() == serial.tobytes()
