@@ -3,7 +3,8 @@ gfv | simulate | mc | report.
 
 Exit codes: 0 success, 1 usage error (bad arguments, missing files), 2 data
 or validation error, 3 numerical failure (non-convergence, singularity,
-unstable integration); every failure is one line on stderr.  All outputs
+unstable integration), 130 interrupted (Ctrl-C), 143 terminated (SIGTERM);
+every failure is one line on stderr.  All outputs
 are CSV with a header row, rendered whole before a byte is written; an mc
 whose study, tables or writes fail replaces no file.  A command takes the
 run-parameter flags it uses and, with them, a --config JSON file of run
@@ -19,8 +20,10 @@ import json
 import math
 import os
 import shutil
+import signal
 import sys
 import tempfile
+import threading
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable
@@ -391,12 +394,23 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
+class _Terminated(KeyboardInterrupt):
+    """SIGTERM, raised where the command runs so that its finally blocks run."""
+
+
+def _terminate(signum, frame):
+    raise _Terminated
+
+
 def main(argv=None) -> int:
     """Run the grid-gfv command in argv (default: sys.argv[1:]) and return its
     exit code.  A failure is reported as one stderr line: 1 for usage,
     memory and file-system errors and a Monte Carlo worker that died, 2 for
-    bad data, 3 for a numerical failure."""
+    bad data, 3 for a numerical failure, 130 for an interrupt (Ctrl-C) and
+    143 for SIGTERM, which only a call in the main thread handles."""
     argv = sys.argv[1:] if argv is None else argv
+    handles = threading.current_thread() is threading.main_thread()
+    previous = signal.signal(signal.SIGTERM, _terminate) if handles else None
     try:
         args = build_parser(argv[0] if argv else None).parse_args(argv)
         run = _load_run_config(getattr(args, "config", None), args)
@@ -415,6 +429,11 @@ def main(argv=None) -> int:
         return _fail(f"numerical failure: {exc}", 3)
     except GridGfvError as exc:  # CaseError among them
         return _fail(f"error: {exc}", 2)
+    except KeyboardInterrupt as exc:  # the commands' finally blocks have run
+        return _fail("interrupted", 143 if isinstance(exc, _Terminated) else 130)
+    finally:
+        if handles:  # None: a handler not set from Python, taken as the default
+            signal.signal(signal.SIGTERM, previous or signal.SIG_DFL)
 
 
 if __name__ == "__main__":

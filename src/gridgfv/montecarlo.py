@@ -9,7 +9,9 @@ realizations.
 
 The study runs bus by bus: the first bus draws the power series that later
 buses replay, and each bus's COI and POI series fill one of two slots, which
-the parent summarizes while the workers simulate the next bus.
+the parent summarizes while the workers simulate the next bus.  Each forked
+worker owns one span of realizations for the whole study and simulates it at
+every bus in turn, so it touches only its span's part of the shared series.
 A run simulates on one swing model, which keeps the current placement bus's
 RK4 propagator after its first realization (in each worker), so later
 realizations only reduce the network to the bus and apply it; the next bus's
@@ -24,11 +26,13 @@ frequency; nothing adds the nominal value back onto the series.
 
 from __future__ import annotations
 
+import contextlib
 import errno
 import math
 import mmap
 import os
-from contextlib import nullcontext
+import pickle
+import signal
 from dataclasses import dataclass
 from functools import partial
 
@@ -202,16 +206,33 @@ def _one_span(cfg: RunConfig, model: SwingModel, rows: tuple, slots: np.ndarray,
     return results
 
 
-_realize = None  # in a forked pool worker, the run's _one_span, set by _attach
+def _serve(realize, n_buses: int, n_slots: int, span: range, out, gate):
+    """A forked worker's study: its pid, then each placement bus k's
+    realize(k, span), or the exception it raised, pickled to out; bus k >=
+    n_slots first waits for the byte on gate that frees bus k - n_slots's slot."""
+    pickle.dump(os.getpid(), out)
+    for k in range(n_buses):
+        out.flush()  # the pid, or the last bus's outcomes, before any wait
+        if k >= n_slots and not gate.read(1):
+            return  # the parent closed the gate
+        try:
+            result = realize(k, span)
+        except Exception as exc:  # MemoryError among them; the parent raises it
+            result = exc
+        pickle.dump(result, out)
+    out.flush()
 
 
-def _attach(realize):
-    global _realize
-    _realize = realize
-
-
-def _attached(k: int, span: range) -> list:
-    return _realize(k, span)
+def _received(out):
+    """The next result a worker pickled to out; an exception is raised."""
+    try:
+        result = pickle.load(out)
+    except (EOFError, pickle.UnpicklingError):
+        raise ChildProcessError("a Monte Carlo worker process ended abruptly "
+                                "(killed, e.g. out of memory)") from None
+    if isinstance(result, BaseException):
+        raise result
+    return result
 
 
 def resolve_workers(workers: int | None, n_tasks: int) -> int:
@@ -247,14 +268,12 @@ def run_monte_carlo(
     realizations succeeded is an UnusableResultError.  The series mapping
     holds 8 n (n_steps + 1) bytes 2, 3 or 5 times, for 1, 2 or more buses.
 
-    workers=None honors GRID_GFV_THREADS, else uses all available cores.  A
-    worker process that ends abruptly (killed, e.g. out of memory) is a
-    ChildProcessError.
+    workers=None honors GRID_GFV_THREADS, else uses all available cores.  At
+    2 or more, one forked worker per span of realizations simulates its span
+    at every bus; one that ends abruptly (killed, e.g. out of memory) is a
+    ChildProcessError.  Every worker is killed and reaped before this returns
+    or raises.
     """
-    # Only a study loads the process-pool modules, not every command.
-    import multiprocessing
-    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
-
     rows = placement_rows(case, buses)
     if (cfg.bins + 1) * 8 > np.iinfo(np.intp).max:  # numpy would fail with no MemoryError
         raise MemoryError(f"Unable to allocate a histogram of {cfg.bins} bins")
@@ -262,7 +281,7 @@ def run_monte_carlo(
                               cfg.damping)
     # The slots, then the wind, in an anonymous shared mapping that forked
     # workers write into; it is unmapped with the last view of it.  Bus k +
-    # n_slots starts once bus k is summarized, bus 1 once bus 0 drew the wind.
+    # n_slots starts once bus k is summarized.
     n, n_buses = cfg.n_realizations, len(rows)
     n_slots = 2 if n_buses >= 3 else 1
     shape = (2 * n_slots + (n_buses >= 2), n, cfg.n_steps + 1)
@@ -275,29 +294,52 @@ def run_monte_carlo(
     slots = series[:2 * n_slots].reshape(n_slots, 2, *shape[1:])
     realize = partial(_one_span, cfg, model, tuple(rows.values()), slots,
                       series[-1] if n_buses >= 2 else None)
-    n_workers = resolve_workers(workers, n)
+    n_workers = resolve_workers(workers, n) if hasattr(os, "fork") else 1
     spans = [range(n * i // n_workers, n * (i + 1) // n_workers) for i in range(n_workers)]
-    serial = n_workers == 1 or "fork" not in multiprocessing.get_all_start_methods()
-    placements, pending = {}, []  # pending: per started bus, the calls for its results
-    # Forked workers inherit realize, the series mapping with it, unpickled.
-    try:
-        with (nullcontext() if serial else ProcessPoolExecutor(
-                n_workers, multiprocessing.get_context("fork"),
-                initializer=_attach, initargs=(realize,))) as pool:
-            def start(j):
-                if j < n_buses:
-                    pending.append([partial(realize, j, span) if serial else
-                                    pool.submit(_attached, j, span).result
-                                    for span in spans])
-
-            start(0)
-            for k, bus in enumerate(rows):
-                per_bus = [r for result in pending.pop(0) for r in result()]
-                if k == 0 and n_slots == 2:
-                    start(1)
-                placements[bus] = summarize(bus, per_bus, slots[k % n_slots], cfg.bins)
-                start(k + n_slots)
-    except BrokenProcessPool as exc:  # a worker that the OOM killer, say, ended
-        raise ChildProcessError("a Monte Carlo worker process ended abruptly "
-                                "(killed, e.g. out of memory)") from exc
+    if n_workers == 1:
+        return {bus: summarize(bus, realize(k, spans[0]), slots[k % n_slots], cfg.bins)
+                for k, bus in enumerate(rows)}
+    parent, placements, outs, gates, pids, theirs = os.getpid(), {}, [], [], [], ()
+    try:  # outs and gates: this process's ends of each worker's two pipes
+        # No signal handler runs from a fork to the worker's study, nor before
+        # this process keeps the worker's pid.
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, signal.valid_signals())
+        try:
+            for span in spans:  # registered before the fork, which an exception may follow
+                (out, their_out), (their_gate, gate) = os.pipe(), os.pipe()
+                outs.append(open(out, "rb"))
+                gates.append(open(gate, "wb", buffering=0))
+                theirs = open(their_out, "wb"), open(their_gate, "rb", buffering=0)
+                if os.fork() == 0:  # the worker keeps its own two ends only
+                    for end in outs + gates:
+                        end.close()
+                    signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+                    _serve(realize, n_buses, n_slots, span, *theirs)
+                    os._exit(0)
+                for end in theirs:  # so that a dead worker reads as EOF
+                    end.close()
+            for out in outs:
+                pids.append(_received(out))
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        for k, bus in enumerate(rows):
+            per_bus = [r for out in outs for r in _received(out)]
+            placements[bus] = summarize(bus, per_bus, slots[k % n_slots], cfg.bins)
+            if k + n_slots < n_buses:  # bus k's slot is free for bus k + n_slots
+                for gate in gates:
+                    with contextlib.suppress(BrokenPipeError):  # its EOF is read next
+                        gate.write(b"\0")
+    finally:
+        if os.getpid() != parent:  # a worker that raised leaves here
+            os._exit(0)
+        for end in theirs:  # then each worker that was forked sends its pid
+            end.close()
+        for out in outs[len(pids):]:
+            with contextlib.suppress(EOFError):
+                pids.append(pickle.load(out))
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for end in outs + gates:
+            end.close()
     return placements

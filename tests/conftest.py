@@ -63,6 +63,12 @@ def get_analysis(name: str):
     return analyze_case(get_case(name))
 
 
+def assert_no_child_left():
+    """Every child of this process has been reaped: none runs, none is a zombie."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def is_lossless_shuntfree(case) -> bool:
     return all(br.r == 0.0 and br.b_ch == 0.0 for br in case.branches) and all(
         b.g_shunt == 0.0 and b.b_shunt == 0.0 for b in case.buses

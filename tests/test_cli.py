@@ -7,8 +7,10 @@ import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
+import time
 import warnings
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
@@ -28,7 +30,7 @@ from gridgfv.cli import main
 from gridgfv.csvio import format_cell, read_table, render_table, write_table
 from gridgfv.errors import SimulationUnstableError
 
-from conftest import FIXTURE_NAMES, fixture_path, synth_case_bytes
+from conftest import FIXTURE_NAMES, assert_no_child_left, fixture_path, synth_case_bytes
 
 CASE9 = str(fixture_path("case9"))
 STUDY = str(fixture_path("case7_study"))
@@ -366,6 +368,93 @@ def test_a_worker_that_dies_is_a_one_line_usage_error(tmp_path, capsys, monkeypa
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "Traceback" not in err
     assert err.startswith("error: a Monte Carlo worker process ended abruptly")
+    assert_no_child_left()
+
+
+def test_a_worker_out_of_memory_is_a_one_line_usage_error(tmp_path, capsys, monkeypatch):
+    # The worker's MemoryError is pickled to this process and raised here.
+    realize = montecarlo._one_span
+
+    def fails_at_bus_1(cfg, model, placements, slots, wind, k, span):
+        if k == 1 and 3 in span:
+            raise MemoryError("Unable to allocate 8 GiB for a work buffer (injected)")
+        return realize(cfg, model, placements, slots, wind, k, span)
+
+    monkeypatch.setattr(montecarlo, "_one_span", fails_at_bus_1)
+    monkeypatch.setenv("GRID_GFV_THREADS", "2")
+    out_dir = tmp_path / "mc"
+    assert main(["mc", STUDY, "--buses", "3,5,7", "--n", "4", "--t", "0.5",
+                 "--out-dir", str(out_dir)]) == 1
+    assert capsys.readouterr().err == (
+        "out of memory: Unable to allocate 8 GiB for a work buffer (injected)\n")
+    assert not list(out_dir.iterdir())
+    assert_no_child_left()
+
+
+# mc through cli.main, as the installed script runs it, with each Monte Carlo
+# worker asleep in its first span for longer than any test waits.
+_SLEEPING_MC = """
+import sys, time
+from gridgfv import cli, montecarlo
+one_span = montecarlo._one_span
+def sleeping(*args):
+    time.sleep(60)
+    return one_span(*args)
+montecarlo._one_span = sleeping
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def _wait_until(done, what, seconds=15.0):
+    deadline = time.monotonic() + seconds
+    while not done():
+        assert time.monotonic() < deadline, f"no {what} within {seconds} s"
+        time.sleep(0.02)
+
+
+def _group_is_gone(pgid) -> bool:
+    try:
+        os.killpg(pgid, 0)
+    except ProcessLookupError:
+        return True
+    return False
+
+
+@pytest.mark.skipif(not os.path.exists(f"/proc/{os.getpid()}/task/{os.getpid()}/children"),
+                    reason="reads a process's children from /proc")
+@pytest.mark.parametrize("signum, to_group, status", [
+    (signal.SIGINT, True, 130),  # Ctrl-C in a terminal: the whole foreground group
+    (signal.SIGTERM, False, 143),  # kill, or a scheduler: the parent alone
+], ids=["sigint-to-group", "sigterm-to-parent"])
+def test_an_interrupted_mc_ends_with_one_line_and_leaves_no_process(
+        tmp_path, signum, to_group, status):
+    out_dir = tmp_path / "mc"
+    out_dir.mkdir()
+    (out_dir / "summary.csv").write_text("an earlier study\n")
+    before = _snapshot(out_dir)
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _SLEEPING_MC, "mc", STUDY, "--buses", "3,5", "--n", "4",
+         "--t", "1", "--out-dir", str(out_dir)],
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src"),
+             "GRID_GFV_THREADS": "2"},
+        start_new_session=True, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    children = Path(f"/proc/{proc.pid}/task/{proc.pid}/children")
+    try:
+        _wait_until(lambda: len(children.read_text().split()) == 2, "two workers")
+        if to_group:
+            os.killpg(proc.pid, signum)
+        else:
+            proc.send_signal(signum)
+        _, err = proc.communicate(timeout=15)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+    assert proc.returncode == status, err
+    assert err == "interrupted\n"
+    assert _snapshot(out_dir) == before
+    assert os.listdir(out_dir) == ["summary.csv"]  # no .mc-* directory left
+    _wait_until(lambda: _group_is_gone(proc.pid), "empty process group", seconds=5)
 
 
 def test_report_ranking(tmp_path):
@@ -1276,15 +1365,18 @@ def test_no_scipy_module_is_loaded_by_import_gfv_or_mc(tmp_path):
     assert done.stdout.strip() == "[]"
 
 
-def test_import_cli_loads_no_process_pool_module():
-    # Only mc starts workers: run_monte_carlo imports multiprocessing and
-    # concurrent.futures itself, so the other commands do not load them.
+def test_import_cli_loads_no_process_pool_module(tmp_path):
+    # run_monte_carlo forks its workers itself: neither importing the CLI
+    # nor an mc at two workers loads multiprocessing or concurrent.futures.
     script = ("import sys, gridgfv.cli\n"
+              f"assert gridgfv.cli.main(['mc', {STUDY!r}, '--buses', '3,5,7', '--n', '4',"
+              f" '--t', '0.5', '--out-dir', {str(tmp_path / 'mc')!r}]) == 0\n"
               "print(sorted(m for m in sys.modules"
               " if m.split('.')[0] in ('multiprocessing', 'concurrent')))\n")
     done = subprocess.run(
         [sys.executable, "-c", script],
-        env={**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")},
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src"),
+             "GRID_GFV_THREADS": "2"},
         capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"

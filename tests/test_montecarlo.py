@@ -1,7 +1,11 @@
 """IFD metric, aggregation, and the Monte Carlo driver."""
 
 import math
+import mmap
+import os
 import pickle
+import signal
+import time
 import weakref
 from functools import lru_cache
 from types import SimpleNamespace
@@ -16,11 +20,11 @@ from hypothesis.extra.numpy import arrays
 from gridgfv import OuParams, RunConfig, ifd, montecarlo, run_monte_carlo, summarize
 from gridgfv.case_model import bus_ids
 from gridgfv.dynamics import Trajectory, TurbineParams, build_swing_model, simulate
-from gridgfv.errors import SimulationUnstableError
+from gridgfv.errors import SimulationUnstableError, UnusableResultError
 from gridgfv.montecarlo import _histogram, _one_span
 from gridgfv.pipeline import analyze_case
 
-from conftest import FIXTURE_NAMES, SYNTH120, get_analysis, get_case
+from conftest import FIXTURE_NAMES, SYNTH120, assert_no_child_left, get_analysis, get_case
 from references import (expected_ifd, ifd_variance_bound, impulse_responses,
                         linearization_error, series_moments)
 
@@ -299,7 +303,7 @@ def test_every_bus_of_a_drawn_placement_gets_its_statistics_alone(buses):
 
 
 def test_a_task_returns_one_scalar_per_realization():
-    # What a pool worker sends back for one bus and a span of realizations:
+    # What a worker sends back for one bus and a span of realizations:
     # an IFD or a failure message per realization; the series stay in the
     # shared slots.  The first bus draws the wind that the later ones replay.
     cfg = RunConfig(horizon=50.0, dt=0.01, seed=3)
@@ -506,3 +510,123 @@ def test_impossible_bins_fail_before_any_simulation(monkeypatch):
     cfg = RunConfig(n_realizations=1000, horizon=200.0, bins=2**63 - 1)
     with pytest.raises(MemoryError, match=r"^Unable to allocate a histogram of \d+ bins$"):
         run_monte_carlo(get_case("case7_study"), [3], cfg)
+
+
+def _shared_ints(*shape):
+    """A zeroed int64 array in an anonymous shared mapping, which forked
+    workers write into and this process reads."""
+    return np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), dtype=np.int64).reshape(shape)
+
+
+def test_each_span_is_simulated_by_one_worker_at_every_bus(monkeypatch):
+    # A worker keeps its span of realizations for the whole study, and so
+    # touches only its span's part of the series mapping.  Spans of 3
+    # workers over 6 realizations start at 0, 2 and 4.
+    pids, one_span = _shared_ints(4, 3), montecarlo._one_span
+
+    def recording(cfg, model, rows, slots, wind, k, span):
+        pids[k, span.start // 2] = os.getpid()
+        return one_span(cfg, model, rows, slots, wind, k, span)
+
+    monkeypatch.setattr(montecarlo, "_one_span", recording)
+    cfg = RunConfig(n_realizations=6, horizon=0.5, dt=0.01, seed=8)
+    run_monte_carlo(get_case("case7_study"), (3, 4, 5, 7), cfg, workers=3)
+    assert_no_child_left()
+    assert np.all(pids == pids[0])  # each span's column holds one pid
+    assert len(set(pids[0].tolist()) | {os.getpid()}) == 4
+
+
+@pytest.mark.parametrize("interrupted_fork", [1, 2])
+def test_a_worker_forked_just_before_an_interrupt_is_killed_and_reaped(
+        monkeypatch, interrupted_fork):
+    # Its pipes were registered before the fork, and it sends its pid first.
+    calls, real = [], os.fork
+
+    def fork():
+        pid = real()
+        calls.append(pid)
+        if pid and len(calls) == interrupted_fork:
+            raise KeyboardInterrupt
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    cfg = RunConfig(n_realizations=4, horizon=0.5, dt=0.01)
+    with pytest.raises(KeyboardInterrupt):
+        run_monte_carlo(get_case("case7_study"), (3, 5, 7), cfg, workers=3)
+    assert len(calls) == interrupted_fork
+    assert_no_child_left()
+
+
+def _sleeping_at(bus_index, started):
+    """_one_span, but a worker that reaches placement bus bus_index marks
+    started[0] and sleeps there for far longer than any test waits."""
+    one_span = montecarlo._one_span
+
+    def sleeping(cfg, model, rows, slots, wind, k, span):
+        if k == bus_index:
+            started[0] = 1
+            time.sleep(60)
+        return one_span(cfg, model, rows, slots, wind, k, span)
+
+    return sleeping
+
+
+def test_workers_on_the_next_bus_are_killed_when_a_summary_raises(monkeypatch):
+    # With two slots the workers start bus 1 without waiting; the summary
+    # of bus 0 raises only once they have.
+    started = _shared_ints(1)
+    monkeypatch.setattr(montecarlo, "_one_span", _sleeping_at(1, started))
+
+    def unusable(bus, outcomes, series, bins):
+        deadline = time.monotonic() + 10
+        while not started[0] and time.monotonic() < deadline:
+            time.sleep(0.01)
+        raise UnusableResultError(f"placement bus {bus} has no successful realizations")
+
+    monkeypatch.setattr(montecarlo, "summarize", unusable)
+    cfg = RunConfig(n_realizations=4, horizon=0.5, dt=0.01)
+    start = time.monotonic()
+    with pytest.raises(UnusableResultError, match="placement bus 3"):
+        run_monte_carlo(get_case("case7_study"), (3, 5, 7), cfg, workers=2)
+    assert started[0]
+    assert time.monotonic() - start < 15
+    assert_no_child_left()
+
+
+def test_workers_are_killed_when_the_wait_for_them_is_interrupted(monkeypatch):
+    # The workers sleep in bus 0; an alarm whose handler raises interrupts
+    # this process while it waits for their results.
+    started = _shared_ints(1)
+    monkeypatch.setattr(montecarlo, "_one_span", _sleeping_at(0, started))
+
+    def interrupt(signum, frame):
+        raise KeyboardInterrupt
+
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    start = time.monotonic()
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 0.5)
+        with pytest.raises(KeyboardInterrupt):
+            run_monte_carlo(get_case("case7_study"), (3, 5), RunConfig(n_realizations=4),
+                            workers=2)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert started[0]
+    assert time.monotonic() - start < 15
+    assert_no_child_left()
+
+
+def test_a_worker_exception_is_raised_here(monkeypatch):
+    one_span = montecarlo._one_span
+
+    def failing(cfg, model, rows, slots, wind, k, span):
+        if k == 1 and 3 in span:
+            raise MemoryError("Unable to allocate a work buffer (injected)")
+        return one_span(cfg, model, rows, slots, wind, k, span)
+
+    monkeypatch.setattr(montecarlo, "_one_span", failing)
+    cfg = RunConfig(n_realizations=4, horizon=0.5, dt=0.01)
+    with pytest.raises(MemoryError, match=r"^Unable to allocate a work buffer \(injected\)$"):
+        run_monte_carlo(get_case("case7_study"), (3, 5, 7), cfg, workers=2)
+    assert_no_child_left()

@@ -39,6 +39,7 @@ from gridgfv.case_model import bus_ids
 from conftest import (
     FIXTURE_NAMES,
     SYNTH120,
+    assert_no_child_left,
     fixture_path,
     get_analysis,
     get_case,
@@ -370,12 +371,6 @@ def _inertia(analysis, workers):
                          analysis.participation, analysis.aug, workers)
 
 
-def _assert_no_child_left():
-    # Every child of this process has been reaped: none runs, none is a zombie.
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 @pytest.fixture
 def forks(monkeypatch):
     """The number of os.fork calls made in this process."""
@@ -400,7 +395,7 @@ def test_forked_inertia_is_the_serial_bytes_on_synth120(workers, forks):
     forked = _inertia(analysis, workers)
     assert len(forks) == workers - 1
     assert forked.tobytes() == serial.tobytes()
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 SPAN = spectral.FORK_MIN_SPAN
@@ -417,7 +412,7 @@ def test_each_process_reduces_at_least_fork_min_span_buses(forks, n_bus, workers
     forked = _inertia(analysis, workers)
     assert len(forks) == processes - 1
     assert forked.tobytes() == _inertia(analysis, 1).tobytes()
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 @pytest.mark.parametrize("failing_fork", [1, 2])
@@ -437,7 +432,7 @@ def test_spans_without_a_process_are_reduced_here(monkeypatch, failing_fork):
     monkeypatch.setattr(os, "fork", fork)
     assert _inertia(analysis, 3).tobytes() == serial.tobytes()
     assert len(calls) == failing_fork
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 @pytest.mark.parametrize("bus", [10, 100], ids=["parent-span", "child-span"])
@@ -460,7 +455,7 @@ def test_forked_inertia_raises_the_serial_error(monkeypatch, bus):
     with pytest.raises(SingularMatrixError) as forked:
         _inertia(analysis, 3)
     assert str(forked.value) == str(serial.value) == f"injected failure at row {bus}"
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 def test_children_are_killed_when_the_parent_span_is_interrupted(monkeypatch):
@@ -483,7 +478,7 @@ def test_children_are_killed_when_the_parent_span_is_interrupted(monkeypatch):
     with pytest.raises(KeyboardInterrupt):
         _inertia(analysis, 3)
     assert time.monotonic() - start < 15
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 def test_children_are_killed_when_the_wait_for_them_is_interrupted(monkeypatch):
@@ -515,7 +510,7 @@ def test_children_are_killed_when_the_wait_for_them_is_interrupted(monkeypatch):
         signal.signal(signal.SIGALRM, previous)
     assert reduced == list(range(40))  # the interrupt came in the wait
     assert time.monotonic() - start < 15
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 def test_a_killed_child_span_is_reduced_again(monkeypatch):
@@ -530,7 +525,7 @@ def test_a_killed_child_span_is_reduced_again(monkeypatch):
 
     monkeypatch.setattr(spectral, "kron_reduce", reduce)
     assert _inertia(analysis, 3).tobytes() == serial.tobytes()
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 def test_a_row_a_killed_child_wrote_in_part_is_reduced_again(monkeypatch):
@@ -550,7 +545,7 @@ def test_a_row_a_killed_child_wrote_in_part_is_reduced_again(monkeypatch):
 
     monkeypatch.setattr(spectral, "kron_reduce", reduce)
     assert _inertia(analysis, 3).tobytes() == serial.tobytes()
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 def test_gep_rejects_non_positive_inertia():
