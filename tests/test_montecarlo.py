@@ -616,17 +616,3 @@ def test_workers_are_killed_when_the_wait_for_them_is_interrupted(monkeypatch):
     assert time.monotonic() - start < 15
     assert_no_child_left()
 
-
-def test_a_worker_exception_is_raised_here(monkeypatch):
-    one_span = montecarlo._one_span
-
-    def failing(cfg, model, rows, slots, wind, k, span):
-        if k == 1 and 3 in span:
-            raise MemoryError("Unable to allocate a work buffer (injected)")
-        return one_span(cfg, model, rows, slots, wind, k, span)
-
-    monkeypatch.setattr(montecarlo, "_one_span", failing)
-    cfg = RunConfig(n_realizations=4, horizon=0.5, dt=0.01)
-    with pytest.raises(MemoryError, match=r"^Unable to allocate a work buffer \(injected\)$"):
-        run_monte_carlo(get_case("case7_study"), (3, 5, 7), cfg, workers=2)
-    assert_no_child_left()
