@@ -41,7 +41,6 @@ from .errors import (
     DisconnectedNetworkError,
     GridGfvError,
     NumericalError,
-    SimulationUnstableError,
     SingularMatrixError,
     StabilityRegionError,
 )

@@ -3,7 +3,7 @@ gfv | simulate | mc | report.
 
 Exit codes: 0 success, 1 usage error (bad arguments, missing files), 2 data
 or validation error, 3 numerical failure (non-convergence, singularity,
-unstable integration), 130 interrupted (Ctrl-C), 143 terminated (SIGTERM);
+a non-finite state), 130 interrupted (Ctrl-C), 143 terminated (SIGTERM);
 every failure is one line on stderr.  All outputs
 are CSV with a header row, rendered whole before a byte is written; an mc
 whose study, tables or writes fail replaces no file.  A command takes the

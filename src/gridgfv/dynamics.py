@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import GridGfvError, NumericalError, SimulationUnstableError
+from .errors import GridGfvError, NumericalError
 from .pipeline import CaseAnalysis
 from .reduction import kron_reduce
 from .spectral import build_laplacian
@@ -75,7 +75,7 @@ class SwingModel:
     bit, and its own gain vector.  participation is the (n_bus, n_gen)
     matrix D of f_bus = D @ f_gen.
 
-    The model keeps the RK4 propagator of the last port and step size that
+    The model keeps the propagator of the last port and step size that
     simulate() has built, its block input map included, and reuses it for
     every later call at that port and step size; a call at another port or
     step size replaces it.  Outputs are the same as from a fresh model.  The
@@ -87,7 +87,7 @@ class SwingModel:
     damp: np.ndarray
     l_red: np.ndarray
     participation: np.ndarray
-    # simulate's propagator (R, _kernel's fill, input map and R^m), at most
+    # simulate's propagator (_kernel's fill, input map and R^m), at most
     # one, keyed by the bytes of the port's reduced Laplacian and gain vector
     # and by dt.
     _propagators: dict = field(default_factory=dict, init=False, compare=False,
@@ -204,23 +204,33 @@ def _injection_reduction(model: SwingModel, row: int):
     return kept[:-1, :-1], kept[:-1, -1]
 
 
-def _rk4_step_operators(a: np.ndarray, g: np.ndarray, dt: float):
-    """Classical RK4 update for the LTI system dx/dt = A x + g u(t), with the
-    input linearly interpolated between samples, folded into constant
-    matrices: x_{k+1} = R x_k + s0 u_k + s1 u_{k+1}."""
-    n = a.shape[0]
-    eye = np.eye(n)
-    a2 = a @ a
-    a3 = a2 @ a
-    a4 = a3 @ a
-    r = eye + dt * a + (dt**2 / 2) * a2 + (dt**3 / 6) * a3 + (dt**4 / 24) * a4
-    ag = a @ g
-    a2g = a2 @ g
-    a3g = a3 @ g
-    b_start = (dt / 6) * (g + dt * ag + (dt**2 / 2) * a2g + (dt**3 / 4) * a3g)
-    b_mid = (dt / 6) * (4 * g + 2 * dt * ag + (dt**2 / 2) * a2g)
-    b_end = (dt / 6) * g
-    return r, b_start + 0.5 * b_mid, b_end + 0.5 * b_mid
+def _exact_step(a: np.ndarray, g: np.ndarray, dt: float):
+    """The exact step of the LTI system dx/dt = A x + g u(t) with the input
+    linear between samples: x_{k+1} = R x_k + s0 u_k + s1 u_{k+1}.
+
+    One exponential of Van Loan's block M = [[A dt, g dt, 0], [0, 0, 1],
+    [0, 0, 0]] holds R = e^{A dt} and, in its last two columns, the responses
+    G1 to a constant and G2 to a ramp over the step, so s0 = G1 - G2 and
+    s1 = G2.  e^M is an 18-term Taylor series of M / 2^s, whose 1-norm is at
+    most 0.5 (the remainder is below 1e-22), squared back s times.  A dt A
+    that is not finite is a NumericalError."""
+    n = len(g)
+    m = np.zeros((n + 2, n + 2))
+    m[:n, :n] = a * dt
+    m[:n, n] = g * dt
+    m[n, n + 1] = 1.0
+    norm = np.abs(m).sum(axis=0).max()
+    if not np.isfinite(norm):
+        raise NumericalError(f"the swing model's step matrix A dt is not finite at dt = {dt!r}")
+    squarings = math.frexp(norm)[1] + 1  # norm >= 1, the ramp's entry
+    m = np.ldexp(m, -squarings)
+    e = term = np.eye(n + 2)
+    for k in range(1, 19):
+        term = term @ m / k
+        e = e + term
+    for _ in range(squarings):
+        e = e @ e
+    return e[:n, :n], e[:n, n] - e[:n, n + 1], e[:n, n + 1]
 
 
 def _kernel(r: np.ndarray, s0: np.ndarray, s1: np.ndarray, rows: slice):
@@ -288,10 +298,12 @@ def simulate(model: SwingModel, port: int, dp: np.ndarray, dt: float,
     port is the row of model.l_red that dp enters: bus i of the case at row i,
     machine k's internal node at n_bus + k.  dp samples live on the grid
     t_k = k*dt, the series length fixes the horizon, and dt must be positive
-    and finite.  Fixed-step 4th-order (RK4) integration, advanced in blocks of
-    time steps (_kernel, _apply); zero input from zero state stays identically zero.
+    and finite.  The input is taken linear between samples, and each step is
+    the exact solution of the linear model over it (_exact_step), stable at
+    every dt and advanced in blocks of time steps (_kernel, _apply); zero input
+    from zero state stays identically zero.
 
-    The port's propagator (R and its block kernel, input map included) is
+    The port's propagator (its block kernel, input map included) is
     built on the model's first call at this port and dt, replacing the one of
     the port and dt before, and reused by the calls that follow at the same
     port and dt, which then only reduce the network to the port and apply it;
@@ -313,7 +325,7 @@ def simulate(model: SwingModel, port: int, dp: np.ndarray, dt: float,
     l_red, w = _injection_reduction(model, port)
     ng = len(model.m)
     rows = slice(ng, None)
-    # A, R and the kernel depend on the port only through l_red and w, so
+    # A and the kernel depend on the port only through l_red and w, so
     # equal bytes give equal operators.
     key = (l_red.tobytes(), w.tobytes(), dt)
     n_t = len(dp)
@@ -327,26 +339,10 @@ def simulate(model: SwingModel, port: int, dp: np.ndarray, dt: float,
             a[ng:, ng:] = np.diag(-model.damp / model.m)
             g = np.zeros(2 * ng)
             g[ng:] = w / model.m
-            r, s0, s1 = _rk4_step_operators(a, g, dt)
-            model._propagators[key] = _read_only(r, *_kernel(r, s0, s1, rows))
-        r, fill, input_map, power = model._propagators[key]
-        omega = _apply(fill, input_map, power, dp)
-
+            model._propagators[key] = _read_only(*_kernel(*_exact_step(a, g, dt), rows))
+        omega = _apply(*model._propagators[key], dp)
     if not np.all(np.isfinite(omega)):
-        # The rigid-body mode puts an eigenvalue of R at 1, computed to within
-        # about 1e-12; 1e-8 above 1 grows the states by 1% in 1e6 steps.  An
-        # R that overflowed itself comes from a step far outside the region.
-        if np.all(np.isfinite(r)) and np.max(np.abs(np.linalg.eigvals(r))) <= 1.0 + 1e-8:
-            raise NumericalError(
-                "non-finite state; the input drives the states past the float "
-                "range (the linear model is stable at this step size)"
-            )
-        bad = np.nonzero(~np.isfinite(omega).all(axis=0))[0][0]
-        raise SimulationUnstableError(
-            f"non-finite state at t = {bad * dt:.4f} s; the linear model is "
-            "unstable at this step size",
-            first_time=bad * dt,
-        )
+        raise NumericalError("non-finite state; the input drives the states past the float range")
 
     h_weights = 0.5 * model.m
     coi = (h_weights @ omega) / h_weights.sum()

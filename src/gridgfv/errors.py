@@ -35,13 +35,5 @@ class DisconnectedNetworkError(NumericalError):
     """Analysis requires a connected network and the case is not."""
 
 
-class SimulationUnstableError(NumericalError):
-    """Time-domain integration produced a non-finite state."""
-
-    def __init__(self, message, first_time=None):
-        super().__init__(message)
-        self.first_time = first_time
-
-
 class UnusableResultError(NumericalError, ValueError):
     """A result is not finite, or every attempt at it failed (also a ValueError)."""

@@ -13,7 +13,7 @@ the parent summarizes while the workers simulate the next bus.  Each forked
 worker owns one span of realizations for the whole study and simulates it at
 every bus in turn, so it touches only its span's part of the shared series.
 A run simulates on one swing model, which keeps the current placement bus's
-RK4 propagator after its first realization (in each worker), so later
+propagator after its first realization (in each worker), so later
 realizations only reduce the network to the bus and apply it; the next bus's
 propagator replaces it, so a process holds one.  Each span of realizations
 writes their bus frequencies into one work buffer and takes each IFD there in
@@ -27,12 +27,14 @@ frequency; nothing adds the nominal value back onto the series.
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import errno
 import math
 import mmap
 import os
 import pickle
 import signal
+import sys
 from dataclasses import dataclass
 from functools import partial
 
@@ -272,7 +274,7 @@ def run_monte_carlo(
     2 or more, one forked worker per span of realizations simulates its span
     at every bus; one that ends abruptly (killed, e.g. out of memory) is a
     ChildProcessError.  Every worker is killed and reaped before this returns
-    or raises.
+    or raises, and on Linux killed when this process dies.
     """
     rows = placement_rows(case, buses)
     if (cfg.bins + 1) * 8 > np.iinfo(np.intp).max:  # numpy would fail with no MemoryError
@@ -311,6 +313,10 @@ def run_monte_carlo(
                 gates.append(open(gate, "wb", buffering=0))
                 theirs = open(their_out, "wb"), open(their_gate, "rb", buffering=0)
                 if os.fork() == 0:  # the worker keeps its own two ends only
+                    if sys.platform.startswith("linux"):  # SIGKILL when the parent dies
+                        ctypes.CDLL(None).prctl(1, signal.SIGKILL)  # PR_SET_PDEATHSIG
+                    if os.getppid() != parent:  # it died before the prctl
+                        os._exit(0)
                     for end in outs + gates:
                         end.close()
                     signal.pthread_sigmask(signal.SIG_SETMASK, mask)

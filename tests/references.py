@@ -7,6 +7,7 @@ import numpy as np
 
 from gridgfv import kron_reduce, reduction, simulate
 from gridgfv.case_model import bus_positions
+from gridgfv.dynamics import OMEGA_SYNC
 
 
 def dense_ds_dv(ybus, vm, va):
@@ -73,6 +74,59 @@ def bus_port_reduction(l_red, n_bus, row):
     g_rows = list(range(n_bus, len(l_red)))
     x = np.linalg.solve(l_red[:n_bus, :n_bus], np.eye(n_bus)[row])
     return four_block_kron(l_red, g_rows), -l_red[n_bus:, :n_bus] @ x
+
+
+def exact_stepping(model, row, dp, dt):
+    """The machine frequencies of a swing model at the bus port row (< n_bus)
+    for the input series dp, stepped one sample at a time from zero by the
+    exact step for an input linear between samples, and a bound on their
+    distance to simulate's.
+
+    A and g are the model of bus_port_reduction's Laplacian and gains, and
+    scipy's expm of Van Loan's M = [[A dt, g dt, 0], [0, 0, 1], [0, 0, 0]]
+    holds R = e^{A dt} and the state G1 that a unit input held over the step
+    drives, and G2 that a unit ramp drives: x_{k+1} = R x_k + G1 u_k +
+    G2 (u_{k+1} - u_k).
+
+    The bound is step_rounding_bound's, and the rounding of the two
+    reductions, near eps cond(L_BB) in the gains, is far inside it on the
+    bundled cases."""
+    from scipy.linalg import expm
+
+    n_bus, ng = len(model.participation), len(model.m)
+    lap, w = bus_port_reduction(model.l_red, n_bus, row)
+    a = np.block([[np.zeros((ng, ng)), OMEGA_SYNC * np.eye(ng)],
+                  [-lap / model.m[:, None], np.diag(-model.damp / model.m)]])
+    g = np.concatenate([np.zeros(ng), w / model.m])
+    n = 2 * ng
+    c = np.zeros((n + 2, n + 2))
+    c[:n, :n], c[:n, n], c[n, n + 1] = a * dt, g * dt, 1.0
+    e = expm(c)
+    r, g1, g2 = e[:n, :n], e[:n, n], e[:n, n + 1]
+    x, freq = np.zeros(n), np.zeros((ng, len(dp)))
+    for k in range(len(dp) - 1):
+        x = r @ x + g1 * dp[k] + g2 * (dp[k + 1] - dp[k])
+        freq[:, k + 1] = x[ng:]
+    return freq, step_rounding_bound(a, g, dt, len(dp)) * np.abs(freq).max()
+
+
+def step_rounding_bound(a, g, dt, n_t):
+    """How far two computations of the exact step of dx/dt = A x + g u, at
+    step dt, may drift apart over n_t samples, relative to the largest
+    frequency:
+    n_t 2^s (n + 2)^2 eps, with n the state size and s = floor(log2 ||M||_1)
+    + 2 the squarings that bring Van Loan's M (exact_stepping) to a 1-norm
+    below 0.5.
+
+    A product of (n + 2)-square matrices rounds to within (n + 2) eps of its
+    operands' scale, and each squaring can double the error that it is
+    handed (Moler & Van Loan 2003, sec. 3), so each computed step is within
+    2^s (n + 2) eps of e^M; a further n + 2 covers the sums over the state
+    and the input through which a step's error reaches a state, and a stable
+    recurrence adds up the errors of its n_t steps."""
+    norm = max(dt * np.abs(a).sum(axis=0).max(), dt * np.abs(g).sum(), 1.0)
+    squarings = math.frexp(norm)[1] + 1
+    return n_t * 2.0**squarings * (len(g) + 2) ** 2 * np.finfo(float).eps
 
 
 def impulse_responses(model, row, cfg):

@@ -19,18 +19,21 @@ from itertools import groupby
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import spearmanr
 
-from gridgfv import OuParams, TurbineParams, cli, montecarlo, pipeline, powerflow
+from gridgfv import (OuParams, TurbineParams, build_swing_model, cli, montecarlo, pipeline,
+                     powerflow, simulate_ou, wind_to_power)
 from gridgfv.case_model import bus_positions, load_validated_case
 from gridgfv.cli import main
 from gridgfv.csvio import format_cell, read_table, render_table, write_table
-from gridgfv.errors import SimulationUnstableError
+from gridgfv.errors import NumericalError
 
-from conftest import FIXTURE_NAMES, assert_no_child_left, fixture_path, synth_case_bytes
+from conftest import FIXTURE_NAMES, assert_no_child_left, fixture_path, get_analysis, synth_case_bytes
+from references import exact_stepping
 
 CASE9 = str(fixture_path("case9"))
 STUDY = str(fixture_path("case7_study"))
@@ -212,7 +215,68 @@ def test_simulate_overflow_of_a_stable_model_is_not_called_unstable(tmp_path, ca
     assert main(argv + ["--t", "50"]) == 3
     err = capsys.readouterr().err
     assert err == ("numerical failure: non-finite state; the input drives the states "
-                   "past the float range (the linear model is stable at this step size)\n")
+                   "past the float range\n")
+
+
+def test_a_step_matrix_past_the_float_range_is_a_one_line_numerical_failure(capsys):
+    # dt * OMEGA_SYNC is past the float range at dt = 1e306.
+    assert main(["simulate", STUDY, "--bus", "3", "--t", "1e306", "--dt", "1e306"]) == 3
+    assert capsys.readouterr().err == (
+        "numerical failure: the swing model's step matrix A dt is not finite at dt = 1e+306\n")
+
+
+def test_a_damping_that_settles_within_a_step_runs_to_the_end(tmp_path, capsys):
+    # dt A reaches 1.25e308 here, inside the float range: each machine then
+    # runs at its quasi-static frequency, near 1e-312 pu.
+    out = tmp_path / "traj.csv"
+    assert main(["simulate", STUDY, "--bus", "3", "--t", "1000", "--dt", "5",
+                 "--damping", "1e308", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    header, rows = read_table(out)
+    gen = [header.index(f"gen_{k}") for k in range(3)]
+    freq = np.array([[row[i] for i in gen] for row in rows], dtype=float)
+    assert np.all(np.isfinite(freq)) and 0 < np.abs(freq).max() < 1e-300
+
+
+def test_simulate_at_a_long_step_writes_the_exact_solution(tmp_path):
+    # A step of 0.5 s is past every explicit scheme's stability limit on
+    # case9; the frequencies must be scipy's exact stepping of the series
+    # that the table's dp column holds.
+    out = tmp_path / "traj.csv"
+    assert main(["simulate", CASE9, "--bus", "5", "--t", "20", "--dt", "0.5",
+                 "--out", str(out)]) == 0
+    header, rows = read_table(out)
+    table = np.array(rows, dtype=float).T
+    model = build_swing_model(get_analysis("case9"))
+    want, bound = exact_stepping(model, bus_positions(load_validated_case(CASE9))[5],
+                                 table[header.index("dp")], 0.5)
+    assert table.shape[1] == 41
+    gen = table[header.index("gen_0"):header.index("gen_0") + 3]
+    assert np.max(np.abs(gen - want)) <= bound
+    buses = table[header.index("gen_0") + 3:]
+    assert np.max(np.abs(buses - model.participation @ want)) <= bound * np.abs(
+        model.participation).sum(axis=1).max()
+
+
+def test_mc_at_a_long_step_writes_the_exact_ifds(tmp_path, monkeypatch):
+    # Each IFD of ifd.csv must be the absolute sum of the bus frequencies of
+    # scipy's exact stepping of its realization's power series.
+    monkeypatch.setenv("GRID_GFV_THREADS", "2")
+    out_dir = tmp_path / "mc"
+    assert main(["mc", STUDY, "--buses", "3,5", "--n", "4", "--t", "20", "--dt", "0.5",
+                 "--out-dir", str(out_dir)]) == 0
+    header, rows = read_table(out_dir / "ifd.csv")
+    assert len(rows) == 8
+    case = load_validated_case(STUDY)
+    model = build_swing_model(get_analysis("case7_study"))
+    d = model.participation
+    for bus, r, got in rows:
+        dp = wind_to_power(simulate_ou(OuParams(), 0.5, 40, (0, int(r))), TurbineParams())
+        want, bound = exact_stepping(model, bus_positions(case)[int(bus)], dp, 0.5)
+        # The IFD sums n_bus * 41 samples, each within bound times a row
+        # 1-norm of the participation matrix.
+        tol = len(d) * len(dp) * np.abs(d).sum(axis=1).max() * bound
+        assert abs(float(got) - np.abs(d @ want).sum()) <= tol, (bus, r)
 
 
 def _run_mc(tmp_path, name, threads):
@@ -455,6 +519,30 @@ def test_an_interrupted_mc_ends_with_one_line_and_leaves_no_process(
     assert _snapshot(out_dir) == before
     assert os.listdir(out_dir) == ["summary.csv"]  # no .mc-* directory left
     _wait_until(lambda: _group_is_gone(proc.pid), "empty process group", seconds=5)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux")
+                    or not os.path.exists(f"/proc/{os.getpid()}/task/{os.getpid()}/children"),
+                    reason="the parent-death signal is Linux's; reads children from /proc")
+def test_workers_of_a_killed_mc_die_with_it(tmp_path):
+    # SIGKILL leaves the parent no chance to reap its workers, asleep in
+    # placement bus 0; they die with it instead of sleeping on.
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _SLEEPING_MC, "mc", STUDY, "--buses", "3,5", "--n", "4",
+         "--t", "1", "--out-dir", str(tmp_path / "mc")],
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src"),
+             "GRID_GFV_THREADS": "2"},
+        start_new_session=True, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    children = Path(f"/proc/{proc.pid}/task/{proc.pid}/children")
+    try:
+        _wait_until(lambda: len(children.read_text().split()) == 2, "two workers")
+        proc.kill()
+        proc.wait(timeout=15)
+        _wait_until(lambda: _group_is_gone(proc.pid), "empty process group", seconds=5)
+    finally:
+        if not _group_is_gone(proc.pid):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
 
 
 def test_report_ranking(tmp_path):
@@ -902,10 +990,10 @@ def test_non_finite_run_parameter_is_a_one_line_usage_error(tmp_path, capsys, ar
 
 
 @pytest.mark.parametrize("flags, message", [
-    # A step of 1 s is far beyond the stability limit: every realization fails.
-    (["--n", "3", "--t", "400", "--dt", "1", "--seed", "1"],
+    # A 1e308 pu turbine drives every realization's states past the float range.
+    (["--n", "3", "--t", "50", "--rated-power", "1e308", "--ou-b", "1", "--seed", "1"],
      "placement bus 3 has no successful realizations (realization 0: non-finite "
-     "state at t = "),
+     "state; the input drives the states past the float range)"),
     # The summary's standard deviations overflow.
     (["--n", "2", "--t", "0.05", "--rated-power=1e200"],
      "non-finite value inf in CSV output"),
@@ -931,7 +1019,7 @@ def test_partial_mc_run_names_each_failure_then_warns(tmp_path, capsys, monkeypa
     def flaky(model, port, dp, dt, out=None):
         calls.append(port)
         if ((len(calls) - 1) % 4, port) in failing:
-            raise SimulationUnstableError("non-finite state (injected)")
+            raise NumericalError("non-finite state (injected)")
         return simulate(model, port, dp, dt, out=out)
 
     monkeypatch.setattr(montecarlo, "simulate", flaky)

@@ -12,7 +12,6 @@ from gridgfv import (
     GridGfvError,
     NumericalError,
     OuParams,
-    SimulationUnstableError,
     StabilityRegionError,
     TurbineParams,
     analyze_case,
@@ -31,14 +30,14 @@ from gridgfv.dynamics import (
     _BLOCK,
     _apply,
     _injection_reduction,
+    _exact_step,
     _kernel,
-    _rk4_step_operators,
 )
 from gridgfv.reduction import kron_reduce
 
 from closed_form import closed_form_response
 from conftest import FIXTURE_NAMES, SYNTH120, fixture_path, get_analysis, get_case
-from references import bus_port_reduction
+from references import bus_port_reduction, exact_stepping, step_rounding_bound
 
 # The row of case9's bus 5 in l_red: its injection port.
 CASE9_BUS5 = bus_positions(get_case("case9"))[5]
@@ -312,19 +311,22 @@ def test_simulate_deterministic():
 
 
 def test_simulate_matches_closed_form_two_nodes():
-    # Step at one machine of the reduced two-node system; the spectral
-    # closed form and the RK4 integration must agree.
+    # Step at one machine of the reduced two-node system.  A constant input
+    # is linear between samples, so the exact step and the spectral closed
+    # form differ by rounding alone: within step_rounding_bound of the
+    # largest frequency.
     case, model = _model_from(PAIR)
-    dt = 0.01
-    dp = np.full(1001, 0.05)
-    traj = simulate(model, case.n_bus, dp, dt)
     lred = kron_reduce(model.l_red, _internal_rows(model))
     w_s = OMEGA_SYNC
-    expected = (
-        closed_form_response(lred, model.m[0] / w_s, model.damp[0] / w_s, 0, 0.05, traj.t)
-        / w_s
-    )
-    assert np.max(np.abs(traj.gen_freq - expected)) <= 1e-6
+    dp = np.full(1001, 0.05)
+    for dt in (0.01, 0.1):
+        traj = simulate(model, case.n_bus, dp, dt)
+        expected = (
+            closed_form_response(lred, model.m[0] / w_s, model.damp[0] / w_s, 0, 0.05, traj.t)
+            / w_s
+        )
+        bound = step_rounding_bound(*_swing_operators(model, case.n_bus), dt, len(dp))
+        assert np.max(np.abs(traj.gen_freq - expected)) <= bound * np.abs(expected).max(), dt
 
 
 def test_simulate_matches_independent_integrator():
@@ -376,8 +378,8 @@ def test_simulate_coi_is_inertia_weighted_mean():
 
 def test_momentum_balance_zero_damping():
     # Undamped machines accumulate exactly the integrated impulse; the COI
-    # stays put afterwards.  RK4 sees the sampled series piecewise-linear,
-    # so "integrated" means its trapezoid.
+    # stays put afterwards.  The step takes the sampled series as
+    # piecewise-linear, so "integrated" means its trapezoid.
     doc = json.loads(json.dumps(PAIR))
     for gen in doc["generators"]:
         gen["d"] = 0.0
@@ -491,31 +493,57 @@ def test_a_numpy_step_gives_the_bytes_of_a_python_float_step():
             == simulate_ou(OuParams(), np.float64(0.01), 300, 5).tobytes())
 
 
-def test_simulate_unstable_step_reports_time():
-    case, model = _model_from(PAIR)
-    with pytest.raises(SimulationUnstableError) as err:
-        simulate(model, bus_positions(case)[1], np.full(4000, 0.1), 1.0)
-    assert err.value.first_time is not None
-
-
 def test_simulate_overflow_of_a_stable_model_is_not_an_instability():
     # dt = 0.01 is well inside case9's stability region: a constant 1e306 pu
     # step makes the angles grow linearly until they leave the float range.
     model = build_swing_model(get_analysis("case9"))
-    with pytest.raises(NumericalError, match="past the float range") as err:
+    with pytest.raises(NumericalError, match="past the float range"):
         simulate(model, CASE9_BUS5, np.full(5000, 1e306), 0.01)
-    assert not isinstance(err.value, SimulationUnstableError)
 
 
-def test_simulate_step_operator_overflow_is_an_instability():
-    # A damping of 1e100 makes dt * A so large that R = I + dt A + ... +
-    # (dt A)^4 / 24 itself overflows; the failure is an error, not a warning.
+def test_a_long_step_gives_the_exact_solution():
+    # dt = 1 s is past every explicit scheme's stability limit on this model;
+    # the exact step is stable at any dt.
+    case, model = _model_from(PAIR)
+    dp = np.full(4000, 0.1)
+    got = simulate(model, bus_positions(case)[1], dp, 1.0).gen_freq
+    want, bound = exact_stepping(model, bus_positions(case)[1], dp, 1.0)
+    assert np.max(np.abs(got - want)) <= bound
+
+
+def test_a_long_step_settles_at_the_synchronous_steady_state():
+    # A constant input u into damped machines settles them at one frequency,
+    # sum(w) u / sum(D): the Laplacian's column sums vanish.  PAIR's slowest
+    # mode decays as exp(-D t / 2M) with 2M / D = 12 s, so from t = 1000 s on
+    # the exact solution is that steady state to within 1e-36, and the
+    # computed steps stay within exact_stepping's rounding bound of it.
+    case, model = _model_from(PAIR)
+    row = bus_positions(case)[1]
+    dp = np.full(4000, 0.1)
+    got = simulate(model, row, dp, 1.0).gen_freq
+    _, w = bus_port_reduction(model.l_red, len(model.participation), row)
+    _, bound = exact_stepping(model, row, dp, 1.0)
+    steady = w.sum() * 0.1 / model.damp.sum()
+    assert np.all(np.isfinite(got))
+    assert np.max(np.abs(got[:, 1000:] - steady)) <= bound
+
+
+def test_a_stiff_damping_gives_the_quasi_static_frequencies_without_a_warning():
+    # A damping of 1e100 settles each machine within 1e-98 s, so it runs at
+    # w u / D from the first step, and its angles stay below 1e-98 rad.
+    # scipy's expm returns NaN for this step: the exact solution is the
+    # quasi-static one, to within a relative 1e-95.  Each step forgets the
+    # last, so no error accumulates: the bound is (n + 2)^2 eps, 64 eps at
+    # n = 6 states, of step_rounding_bound's per-step rounding.
     model = build_swing_model(get_analysis("case9"))
     model = replace(model, damp=np.full(len(model.m), 1e100))
+    _, w = bus_port_reduction(model.l_red, len(model.participation), CASE9_BUS5)
+    dp = _wind_dp(300, 5)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(SimulationUnstableError, match="unstable at this step size"):
-            simulate(model, CASE9_BUS5, np.full(10, 0.1), 0.01)
+        got = simulate(model, CASE9_BUS5, dp, 0.01).gen_freq
+    want = np.outer(w, dp) / 1e100  # dp starts at 0, as the state does
+    assert np.max(np.abs(got - want)) <= 64 * np.finfo(float).eps * np.abs(want).max()
 
 
 def test_a_reused_propagator_gives_the_bytes_of_a_fresh_model():
@@ -538,15 +566,15 @@ def test_a_reused_propagator_gives_the_bytes_of_a_fresh_model():
 
 def test_a_model_holds_the_propagator_of_one_port_only():
     # Callers finish a port before they start the next, so the store keeps
-    # the last one, not one entry per port: 1088 n_gen^2 + 34,320 n_gen
-    # bytes, 112,752 at 3 machines.  R, the fill and R^m take 1088 n_gen^2;
+    # the last one, not one entry per port: 1056 n_gen^2 + 34,320 n_gen
+    # bytes, 112,464 at 3 machines.  The fill and R^m take 1056 n_gen^2;
     # the (65, 66 n_gen) input map takes 34,320 n_gen.
     model = build_swing_model(get_analysis("case9"))
     dp = _wind_dp(300, 5)
     for row in range(get_case("case9").n_bus):
         simulate(model, row, dp, 0.01)
     (entry,) = model._propagators.values()
-    assert sum(a.nbytes for a in entry) == 112_752
+    assert sum(a.nbytes for a in entry) == 112_464
 
 
 def test_out_receives_bus_freq_and_no_earlier_trajectory_changes():
@@ -567,26 +595,37 @@ def test_out_receives_bus_freq_and_no_earlier_trajectory_changes():
         assert getattr(kept, name).tobytes() == value.tobytes(), name
 
 
-@pytest.mark.parametrize("damp, dt", [(None, 0.5), (1e100, 0.01)],
-                         ids=["unstable-step", "overflowing-step-operator"])
-def test_a_reused_unstable_propagator_fails_again_at_the_same_time(damp, dt):
-    # dt = 0.5 is outside case9's stability region; a damping of 1e100 makes
-    # R itself overflow.  The second call reuses the first call's R.
+@pytest.mark.parametrize("damp", [None, 0.0], ids=["damped", "undamped"])
+def test_a_reused_propagator_at_a_long_step_gives_the_exact_solution(damp):
+    # dt = 0.5 s is past every explicit scheme's stability limit on case9;
+    # the second call reuses the first call's propagator.
     model = build_swing_model(get_analysis("case9"))
     if damp is not None:
         model = replace(model, damp=np.full(len(model.m), damp))
     dp = _wind_dp(700, 5)
-    times = []
+    want, bound = exact_stepping(model, CASE9_BUS5, dp, 0.5)
     for _ in range(2):
-        with pytest.raises(SimulationUnstableError) as err:
-            simulate(model, CASE9_BUS5, dp, dt)
-        times.append(err.value.first_time)
-    assert times[0] is not None and times[0] == times[1]
+        got = simulate(model, CASE9_BUS5, dp, 0.5).gen_freq
+        assert np.max(np.abs(got - want)) <= bound
 
 
-def _stepped_gen_freq(model, port, dp, dt):
-    """Machine frequencies by the RK4 recurrence stepped one sample at a
-    time: the definition the time-blocked integration is held to."""
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_simulate_matches_exact_stepping_at_every_bus_port(name):
+    # Against scipy's expm of the step, on the reduction of bus_port_reduction,
+    # stepped one sample at a time: at short and long steps, damped and not.
+    damped = build_swing_model(get_analysis(name))
+    dp = _wind_dp(299, 5)
+    for model in (damped, replace(damped, damp=np.zeros(len(damped.m)))):
+        for dt in (0.01, 0.5, 5.0):
+            for row in range(len(model.participation)):
+                got = simulate(model, row, dp, dt).gen_freq
+                want, bound = exact_stepping(model, row, dp, dt)
+                assert np.max(np.abs(got - want)) <= bound, (dt, row)
+
+
+def _swing_operators(model, port):
+    """A and g of the swing model at port: dx/dt = A x + g u, x the
+    machines' angles, then their frequencies."""
     l_red, w = _injection_reduction(model, port)
     ng = len(model.m)
     a = np.zeros((2 * ng, 2 * ng))
@@ -595,7 +634,14 @@ def _stepped_gen_freq(model, port, dp, dt):
     a[ng:, ng:] = np.diag(-model.damp / model.m)
     g = np.zeros(2 * ng)
     g[ng:] = w / model.m
-    r, s0, s1 = _rk4_step_operators(a, g, dt)
+    return a, g
+
+
+def _stepped_gen_freq(model, port, dp, dt):
+    """Machine frequencies by the exact-step recurrence stepped one sample at
+    a time: the definition the time-blocked integration is held to."""
+    ng = len(model.m)
+    r, s0, s1 = _exact_step(*_swing_operators(model, port), dt)
     omega = np.zeros((ng, len(dp)))
     x = np.zeros(2 * ng)
     for k in range(len(dp) - 1):
@@ -652,7 +698,7 @@ def test_blocked_integration_at_every_scan_level(n_t):
 
 
 def _random_swing_operators(ng, seed, dt=0.01):
-    """RK4 operators of a random stable, connected swing model of ng machines."""
+    """Step operators of a random stable, connected swing model of ng machines."""
     rng = np.random.default_rng(seed)
     w = np.triu(rng.uniform(0.5, 2.0, (ng, ng)), 1)
     w = w + w.T
@@ -664,7 +710,7 @@ def _random_swing_operators(ng, seed, dt=0.01):
     a[ng:, ng:] = np.diag(-rng.uniform(0.5, 2.0, ng) / m)
     g = np.zeros(2 * ng)
     g[ng:] = rng.uniform(0.0, 1.0, ng) / m
-    return _rk4_step_operators(a, g, dt)
+    return _exact_step(a, g, dt)
 
 
 def _blocked(r, s0, s1, u, rows):
@@ -726,13 +772,6 @@ def test_blocked_zero_input_is_exactly_zero_at_every_port():
         traj = simulate(model, port, np.zeros(3 * _BLOCK + 5), 0.01)
         assert np.all(traj.gen_freq == 0.0)
         assert np.all(traj.bus_freq == 0.0)
-
-
-def test_simulate_unstable_step_reports_the_first_non_finite_time():
-    case, model = _model_from(PAIR)
-    with pytest.raises(SimulationUnstableError) as err:
-        simulate(model, bus_positions(case)[1], np.full(4000, 0.1), 1.0)
-    assert err.value.first_time == 104.0
 
 
 def test_closed_form_zero_at_t_zero():
